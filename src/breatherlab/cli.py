@@ -96,7 +96,7 @@ def _chart_for(cfg, V):
 def _skew_datum(cfg, N, seed) -> LatticeState:
     state = LatticeState.zeros(N)
     spec = cfg.get("datum", "1:1.0,2:0.6,3:0.25")
-    pairs = spec if isinstance(spec, list) else [spec]
+    pairs = spec if isinstance(spec, list) else str(spec).split(",")
     for pair in pairs:
         k, _, v = str(pair).partition(":")
         k, v = int(k), float(v or "1.0")

@@ -145,6 +145,18 @@ class TrackResult:
     residual_q: np.ndarray
 
 
+def parabola_vertex(ym: float, y0: float, yp: float) -> tuple[float, float]:
+    """Offset and value of the vertex of the parabola through (-1, ym), (0, y0), (1, yp).
+
+    Returns (0, y0) unless the parabola opens upwards.
+    """
+    denom = ym - 2 * y0 + yp
+    if denom <= 0:
+        return 0.0, y0
+    off = 0.5 * (ym - yp) / denom
+    return off, y0 - 0.25 * (ym - yp) * off
+
+
 def track_modulation(p: np.ndarray, q: np.ndarray, family: BreatherFamily,
                      N_big: int) -> TrackResult:
     """argmin over (family member, phase) of the l^2 distance, refined quadratically."""
@@ -164,17 +176,11 @@ def track_modulation(p: np.ndarray, q: np.ndarray, family: BreatherFamily,
 
     def refine_phase(m):
         j = int(np.argmin(d2[m]))
-        ym, y0, yp = d2[m, (j - 1) % P], d2[m, j], d2[m, (j + 1) % P]
-        denom = ym - 2 * y0 + yp
-        off = 0.5 * (ym - yp) / denom if denom > 0 else 0.0
-        val = y0 - 0.125 * (ym - yp) * off if denom > 0 else y0
+        off, val = parabola_vertex(d2[m, (j - 1) % P], d2[m, j], d2[m, (j + 1) % P])
         return j + off, val
 
     js, vals = zip(*(refine_phase(m) for m in (m0 - 1, m0, m0 + 1)))
-    ym, y0, yp = vals
-    denom = ym - 2 * y0 + yp
-    moff = 0.5 * (ym - yp) / denom if denom > 0 else 0.0
-    moff = float(np.clip(moff, -1.0, 1.0))
+    moff = float(np.clip(parabola_vertex(*vals)[0], -1.0, 1.0))
     dI = family.I_values[1] - family.I_values[0]
     I_bar = family.I_values[m0] + moff * dI
     # interpolate the family point linearly in the member direction
@@ -290,7 +296,8 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         "eps": c.eps,
         "I_drift": record.I_drift,
         "drift_bound_mu2_sqrt_eps": c.mu ** 2 / np.sqrt(c.eps),
-        "max_residual_l2_over_mu": float(np.max(record.residual_l2) / c.mu),
+        "max_residual_l2_over_mu": (float(np.max(record.residual_l2) / c.mu)
+                                    if c.mu > 0 else float("nan")),
         "spacetime_L%g_l%g" % (q_exp, r_exp): record.spacetime_lq_lr,
         "weighted_mixed_linf_L2": record.weighted_mixed,
         "energy_rel_drift": float(np.max(np.abs(energies_arr - energies_arr[0]))

@@ -12,6 +12,7 @@ Conventions: the angle origin is alpha = 0 at the point of maximal elongation
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,13 +129,16 @@ def _turning_point(V: PotentialSpec, E: float, side: int) -> float:
     return qt
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
 
-
-def _gauss_legendre(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    The arrays are shared by every caller and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _orbit_quadrature(V: PotentialSpec, E: float, kind: str, rtol: float = 1e-12,
@@ -156,7 +160,7 @@ def _orbit_quadrature(V: PotentialSpec, E: float, kind: str, rtol: float = 1e-12
     W, _ = npoly.polydiv(U_coeffs, npoly.polyfromroots([qm, qp]))
 
     def evaluate(n):
-        x, w = _gauss_legendre(n)
+        x, w = gauss_legendre(n)
         phi = 0.5 * np.pi * x
         q = c + h * np.sin(phi)
         cos2 = np.cos(phi) ** 2

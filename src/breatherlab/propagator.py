@@ -21,6 +21,7 @@ import numpy as np
 
 from .lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
                       PolynomialWeight, WeightSpec, check_skew, norm, seq_norm)
+from .potential import gauss_legendre
 
 
 class SpectralCutError(ValueError):
@@ -82,11 +83,13 @@ def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeS
         raise ValueError("datum is not skew-symmetric")
     pr, qr = state_to_ring(state)
     nu = dispersion_frequency(eps, _ring_thetas(pr.size))
-    qh, ph = np.fft.fft(qr), np.fft.fft(pr)
-    c, s = np.cos(nu * t), np.sin(nu * t)
-    qt = np.fft.ifft(qh * c + ph * (s / nu)).real
-    pt = np.fft.ifft(ph * c - qh * (nu * s)).real
-    return ring_to_state(pt, qt)
+    ph, qh = _rotate(np.fft.fft(pr), np.fft.fft(qr), nu, np.cos(nu * t), np.sin(nu * t))
+    return ring_to_state(np.fft.ifft(ph).real, np.fft.ifft(qh).real)
+
+
+def _rotate(ph, qh, nu, c, s):
+    """S(t) on Fourier coefficients, given c = cos(nu t) and s = sin(nu t)."""
+    return ph * c - qh * (nu * s), qh * c + ph * (s / nu)
 
 
 def _odd_extension_halfside(xi: LatticeState, side: int) -> LatticeState:
@@ -210,17 +213,26 @@ def _resolve_interval(interval, split: str) -> list[tuple[float, float]]:
     return [tuple(map(float, piece)) for piece in interval]
 
 
+# order of every Gauss-Legendre panel in the oscillatory quadrature
+_PANEL_ORDER = 128
+
+
+def _panel_rule(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [a, b] with at least n_nodes nodes.
+
+    ceil(n_nodes / p) equal panels of the fixed order p = _PANEL_ORDER, so the
+    node count can grow with lam without a new (dense) Legendre eigenproblem.
+    """
+    x, w = gauss_legendre(_PANEL_ORDER)
+    edges = np.linspace(a, b, max(1, -(-n_nodes // _PANEL_ORDER)) + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def _osc_piece(lam: float, rho: float, eps: float, a: float, b: float,
                n_nodes: int) -> complex:
-    x, w = np.polynomial.legendre.leggauss(min(n_nodes, 2000))
-    panels = max(1, int(np.ceil(n_nodes / 2000)))
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0 + 0.0j
-    for j in range(panels):
-        mid, half = 0.5 * (edges[j] + edges[j + 1]), 0.5 * (edges[j + 1] - edges[j])
-        th = mid + half * x
-        total += half * np.sum(w * np.exp(1j * lam * (dispersion_frequency(eps, th) + rho * th)))
-    return total
+    th, w = _panel_rule(a, b, n_nodes)
+    return complex(np.dot(w, np.exp(1j * lam * (dispersion_frequency(eps, th) + rho * th))))
 
 
 def oscillatory_integral(rho: float, lam: float, eps: float, interval="full",
@@ -258,22 +270,16 @@ def _osc_on_rho_grid(lam: float, eps: float, a: float, b: float,
     """integral over [a, b] for every rho in a uniform grid, sharing the nu phase."""
     n = max(256, int(16.0 * abs(lam) * (np.max(np.abs(rho_grid)) + 4.0 * eps)
                      * (b - a) / (2.0 * np.pi)) + 64)
-    x, w = np.polynomial.legendre.leggauss(min(n, 4000))
-    panels = max(1, int(np.ceil(n / 4000)))
-    edges = np.linspace(a, b, panels + 1)
-    vals = np.zeros(rho_grid.size, dtype=complex)
+    th, w = _panel_rule(a, b, n)
+    base = w * np.exp(1j * lam * dispersion_frequency(eps, th))
     dr = rho_grid[1] - rho_grid[0] if rho_grid.size > 1 else 0.0
-    for j in range(panels):
-        mid, half = 0.5 * (edges[j] + edges[j + 1]), 0.5 * (edges[j + 1] - edges[j])
-        th = mid + half * x
-        base = w * np.exp(1j * lam * dispersion_frequency(eps, th))
-        # e^{i lam rho th} built incrementally along the uniform rho grid
-        ratio = np.exp(1j * lam * dr * th)
-        cur = np.exp(1j * lam * rho_grid[0] * th)
-        for r in range(rho_grid.size):
-            vals[r] += half * np.dot(base, cur)
-            if r + 1 < rho_grid.size:
-                cur = cur * ratio
+    # e^{i lam rho th} built incrementally along the uniform rho grid
+    ratio = np.exp(1j * lam * dr * th)
+    cur = np.exp(1j * lam * rho_grid[0] * th)
+    vals = np.empty(rho_grid.size, dtype=complex)
+    for r in range(rho_grid.size):
+        vals[r] = np.dot(base, cur)
+        cur *= ratio
     return vals
 
 
@@ -471,33 +477,33 @@ def sp_temp_check(times: np.ndarray, states: list[LatticeState], s: float,
 
 def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
                      eps: float) -> list[LatticeState]:
-    """u(t_i) = integral_0^{t_i} S(t_i - tau) F(tau) d tau by trapezoid in tau.
+    """u(t_i) = integral_{t_0}^{t_i} S(t_i - tau) F(tau) d tau by trapezoid in tau.
 
-    Used by the retarded Strichartz property tests; forcing samples must be
-    skew-symmetric whole-chain states on a uniform time grid.
+    Uses S(t_i - tau) = S(t_i) S(-tau): the trapezoid integral of S(-tau) F(tau)
+    is carried forward in Fourier space and S(t_i) is applied once per sample,
+    so the cost is O(n) propagations for n samples and the working memory
+    O(P) beyond the returned states.  Forcing samples must be skew-symmetric
+    whole-chain states on a uniform time grid (ValueError otherwise); the
+    first sample's state is zero.
     """
     times = np.asarray(times, dtype=float)
-    n = times.size
+    steps = np.diff(times)
+    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("forced_evolution needs a uniform time grid")
+    P = 2 * forcing[0].N + 2
+    nu = dispersion_frequency(eps, _ring_thetas(P))
+    acc_p = np.zeros(P, dtype=complex)
+    acc_q = np.zeros(P, dtype=complex)
+    prev = None
     out = []
-    pr0, qr0 = state_to_ring(forcing[0])
-    P = pr0.size
-    th = _ring_thetas(P)
-    nu = dispersion_frequency(eps, th)
-    f_hat = []
-    for F in forcing:
+    for t, F in zip(times, forcing):
         pr, qr = state_to_ring(F)
-        f_hat.append((np.fft.fft(pr), np.fft.fft(qr)))
-    for i in range(n):
-        acc_p = np.zeros(P, dtype=complex)
-        acc_q = np.zeros(P, dtype=complex)
-        if i > 0:
-            dt = times[1] - times[0]
-            for j in range(i + 1):
-                ph, qh = f_hat[j]
-                tau = times[i] - times[j]
-                c, s = np.cos(nu * tau), np.sin(nu * tau)
-                wgt = dt if 0 < j < i else 0.5 * dt
-                acc_q += wgt * (qh * c + ph * (s / nu))
-                acc_p += wgt * (ph * c - qh * (nu * s))
-        out.append(ring_to_state(np.fft.ifft(acc_p).real, np.fft.ifft(acc_q).real))
+        c, s = np.cos(nu * t), np.sin(nu * t)
+        cur = _rotate(np.fft.fft(pr), np.fft.fft(qr), nu, c, -s)
+        if prev is not None:
+            acc_p += (0.5 * steps[0]) * (prev[0] + cur[0])
+            acc_q += (0.5 * steps[0]) * (prev[1] + cur[1])
+        prev = cur
+        up, uq = _rotate(acc_p, acc_q, nu, c, s)
+        out.append(ring_to_state(np.fft.ifft(up).real, np.fft.ifft(uq).real))
     return out

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from breatherlab.integrate import IntegratorConfig, evolve, flow
 from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
                                  PolynomialWeight, norm, skew_symmetrize)
 from breatherlab.potential import PotentialSpec
 from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
-                                    dispersion_frequency, forced_evolution,
-                                    measure_decay, modified_energy,
+                                    _osc_on_rho_grid, dispersion_frequency,
+                                    forced_evolution, measure_decay, modified_energy,
                                     oscillatory_integral, phase_intervals,
                                     propagate_pinned, propagate_whole_chain,
                                     puiseux_leading_check, resolvent_B_apply,
@@ -155,6 +156,21 @@ def test_oscillatory_integral_node_doubling_oracle():
     val = oscillatory_integral(0.5, 100.0, 0.1, "full")
     frozen = oscillatory_integral(0.5, 100.0, 0.1, "full", n_nodes=1 << 16)
     assert abs(val - frozen) < 1e-9
+
+
+@pytest.mark.parametrize("interval", ["I1", "I2"])
+def test_osc_on_rho_grid_matches_adaptive_quadrature(interval):
+    lam, eps = 1e3, 0.1
+    rho_grid = np.array([-0.14, -0.07, 0.0])   # uniform, spans the stationary points
+    for a, b in phase_intervals()[interval]:
+        vals = _osc_on_rho_grid(lam, eps, a, b, rho_grid)
+        for rho, val in zip(rho_grid, vals):
+            phase = lambda th: lam * (dispersion_frequency(eps, th) + rho * th)
+            ref = [quad(lambda th: part(phase(th)), a, b, limit=1000,
+                        epsabs=1e-13, epsrel=1e-12)[0] for part in (np.cos, np.sin)]
+            scale = abs(complex(*ref))
+            assert abs(val.real - ref[0]) <= 1e-9 * scale
+            assert abs(val.imag - ref[1]) <= 1e-9 * scale
 
 
 def test_interval_splittings_partition():
@@ -339,6 +355,40 @@ def test_retarded_strichartz_eps_scaling(rng):
         dual = np.trapezoid(fvals, eps * times)
         Cs.append(out * eps / dual)
     assert Cs[0] / Cs[1] == pytest.approx(1.0, abs=0.5)
+
+
+def _forced_evolution_quadratic(times, forcing, eps):
+    """u(t_i) = sum_j w_ij S(t_i - t_j) F_j with trapezoid weights, one propagation per pair."""
+    dt = times[1] - times[0]
+    out = []
+    for i, t in enumerate(times):
+        acc = LatticeState.zeros(forcing[0].N)
+        for j in range(i + 1 if i > 0 else 0):
+            wgt = dt if 0 < j < i else 0.5 * dt
+            acc = acc + propagate_whole_chain(forcing[j], t - times[j], eps).scaled(wgt)
+        out.append(acc)
+    return out
+
+
+def test_forced_evolution_matches_quadratic_sum(rng):
+    eps, N = 0.1, 64
+    times = np.linspace(0.0, 12.0, 25)
+    forcing = [skew_state(rng, N, 6) for _ in times]   # no relation to the free flow
+    fast = forced_evolution(times, forcing, eps)
+    slow = _forced_evolution_quadratic(times, forcing, eps)
+    scale = max(norm(u, np.inf) for u in slow)
+    assert max(norm(a - b, np.inf) for a, b in zip(fast, slow)) <= 1e-12 * scale
+
+
+def test_forced_evolution_single_sample_is_zero(rng):
+    u = forced_evolution(np.array([3.0]), [skew_state(rng, 16)], 0.1)
+    assert len(u) == 1 and norm(u[0], np.inf) == 0.0
+
+
+def test_forced_evolution_rejects_non_uniform_grid(rng):
+    times = np.array([0.0, 1.0, 2.5, 3.0])
+    with pytest.raises(ValueError):
+        forced_evolution(times, [skew_state(rng, 16) for _ in times], 0.1)
 
 
 def test_weighted_retarded_bound_quotient(rng):
