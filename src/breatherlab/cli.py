@@ -11,7 +11,7 @@ configured for it pass.
     breatherlab vdc-check -c vdc.cfg
     breatherlab resolvent-check -c res.cfg
     breatherlab normal-form -c nf.cfg
-    breatherlab stability -c stab.cfg --seed 7 --threads 4
+    breatherlab stability -c stab.cfg --seed 7
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def _skew_datum(cfg, N, seed) -> LatticeState:
     return state
 
 
-def cmd_breather_find(cfg, out_dir, seed, threads) -> bool:
+def cmd_breather_find(cfg, out_dir, seed) -> bool:
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     I = float(cfg.get("I_label", 0.4))
@@ -124,7 +123,7 @@ def cmd_breather_find(cfg, out_dir, seed, threads) -> bool:
     return b.defect < tol and b.fit_residual > float(cfg.get("min_r2", 0.99))
 
 
-def cmd_propagate(cfg, out_dir, seed, threads) -> bool:
+def cmd_propagate(cfg, out_dir, seed) -> bool:
     from .lattice import to_csv
     N = int(cfg.get("N", 1024))
     eps = float(cfg.get("eps", 0.1))
@@ -142,7 +141,7 @@ def cmd_propagate(cfg, out_dir, seed, threads) -> bool:
     return err < float(cfg.get("group_tol", 1e-9))
 
 
-def cmd_decay_fit(cfg, out_dir, seed, threads) -> bool:
+def cmd_decay_fit(cfg, out_dir, seed) -> bool:
     N = int(cfg.get("N", 8192))
     eps = float(cfg.get("eps", 0.1))
     window = (float(cfg.get("window_lo", 10.0)), float(cfg.get("window_hi", 300.0)))
@@ -166,7 +165,7 @@ def cmd_decay_fit(cfg, out_dir, seed, threads) -> bool:
     return lo <= fit.slope <= hi
 
 
-def cmd_vdc_check(cfg, out_dir, seed, threads) -> bool:
+def cmd_vdc_check(cfg, out_dir, seed) -> bool:
     eps = float(cfg.get("eps", 0.1))
     lams = np.geomspace(float(cfg.get("lam_min", 1e2)), float(cfg.get("lam_max", 1e4)),
                         int(cfg.get("lam_count", 9)))
@@ -182,7 +181,7 @@ def cmd_vdc_check(cfg, out_dir, seed, threads) -> bool:
     return ok1 and ok2
 
 
-def cmd_resolvent_check(cfg, out_dir, seed, threads) -> bool:
+def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
     nu = complex(cfg.get("nu", 2 + 0.5j))
     n = int(cfg.get("N", 256))
     interior = int(cfg.get("interior", 40))
@@ -202,7 +201,7 @@ def cmd_resolvent_check(cfg, out_dir, seed, threads) -> bool:
     return err < tol
 
 
-def cmd_normal_form(cfg, out_dir, seed, threads) -> bool:
+def cmd_normal_form(cfg, out_dir, seed) -> bool:
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     span = (float(cfg.get("I_lo", 0.32)), float(cfg.get("I_hi", 0.48)))
@@ -215,12 +214,8 @@ def cmd_normal_form(cfg, out_dir, seed, threads) -> bool:
         eps_list = [eps_list]
     r_max = int(cfg.get("r_max", 2))
 
-    def run(eps):
-        res = nf.normalize(nf.build_initial(ctx, float(eps)), r_max=r_max)
-        return float(eps), res
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(run, eps_list))
+    results = [(float(eps), nf.normalize(nf.build_initial(ctx, float(eps)), r_max=r_max))
+               for eps in eps_list]
     rows = []
     for eps, res in results:
         for rec in res.records:
@@ -245,7 +240,7 @@ def cmd_normal_form(cfg, out_dir, seed, threads) -> bool:
     return ok
 
 
-def cmd_stability(cfg, out_dir, seed, threads) -> bool:
+def cmd_stability(cfg, out_dir, seed) -> bool:
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     config = ex.ExperimentConfig(
@@ -286,7 +281,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="breatherlab", description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
     breather_cmd = sub.add_parser("breather")
     breather_sub = breather_cmd.add_subparsers(dest="subcommand", required=True)
@@ -299,9 +293,9 @@ def main(argv=None) -> int:
     cfg = parse_config(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     if args.command == "breather":
-        ok = cmd_breather_find(cfg, args.out_dir, args.seed, args.threads)
+        ok = cmd_breather_find(cfg, args.out_dir, args.seed)
     else:
-        ok = _COMMANDS[args.command](cfg, args.out_dir, args.seed, args.threads)
+        ok = _COMMANDS[args.command](cfg, args.out_dir, args.seed)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -31,11 +31,34 @@ jet so that the terms it truncates cannot change the jet either.  Everything
 beyond the jet goes into the result's ``dropped`` tally.  Jets of the operands
 can fix less than the jet of the result: a bracket with a degree-1 term fixes
 only degrees <= D - 1.
+
+Storage.  A ``GradedHamiltonian`` keeps its terms in three arrays: the
+exponent matrix ``E`` (terms x 2 n_sites, int8; column 2s holds the power of
+z and column 2s + 1 that of w at transverse site s), the Fourier modes ``n``
+and the coefficient block ``C`` (terms x grid nodes).  A term is keyed by its
+(monomial, n).  Monomials are numbered as in Giorgilli & Sansottera, *Methods
+of algebraic manipulation in perturbation theory* (arXiv:1303.7398): an
+exponent vector of degree <= D is ranked by its degree, then by the rank of
+its tail, which a table of binomials gives from the suffix sums of the row.
+Rank and mode fold into one int64 per term (into several only when the
+lattice is so large that one would overflow).  Rows are unique and kept
+sorted by key, and equal keys are summed by a sort and ``np.add.reduceat``.
+``terms`` is a read-only (mono tuple, n) -> values mapping, decoded from the
+arrays on first lookup; its length needs no decoding.
+
+The bracket pairs monomials first, then expands each monomial pair over the
+Fourier modes of both operands in blocks of about ``_FLUSH_FLOOR`` pairs of
+terms.  Pending pair-parts are reduced into the accumulated result once they
+outnumber max(``_FLUSH_FLOOR``, accumulated keys).  So memory stays within a
+small multiple of the block and the output, and each pair-part is sorted
+about twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,14 +110,21 @@ def _bary_weights(n: int) -> np.ndarray:
     return w
 
 
-def bary_eval(nodes: np.ndarray, values: np.ndarray, x: float):
-    """Barycentric interpolation at x for values on CGL nodes."""
+def _bary_row(nodes: np.ndarray, x: float) -> np.ndarray:
+    """Weights that interpolate values on the CGL nodes at x (one-hot on a node)."""
     diff = x - nodes
     hit = np.where(np.abs(diff) < 1e-14)[0]
     if hit.size:
-        return values[..., hit[0]]
+        row = np.zeros(nodes.size)
+        row[hit[0]] = 1.0
+        return row
     w = _bary_weights(nodes.size) / diff
-    return (values @ w) / np.sum(w)
+    return w / np.sum(w)
+
+
+def bary_eval(nodes: np.ndarray, values: np.ndarray, x: float):
+    """Barycentric interpolation at x for values on CGL nodes."""
+    return values @ _bary_row(nodes, x)
 
 
 # ---------------------------------------------------------------------------
@@ -175,339 +205,485 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
                              beta=beta)
 
 
-def _merge_mono(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+# ---------------------------------------------------------------------------
+# monomial index and keyed sums
+
+# pair-parts a bracket expands per block, and holds at least before reducing
+_FLUSH_FLOOR = 1 << 14
 
 
-def _mono_degree(mono: tuple) -> int:
-    return sum(e for _, e in mono)
+@functools.cache
+def _rank_tables(m: int, D: int, K: int) -> tuple:
+    """Column groups of the monomial index, each with its table of binomials.
+
+    A group of r exponent columns whose entries sum to at most D ranks as
+    sum_j table[j, s_j], with s_j the suffix sums of the row and
+    table[j, s] = C(s + r - j - 1, r - j): its place in the order by degree,
+    then by the same rank of the tail.  A group spans as many columns as keep
+    its ranks times K (the modes fold into the last group) below 2^62.
+    """
+    groups = []
+    start = 0
+    while start < m:
+        r = 1
+        while start + r < m and math.comb(r + 1 + D, D) * K < 2 ** 62:
+            r += 1
+        table = np.array([[math.comb(s + r - j - 1, r - j) for s in range(D + 1)]
+                          for j in range(r)], dtype=np.int64)
+        groups.append((start, start + r, table))
+        start += r
+    return tuple(groups)
 
 
-def _conj_mono(mono: tuple) -> tuple:
-    return tuple(sorted((v ^ 1, e) for v, e in mono))
+def _keys(ctx: NormalFormContext, E: np.ndarray, n: np.ndarray | None = None):
+    """Sort keys (words, rows) of exponent rows of degree <= ctx.D, and modes n.
+
+    The columns order lexicographically by monomial, then by n; equal
+    (monomial, n) give equal columns.
+    """
+    K = 2 * ctx.M + 1
+    words = []
+    for a, b, table in _rank_tables(E.shape[1], ctx.D, K):
+        suffix = np.cumsum(E[:, a:b][:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
+        words.append(table[np.arange(b - a), suffix].sum(axis=1))
+    if n is not None:
+        words[-1] = words[-1] * K + (n + ctx.M)
+    return np.stack(words)
 
 
-def _transverse_parts(m1: tuple, m2: tuple) -> list:
-    """[(monomial, factor)] of i sum_k (dz m1 dw m2 - dw m1 dz m2)."""
-    map2 = dict(m2)
-    parts = []
-    for v1, e1 in m1:
-        e2 = map2.get(v1 ^ 1)
-        if e2 is None:
-            continue
-        v2 = v1 ^ 1
-        sign = 1.0 if (v1 & 1) == 0 else -1.0  # +i for dz f dw g
-        red1 = tuple((v, e - 1 if v == v1 else e) for v, e in m1
-                     if not (v == v1 and e == 1))
-        red2 = tuple((v, e - 1 if v == v2 else e) for v, e in m2
-                     if not (v == v2 and e == 1))
-        parts.append((_merge_mono(red1, red2), sign * 1j * e1 * e2))
-    return parts
+def _group(keys: np.ndarray, kind: str = "stable"):
+    """(order sorting the key columns, mask of the first of each run of equals)."""
+    if keys.shape[0] == 1:
+        order = np.argsort(keys[0], kind=kind)
+    else:
+        order = np.lexsort(keys[::-1])
+    sk = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(sk[:, 1:] != sk[:, :-1], axis=0)
+    return order, first
+
+
+def _sort_reduce(keys: np.ndarray, C: np.ndarray, kind: str = "stable"):
+    """(row of each distinct key, in key order; sum of the rows of C with that key)."""
+    if not C.shape[0]:
+        return np.zeros(0, dtype=np.int64), C
+    order, first = _group(keys, kind)
+    starts = np.flatnonzero(first)
+    return order[starts], np.add.reduceat(C[order], starts, axis=0)
+
+
+def _summed(ctx: NormalFormContext, E, n, C):
+    """(E, n, C) with the rows of equal key summed, in key order."""
+    first, C = _sort_reduce(_keys(ctx, E, n), C)
+    return E[first], n[first], C
+
+
+def _ranges(count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(c) for c in count."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+class _KeySum:
+    """Values summed by int64 key, with the pending blocks reduced in bulk."""
+
+    def __init__(self, width: int):
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros((0, width), dtype=complex)
+        self._pending = []
+        self._count = 0
+
+    def add(self, keys: np.ndarray, values: np.ndarray):
+        self._pending.append((keys, values))
+        self._count += keys.size
+        if self._count > max(_FLUSH_FLOOR, self.keys.size):
+            self.flush()
+
+    def flush(self):
+        if not self._pending:
+            return
+        keys = np.concatenate([self.keys] + [k for k, _ in self._pending])
+        values = np.concatenate([self.values] + [v for _, v in self._pending])
+        self.values = None        # released before the sort gathers a copy
+        self._pending = []
+        self._count = 0
+        first, self.values = _sort_reduce(keys[None], values, kind="quicksort")
+        self.keys = keys[first]
+
+
+def _monomial_runs(E: np.ndarray):
+    """(first row, row count, exponents) of each monomial of key-sorted rows."""
+    first = np.ones(E.shape[0], dtype=bool)
+    first[1:] = np.any(E[1:] != E[:-1], axis=1)
+    start = np.flatnonzero(first)
+    return start, np.diff(np.append(start, E.shape[0])), E[start]
+
+
+def _pairs_up_to(df: np.ndarray, dg: np.ndarray, cap: int):
+    """All (a, b) with df[a] + dg[b] <= cap."""
+    order = np.argsort(dg, kind="stable")
+    count = np.searchsorted(dg[order], cap - df, side="right")
+    return np.repeat(np.arange(df.size), count), order[_ranges(count)]
+
+
+def _transverse_triples(Uf, Ug, df, dg, cap: int):
+    """All (a, b, v) with Uf[a, v] > 0, Ug[b, v ^ 1] > 0 and df[a] + dg[b] - 2 <= cap."""
+    a, v = np.nonzero(Uf)
+    b, u = np.nonzero(Ug)
+    width = int(dg.max()) + 1
+    gkey = (u ^ 1) * width + dg[b]          # g's entries by the f-variable they pair
+    order = np.argsort(gkey, kind="stable")
+    gkey = gkey[order]
+    lo = np.searchsorted(gkey, v * width, side="left")
+    hi = np.searchsorted(gkey, v * width + np.clip(cap + 2 - df[a], -1, width - 1),
+                         side="right")
+    count = np.maximum(hi - lo, 0)
+    pick = np.repeat(np.arange(a.size), count)
+    return a[pick], b[order[np.repeat(lo, count) + _ranges(count)]], v[pick]
+
+
+def _mode_degree_mass(n, d, a):
+    """(distinct modes, sum of a per mode and degree)."""
+    modes, inv = np.unique(n, return_inverse=True)
+    mass = np.zeros((modes.size, int(d.max()) + 1))
+    np.add.at(mass, (inv, d), a)
+    return modes, mass
+
+
+def _lost_mass(f: "GradedHamiltonian", g: "GradedHamiltonian") -> float:
+    """Sum of max|c1| max|c2| over the parts of pairs cut by the cutoff or the cap."""
+    D, M = f.ctx.D, f.ctx.M
+    mf, A = _mode_degree_mass(f.n, f.degrees, np.abs(f.C).max(axis=1))
+    mg, B = _mode_degree_mass(g.n, g.degrees, np.abs(g.C).max(axis=1))
+    inside = np.abs(mf[:, None] + mg[None, :]) <= M
+    both_zero = (mf[:, None] == 0) & (mg[None, :] == 0)
+    d1 = np.arange(A.shape[1])[:, None]
+    d2 = np.arange(B.shape[1])[None, :]
+
+    def mass(pairs):
+        return A.T @ pairs.astype(float) @ B
+
+    lost = mass(~inside).sum()
+    # the action-angle part vanishes only for n1 = n2 = 0
+    lost += mass(inside & ~both_zero)[d1 + d2 > D].sum()
+    lost += mass(inside)[(d1 > 0) & (d2 > 0) & (d1 + d2 - 2 > D)].sum()
+    return float(lost)
+
+
+class _TermView(Mapping):
+    """(mono, n) -> values, mono = ((v, e), ...) by increasing v; decoded on first lookup."""
+
+    def __init__(self, gh: "GradedHamiltonian"):
+        self._gh = gh
+        self._items = None
+
+    def __len__(self):
+        return self._gh.n.size
+
+    def _decoded(self) -> dict:
+        if self._items is None:
+            E, n, C = self._gh.E, self._gh.n, self._gh.C
+            rows, cols = np.nonzero(E)
+            exps = E[rows, cols].tolist()
+            bounds = np.searchsorted(rows, np.arange(n.size + 1)).tolist()
+            cols = cols.tolist()
+            monos = [tuple(zip(cols[a:b], exps[a:b]))
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+            self._items = dict(zip(zip(monos, n.tolist()), C))
+        return self._items
+
+    def __getitem__(self, key):
+        return self._decoded()[key]
+
+    def __iter__(self):
+        return iter(self._decoded())
 
 
 class GradedHamiltonian:
     """Sparse graded polynomial-Fourier Hamiltonian over the I grid.
 
-    Treated as immutable once built (the prepared-derivative cache relies on
-    it); arithmetic returns new objects and tallies truncated mass in
-    ``dropped``.
+    Term r is C[r](I) e^{i n[r] alpha} prod_v x_v^E[r, v] with x the z and w
+    variables interleaved.  Rows are unique and sorted by key.  The arrays
+    are never written in place, so results share them freely; arithmetic
+    returns new objects and tallies truncated mass in ``dropped``.
     """
 
     def __init__(self, ctx: NormalFormContext, dropped: float = 0.0):
         self.ctx = ctx
-        self.terms: dict[tuple, np.ndarray] = {}
         self.dropped = dropped
-        self._prepared = None
+        self._E = np.zeros((0, 2 * ctx.n_sites), dtype=np.int8)
+        self._n = np.zeros(0, dtype=np.int64)
+        self._C = np.zeros((0, ctx.I_nodes.size), dtype=complex)
+        self._added = []          # add_term input not yet merged into the arrays
+
+    @classmethod
+    def _of(cls, ctx, E, n, C, dropped=0.0, summed=True) -> "GradedHamiltonian":
+        """From arrays; unless ``summed``, equal keys are summed and rows sorted."""
+        out = cls(ctx, dropped)
+        out._E, out._n, out._C = (E, n, C) if summed else _summed(ctx, E, n, C)
+        return out
 
     # -- construction -------------------------------------------------------
 
     def add_term(self, mono: tuple, n: int, coeff) -> "GradedHamiltonian":
+        """Add coeff(I) e^{i n alpha} prod x_v^e for mono = ((v, e), ...).
+
+        A repeated v multiplies.  A term beyond the degree cap or the Fourier
+        cutoff goes to ``dropped``.
+        """
         coeff = np.asarray(coeff, dtype=complex)
         if coeff.ndim == 0:
             coeff = coeff * np.ones(self.ctx.I_nodes.size, dtype=complex)
-        if abs(n) > self.ctx.M or _mono_degree(mono) > self.ctx.D:
+        if abs(n) > self.ctx.M or sum(e for _, e in mono) > self.ctx.D:
             self.dropped += float(np.max(np.abs(coeff)))
             return self
-        key = (mono, n)
-        if key in self.terms:
-            self.terms[key] = self.terms[key] + coeff
-        else:
-            self.terms[key] = coeff
-        self._prepared = None
+        self._added.append((mono, n, coeff))
         return self
 
-    def copy(self) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx, self.dropped)
-        out.terms = {k: v.copy() for k, v in self.terms.items()}
-        return out
+    def _merge_added(self):
+        if not self._added:
+            return
+        rows = np.zeros((len(self._added), self._E.shape[1]), dtype=np.int8)
+        for r, (mono, _, _) in enumerate(self._added):
+            for v, e in mono:
+                rows[r, v] += e
+        n = [t[1] for t in self._added]
+        C = [t[2] for t in self._added]
+        self._added = []
+        self._E, self._n, self._C = _summed(
+            self.ctx, np.concatenate([self._E, rows]), np.concatenate([self._n, n]),
+            np.concatenate([self._C, C]))
+
+    @property
+    def E(self) -> np.ndarray:
+        self._merge_added()
+        return self._E
+
+    @property
+    def n(self) -> np.ndarray:
+        self._merge_added()
+        return self._n
+
+    @property
+    def C(self) -> np.ndarray:
+        self._merge_added()
+        return self._C
+
+    @property
+    def terms(self) -> Mapping:
+        return _TermView(self)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.E.sum(axis=1)
+
+    def _rows(self, keep: np.ndarray, dropped: float = 0.0) -> "GradedHamiltonian":
+        return GradedHamiltonian._of(self.ctx, self.E[keep], self.n[keep], self.C[keep],
+                                     dropped)
 
     # -- linear algebra -----------------------------------------------------
 
     def __add__(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
-        out = self.copy()
-        out.dropped += other.dropped
-        for (mono, n), c in other.terms.items():
-            out.add_term(mono, n, c)
-        return out
+        return GradedHamiltonian._of(
+            self.ctx, np.concatenate([self.E, other.E]), np.concatenate([self.n, other.n]),
+            np.concatenate([self.C, other.C]), self.dropped + other.dropped, summed=False)
 
     def __sub__(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx, abs(a) * self.dropped)
-        out.terms = {k: a * v for k, v in self.terms.items()}
-        return out
+        return GradedHamiltonian._of(self.ctx, self.E, self.n, a * self.C,
+                                     abs(a) * self.dropped)
 
     def prune(self, floor: float) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx, self.dropped)
-        for k, v in self.terms.items():
-            m = float(np.max(np.abs(v)))
-            if m > floor:
-                out.terms[k] = v
-            else:
-                out.dropped += m
-        return out
+        size = np.abs(self.C).max(axis=1)
+        keep = size > floor
+        return self._rows(keep, self.dropped + float(size[~keep].sum()))
 
     def max_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for v in self.terms.values())
+        return float(np.abs(self.C).max(initial=0.0))
 
     # -- structure ----------------------------------------------------------
 
     def part_of_degree(self, degree: int) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx)
-        for (mono, n), c in self.terms.items():
-            if _mono_degree(mono) == degree:
-                out.terms[(mono, n)] = c.copy()
-        return out
+        return self._rows(self.degrees == degree)
 
     def part_degree_at_least(self, degree: int) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx)
-        for (mono, n), c in self.terms.items():
-            if _mono_degree(mono) >= degree:
-                out.terms[(mono, n)] = c.copy()
-        return out
+        return self._rows(self.degrees >= degree)
+
+    def _mean_row(self) -> np.ndarray:
+        return (self.degrees == 0) & (self.n == 0)
 
     def mean_action(self) -> np.ndarray:
         """The alpha-mean of the xi-degree-0 part, as values on the I grid."""
-        key = ((), 0)
-        if key in self.terms:
-            return self.terms[key].copy()
+        row = self._mean_row()
+        if row.any():
+            return self.C[row][0].copy()
         return np.zeros(self.ctx.I_nodes.size, dtype=complex)
 
     def without_mean(self) -> "GradedHamiltonian":
-        out = self.copy()
-        out.terms.pop(((), 0), None)
-        return out
+        return self._rows(~self._mean_row(), self.dropped)
 
     def conjugation_defect(self) -> float:
         """Reality defect: max |c(mono, n) - conj(c(conj mono, -n))|."""
-        worst = 0.0
-        for (mono, n), c in self.terms.items():
-            other = self.terms.get((_conj_mono(mono), -n))
-            ref = np.conj(other) if other is not None else 0.0
-            worst = max(worst, float(np.max(np.abs(c - ref))))
-        return worst
+        swap = np.arange(self.E.shape[1]) ^ 1
+        mirror = GradedHamiltonian._of(self.ctx, self.E[:, swap], -self.n,
+                                       -np.conj(self.C), summed=False)
+        return (self + mirror).max_coeff()
 
     # -- calculus -----------------------------------------------------------
 
     def d_I(self) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx)
-        for (mono, n), c in self.terms.items():
-            out.terms[(mono, n)] = self.ctx.Dmat @ c
-        return out
+        return GradedHamiltonian._of(self.ctx, self.E, self.n, self.C @ self.ctx.Dmat.T)
 
     def d_alpha(self) -> "GradedHamiltonian":
-        out = GradedHamiltonian(self.ctx)
-        for (mono, n), c in self.terms.items():
-            if n != 0:
-                out.terms[(mono, n)] = 1j * n * c
-        return out
-
-    def multiply(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
-        ctx = self.ctx
-        out = GradedHamiltonian(ctx, self.dropped + other.dropped)
-        acc = out.terms
-        M, D = ctx.M, ctx.D
-        for (m1, n1), c1 in self.terms.items():
-            d1 = _mono_degree(m1)
-            for (m2, n2), c2 in other.terms.items():
-                n = n1 + n2
-                if abs(n) > M or d1 + _mono_degree(m2) > D:
-                    out.dropped += float(np.max(np.abs(c1)) * np.max(np.abs(c2)))
-                    continue
-                key = (_merge_mono(m1, m2), n)
-                prod = c1 * c2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return out
+        keep = self.n != 0
+        return GradedHamiltonian._of(self.ctx, self.E[keep], self.n[keep],
+                                     1j * self.n[keep, None] * self.C[keep])
 
     def poisson(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
-        """{self, other} in the fixed bracket convention (fused pair loop).
+        """{self, other} in the fixed bracket convention.
 
-        Each part of a pair (action-angle, transverse) that lands beyond the
-        Fourier cutoff or the degree cap adds max|c1| * max|c2| to the
-        ``dropped`` tally.  The pair screening and the coefficient products
-        are vectorized over ``other``; only the accumulation of kept pairs
-        runs pair by pair.
+        Each part of a pair of terms (action-angle, transverse) that lands
+        beyond the Fourier cutoff or the degree cap adds max|c1| * max|c2| to
+        the ``dropped`` tally.  Pairs are formed per pair of monomials,
+        expanded over the Fourier modes in blocks and summed by key (see the
+        module docstring).
         """
         ctx = self.ctx
-        out = GradedHamiltonian(ctx, self.dropped + other.dropped)
-        acc = out.terms
-        M, D = ctx.M, ctx.D
-        Dm = ctx.Dmat
-        merge = _merge_mono
+        D, M = ctx.D, ctx.M
+        K = 2 * M + 1
+        dropped = self.dropped + other.dropped
+        if not self.n.size or not other.n.size:
+            return GradedHamiltonian(ctx, dropped)
+        dropped += _lost_mass(self, other)
+        sf, cf, Uf = _monomial_runs(self.E)
+        sg, cg, Ug = _monomial_runs(other.E)
+        df, dg = Uf.sum(axis=1), Ug.sum(axis=1)
+        # monomial pairs: action-angle part dI f da g - da f dI g up to degree D
+        aa_a, aa_b = _pairs_up_to(df, dg, D)
+        # transverse part i sum_k (dz f dw g - dw f dz g), one part per z-w match
+        tr_a, tr_b, tr_v = _transverse_triples(Uf, Ug, df, dg, D)
+        tr_rows = Uf[tr_a] + Ug[tr_b]
+        k = np.arange(tr_v.size)
+        tr_rows[k, tr_v] -= 1
+        tr_rows[k, tr_v ^ 1] -= 1
+        factor = np.where(tr_v & 1, -1j, 1j) * Uf[tr_a, tr_v] * Ug[tr_b, tr_v ^ 1]
+        # one id per distinct output monomial, numbered in key order
+        rows = np.concatenate([Uf[aa_a] + Ug[aa_b], tr_rows])
+        order, first = _group(_keys(ctx, rows))
+        ids = np.empty(rows.shape[0], dtype=np.int64)
+        ids[order] = np.cumsum(first) - 1
+        monomials = rows[order[first]]
 
-        def prep(terms):
-            rows = []
-            for (m, n), c in terms.items():
-                dc = Dm @ c
-                zmask = wmask = 0
-                for v, _ in m:
-                    if v & 1:
-                        wmask |= 1 << (v >> 1)
-                    else:
-                        zmask |= 1 << (v >> 1)
-                rows.append((m, _mono_degree(m), n, c, dc, float(np.max(np.abs(c))),
-                             zmask, wmask))
-            return rows
+        Cf, Cg, nf, ng = self.C, other.C, self.n, other.n
+        dCf, dCg = Cf @ ctx.Dmat.T, Cg @ ctx.Dmat.T
+        nCf, nCg = 1j * nf[:, None] * Cf, 1j * ng[:, None] * Cg
+        acc = _KeySum(Cf.shape[1])
 
-        fprep = prep(self.terms)
-        gprep = prep(other.terms)
-        if not fprep or not gprep:
-            return out
-        cols = list(zip(*gprep))
-        g_mono = cols[0]
-        g_d = np.array(cols[1])
-        g_n = np.array(cols[2])
-        g_c = np.array(cols[3])
-        g_dc = np.array(cols[4])
-        g_a = np.array(cols[5])
-        # site bitmasks of the z and w variables; Python ints beyond 62 sites
-        mask_type = np.int64 if ctx.n_sites <= 62 else object
-        g_z = np.array(cols[6], dtype=mask_type)
-        g_w = np.array(cols[7], dtype=mask_type)
-        g_nz = g_n != 0
-        # monomial products depend on the monomials only, which repeat across
-        # Fourier modes: cache them per monomial of self
-        aa_monos: dict[tuple, dict] = {}
-        tr_monos: dict[tuple, dict] = {}
-        for m1, d1, n1, c1, Dc1, a1, z1, w1 in fprep:
-            n_out = n1 + g_n
-            inside = np.abs(n_out) <= M
-            lost = a1 * g_a[~inside].sum()
-            # action-angle part: present unless n1 = n2 = 0, kept up to degree D
-            aa = inside & (g_nz | (n1 != 0))
-            aa_keep = aa & (g_d <= D - d1)
-            lost += a1 * g_a[aa & ~aa_keep].sum()
-            tr_keep = None
-            if d1:
-                # transverse part: present when both degrees are positive,
-                # kept up to degree D, nonzero only if a z pairs with a w
-                tr = inside & (g_d > 0)
-                tr_keep = tr & (g_d <= D + 2 - d1)
-                lost += a1 * g_a[tr & ~tr_keep].sum()
-                tr_keep &= ((g_w & z1) | (g_z & w1)) != 0
-            out.dropped += float(lost)
-            n_list = n_out.tolist()
-            # action-angle part: dI f da g - da f dI g
-            idx = np.flatnonzero(aa_keep)
-            if idx.size:
-                monos = aa_monos.setdefault(m1, {})
-                vals = ((1j * g_n[idx])[:, None] * (Dc1 * g_c[idx])
-                        - (1j * n1) * (c1 * g_dc[idx]))
-                for j, val in zip(idx.tolist(), vals):
-                    m2 = g_mono[j]
-                    mono = monos.get(m2)
-                    if mono is None:
-                        mono = monos[m2] = merge(m1, m2)
-                    key = (mono, n_list[j])
-                    cur = acc.get(key)
-                    acc[key] = val if cur is None else cur + val
-            # transverse part: i sum_k (dz f dw g - dw f dz g)
-            if tr_keep is None:
-                continue
-            idx = np.flatnonzero(tr_keep)
-            if idx.size:
-                monos = tr_monos.setdefault(m1, {})
-                for j, prod in zip(idx.tolist(), c1 * g_c[idx]):
-                    m2 = g_mono[j]
-                    parts = monos.get(m2)
-                    if parts is None:
-                        parts = monos[m2] = _transverse_parts(m1, m2)
-                    for mono, factor in parts:
-                        key = (mono, n_list[j])
-                        val = factor * prod
-                        cur = acc.get(key)
-                        acc[key] = val if cur is None else cur + val
-        return out
+        def expand(pa, pb, pid, transverse):
+            size = cf[pa] * cg[pb]
+            ends = np.cumsum(size)
+            lo = 0
+            while lo < pa.size:
+                hi = max(int(np.searchsorted(ends, ends[lo] - size[lo] + _FLUSH_FLOOR,
+                                             side="right")), lo + 1)
+                part = np.repeat(np.arange(lo, hi), size[lo:hi])
+                offset = _ranges(size[lo:hi])
+                span = cg[pb[part]]
+                i = sf[pa[part]] + offset // span
+                j = sg[pb[part]] + offset % span
+                n_out = nf[i] + ng[j]
+                keep = np.abs(n_out) <= M
+                if not transverse:
+                    keep &= (nf[i] != 0) | (ng[j] != 0)
+                i, j, part = i[keep], j[keep], part[keep]
+                if transverse:
+                    values = Cf[i]
+                    values *= Cg[j]
+                    values *= factor[part][:, None]
+                else:
+                    values = dCf[i]
+                    values *= nCg[j]
+                    other_half = nCf[i]
+                    other_half *= dCg[j]
+                    values -= other_half
+                acc.add(ids[pid[part]] * K + n_out[keep] + M, values)
+                lo = hi
+
+        n_aa = aa_a.size
+        expand(aa_a, aa_b, np.arange(n_aa), False)
+        expand(tr_a, tr_b, n_aa + k, True)
+        acc.flush()
+        mono_id, mode = np.divmod(acc.keys, K)
+        return GradedHamiltonian._of(ctx, monomials[mono_id], mode - M, acc.values, dropped)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _prepare(self):
-        if self._prepared is None:
-            self._prepared = [(mono, n, c, self.ctx.Dmat @ c)
-                              for (mono, n), c in self.terms.items()]
-        return self._prepared
+    def _at_point(self, I: float, alpha: float, z, w):
+        row = _bary_row(self.ctx.I_nodes, I)
+        C = self.C
+        fields = _field_on_grid(self, (C @ row)[:, None],
+                                (C @ (self.ctx.Dmat.T @ row))[:, None],
+                                np.array([float(alpha)]), np.asarray(z)[None, :],
+                                np.asarray(w)[None, :])
+        return [x[0, 0, 0] for x in fields]
 
     def evaluate(self, I: float, alpha: float, z: np.ndarray,
                  w: np.ndarray | None = None) -> complex:
         if w is None:
             w = np.conj(z)
-        total = 0.0 + 0.0j
-        for mono, n, c, _ in self._prepare():
-            val = bary_eval(self.ctx.I_nodes, c, I) * np.exp(1j * n * alpha)
-            for v, e in mono:
-                base = w[v >> 1] if v & 1 else z[v >> 1]
-                val = val * base ** e
-            total += val
-        return total
+        return self._at_point(I, alpha, z, w)[0]
 
     def field_at(self, I: float, alpha: float, z: np.ndarray,
                  w: np.ndarray | None = None):
         """Hamiltonian vector field (X_I, X_alpha, X_z, X_w) at a phase point."""
         if w is None:
             w = np.conj(z)
-        ns = self.ctx.n_sites
-        X_I = 0.0 + 0.0j
-        X_a = 0.0 + 0.0j
-        X_z = np.zeros(ns, dtype=complex)
-        X_w = np.zeros(ns, dtype=complex)
-        nodes = self.ctx.I_nodes
-        for mono, n, c, dc in self._prepare():
-            phase = np.exp(1j * n * alpha)
-            cI = bary_eval(nodes, c, I)
-            mono_val = 1.0 + 0.0j
-            for v, e in mono:
-                base = w[v >> 1] if v & 1 else z[v >> 1]
-                mono_val = mono_val * base ** e
-            X_I += -1j * n * cI * phase * mono_val
-            X_a += bary_eval(nodes, dc, I) * phase * mono_val
-            for v, e in mono:
-                s = v >> 1
-                base = w[s] if v & 1 else z[s]
-                dmono = e * base ** (e - 1)
-                for v2, e2 in mono:
-                    if v2 == v:
-                        continue
-                    b2 = w[v2 >> 1] if v2 & 1 else z[v2 >> 1]
-                    dmono = dmono * b2 ** e2
-                val = cI * phase * dmono
-                if v & 1:
-                    X_z[s] += -1j * val     # X_z = -i dH/dw
-                else:
-                    X_w[s] += 1j * val      # X_w = +i dH/dz
-        return X_I, X_a, X_z, X_w
+        return tuple(self._at_point(I, alpha, z, w)[1:])
+
+
+def _field_on_grid(gh: GradedHamiltonian, cI: np.ndarray, dcI: np.ndarray,
+                   alphas: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """Value and vector field of gh on the grid (I points) x alphas x (z, w) points.
+
+    cI and dcI hold the coefficients and their d/dI at the I points, shape
+    (terms, nI); alphas has shape (nA,), z and w (nP, n_sites).  Returns H,
+    X_I and X_alpha of shape (nI, nA, nP) and X_z, X_w of shape
+    (nI, nA, nP, n_sites).
+    """
+    E, n = gh.E, gh.n
+    T, m = E.shape
+    x = np.ones((z.shape[0], m + 1), dtype=complex)     # column m: unused slots
+    x[:, 0:m:2] = z
+    x[:, 1:m:2] = w
+    # each term's variables and powers in L slots
+    rows, cols = np.nonzero(E)
+    per_term = np.bincount(rows, minlength=T)
+    L = max(int(per_term.max(initial=0)), 1)
+    slot = _ranges(per_term)
+    var = np.full((T, L), m)
+    power = np.zeros((T, L), dtype=np.int64)
+    var[rows, slot] = cols
+    power[rows, slot] = E[rows, cols]
+    base = x[:, var]                                      # (nP, T, L)
+    factors = base ** power
+    mono = factors.prod(axis=2)                           # (nP, T)
+    # d mono / d x_var: the slot's derivative times the other slots' factors
+    others = np.ones_like(factors)
+    others[..., 1:] = np.cumprod(factors[..., :-1], axis=2)
+    others[..., :-1] *= np.cumprod(factors[..., :0:-1], axis=2)[..., ::-1]
+    slope = power * base ** np.maximum(power - 1, 0) * others
+    grad = np.zeros((z.shape[0], T, m + 1), dtype=complex)
+    grad[:, np.arange(T)[:, None], var] = slope           # a term's variables differ
+    phase = np.exp(1j * np.outer(n, alphas))              # (T, nA)
+    shape = (cI.shape[1], alphas.size, z.shape[0])
+    cp = (cI[:, :, None] * phase[:, None, :]).reshape(T, shape[0] * shape[1])
+    dp = (dcI[:, :, None] * phase[:, None, :]).reshape(T, shape[0] * shape[1])
+    H = (cp.T @ mono.T).reshape(shape)
+    X_I = ((-1j * n[:, None] * cp).T @ mono.T).reshape(shape)
+    X_a = (dp.T @ mono.T).reshape(shape)
+    dH = np.tensordot(cp, grad[:, :, :m], axes=(0, 1)).reshape(shape + (m,))
+    return H, X_I, X_a, -1j * dH[..., 1::2], 1j * dH[..., 0::2]
 
 
 def poisson_bracket(f: GradedHamiltonian, g: GradedHamiltonian) -> GradedHamiltonian:
@@ -533,8 +709,7 @@ def transverse_core(ctx: NormalFormContext) -> GradedHamiltonian:
     gh = GradedHamiltonian(ctx)
     ones = np.ones(ctx.I_nodes.size, dtype=complex)
     for k in ctx.sites:
-        mono = ((ctx.z_var(int(k)), 1), (ctx.w_var(int(k)), 1))
-        gh.add_term(tuple(sorted(mono)), 0, ones)
+        gh.add_term(((ctx.z_var(int(k)), 1), (ctx.w_var(int(k)), 1)), 0, ones)
     return gh
 
 
@@ -551,10 +726,9 @@ def _q_factors(ctx: NormalFormContext, k: int):
 
 def _add_q_product(gh: GradedHamiltonian, ctx, ksites: list[int], coeff, n: int = 0):
     """Add coeff * prod q_k for the listed sites (with multiplicity)."""
-    factors = [_q_factors(ctx, k) for k in ksites]
     stack = [((), coeff)]
-    for fac in factors:
-        stack = [(_merge_mono(m, ((v, 1),)), c * a) for m, c in stack for v, a in fac]
+    for k in ksites:
+        stack = [(m + ((v, 1),), c * a) for m, c in stack for v, a in _q_factors(ctx, k)]
     for mono, c in stack:
         gh.add_term(mono, n, c)
 
@@ -643,32 +817,32 @@ def solve_cohomological(ctx: NormalFormContext, hs_vals: np.ndarray,
 
     psi must consist of a mean-free xi^0 part and a xi^1 part.  Divisors:
     i n w(I) on xi^0 modes, i (n w(I) - 1) on z terms, i (n w(I) + 1) on w
-    terms, with w = d hs/dI on the grid.
+    terms, with w = d hs/dI on the grid.  The smallest |divisor| over the
+    grid and the terms is kept on the result as ``min_divisor`` (inf when psi
+    has no terms to remove).
     """
+    deg = psi.degrees
+    if np.any(deg > 1):
+        raise ValueError("psi must have transverse degree <= 1")
+    mean = psi._mean_row()
+    if np.max(np.abs(psi.C[mean]), initial=0.0) > 1e-14:
+        raise ValueError("psi has a nonzero alpha-mean at xi = 0")
+    E, n, C = psi.E[~mean], psi.n[~mean], psi.C[~mean]
     omega = (ctx.Dmat @ np.asarray(hs_vals)).real
-    chi = GradedHamiltonian(ctx)
-    for (mono, n), c in psi.terms.items():
-        deg = _mono_degree(mono)
-        if deg == 0:
-            if n == 0:
-                if np.max(np.abs(c)) > 1e-14:
-                    raise ValueError("psi has a nonzero alpha-mean at xi = 0")
-                continue
-            den = 1j * n * omega
-        elif deg == 1:
-            v = mono[0][0]
-            den = 1j * (n * omega - 1.0) if (v & 1) == 0 else 1j * (n * omega + 1.0)
-        else:
-            raise ValueError("psi must have transverse degree <= 1")
-        small = float(np.min(np.abs(den)))
-        if small < divisor_floor:
-            raise ResonanceError(n, small)
-        chi.add_term(mono, n, c / den)
+    # w-degree minus z-degree: -1 on z terms, +1 on w terms, 0 on xi^0 terms
+    shift = E[:, 1::2].sum(axis=1) - E[:, 0::2].sum(axis=1)
+    den = 1j * (n[:, None] * omega + shift[:, None])
+    small = np.abs(den).min(axis=1, initial=np.inf)
+    if np.any(small < divisor_floor):
+        r = int(np.argmin(small))
+        raise ResonanceError(int(n[r]), float(small[r]))
+    chi = GradedHamiltonian._of(ctx, E, n, C / den)
+    chi.min_divisor = float(small.min(initial=np.inf))
     return chi
 
 
-def _lowering_variables(chi: GradedHamiltonian) -> set:
-    """Variables whose powers a term can spend on degree-lowering brackets.
+def _lowering_variables(chi: GradedHamiltonian) -> np.ndarray:
+    """Mask of the variables whose powers a term can spend on degree-lowering brackets.
 
     Only the transverse bracket with a degree-1 term x of chi lowers the
     degree, by differentiating in conj(x).  The transverse bracket with a
@@ -678,20 +852,18 @@ def _lowering_variables(chi: GradedHamiltonian) -> set:
     variables never decreases: a term whose degree exceeds D by more than its
     powers of them can never come back to degree <= D.
     """
-    found = {v ^ 1 for mono, _ in chi.terms if _mono_degree(mono) == 1
-             for v, _ in mono}
-    grew = True
-    while grew:
-        grew = False
-        for mono, _ in chi.terms:
-            if _mono_degree(mono) < 2:
-                continue
-            for v, e in mono:
-                traded = {u for u, f in mono if u != v or f > 1}
-                if v ^ 1 not in found and traded & found:
-                    found.add(v ^ 1)
-                    grew = True
-    return found
+    E, deg = chi.E, chi.degrees
+    swap = np.arange(E.shape[1]) ^ 1
+    found = (E[deg == 1] > 0).any(axis=0)[swap]
+    U = E[deg >= 2]
+    present = U > 0
+    while True:
+        # a power of v can be traded when the monomial keeps a found variable
+        held = (present & found).sum(axis=1)[:, None] - (found & (U == 1))
+        grown = found | (present & (held > 0)).any(axis=0)[swap]
+        if np.array_equal(grown, found):
+            return found
+        found = grown
 
 
 def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
@@ -728,62 +900,61 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
         # per-term truncation three decades under the series stop level keeps
         # the aggregate truncation comfortably below stop_tol
         prune_floor = max(1e-16, 1e-3 * stop_tol) * scale
-    rows = [(_mono_degree(m), abs(n), float(np.max(np.abs(c))),
-             float(np.max(np.abs(ctx.Dmat @ c))))
-            for (m, n), c in chi.terms.items()]
-    degree_one = any(d == 1 for d, _, _, _ in rows)
-    reach = max((n for _, n, _, _ in rows), default=0)
-    raise_max = max((d for d, _, _, _ in rows), default=0)
+    chi_d = chi.degrees
+    chi_n = np.abs(chi.n)
+    chi_a = np.abs(chi.C).max(axis=1)
+    chi_da = np.abs(chi.C @ ctx.Dmat.T).max(axis=1)
+    degree_one = bool(np.any(chi_d == 1))
+    reach = int(chi_n.max(initial=0))
+    raise_max = int(chi_d.max(initial=0))
     work = ctx.with_truncation(D + (order - 1) * degree_one, M + (order - 1) * reach)
     # one bracket with chi grows a term of degree d and mode n by at most
     # a1 * d if it lowers the degree, and by p + q |n| + r d otherwise (the
     # pair bound of ``poisson``, with chi's d/dI growth standing in for the
     # term's)
-    a1 = sum(a for d, _, a, _ in rows if d == 1)
-    p = sum(n * da for _, n, _, da in rows)
-    q = sum(da for _, _, _, da in rows)
-    r = sum(d * a for d, _, a, _ in rows)
-    lowering_vars = _lowering_variables(chi)
-    chi_w = GradedHamiltonian(work)
-    chi_w.terms = dict(chi.terms)
-    term = GradedHamiltonian(work)
-    term.terms = dict(H.terms)
-    out = H.copy()
+    a1 = float(chi_a[chi_d == 1].sum())
+    p = float((chi_n * chi_da).sum())
+    q = float(chi_da.sum())
+    r = float((chi_d * chi_a).sum())
+    lowering = _lowering_variables(chi)
+    comb = np.array([[math.comb(k, e) for e in range(order + 1)] for k in range(order + 1)],
+                    dtype=float)
+    factorial = np.array([math.factorial(i) for i in range(order + 1)], dtype=float)
+    chi_w = GradedHamiltonian._of(work, chi.E, chi.n, chi.C, summed=False)
+    term = GradedHamiltonian._of(work, H.E, H.n, H.C, summed=False)
+    out = H
     fact = 1.0
     for l in range(1, order + 1):
         bracket = chi_w.poisson(term)
         fact *= l
         lost = bracket.dropped / fact
-        term = GradedHamiltonian(work)
-        jet = GradedHamiltonian(ctx)
-        size = 0.0
-        for (mono, n), c in bracket.terms.items():
-            a = float(np.max(np.abs(c)))
-            d = _mono_degree(mono)
-            e = max(d - D, 0)
-            k = max(e, -(-max(abs(n) - M, 0) // max(reach, 1)))
-            unreachable = e and e > sum(x for v, x in mono if v in lowering_vars)
-            if unreachable or l + k > order:
-                lost += a / fact
-                continue
-            if k:
-                # along k brackets the degree stays <= dk and the mode <= nk
-                dk = d + raise_max * k
-                nk = abs(n) + reach * k
-                bound = (a * math.comb(k, e) * (a1 * dk) ** e
-                         * (p + q * nk + r * dk) ** (k - e) / math.factorial(l + k))
-                floor = stop_tol * scale
-            else:
-                bound = a / fact
-                floor = prune_floor
-            if bound < floor:
-                lost += bound
-                continue
-            size = max(size, bound)
-            term.terms[(mono, n)] = c
-            if k == 0:
-                jet.terms[(mono, n)] = c / fact
-        out = out + jet
+        a = np.abs(bracket.C).max(axis=1)
+        d = bracket.degrees
+        n_abs = np.abs(bracket.n)
+        e = np.maximum(d - D, 0)
+        k = np.maximum(e, -(-np.maximum(n_abs - M, 0) // max(reach, 1)))
+        unreachable = (e > 0) & (e > bracket.E[:, lowering].sum(axis=1))
+        cut = unreachable | (l + k > order)
+        lost += float((a[cut] / fact).sum())
+        bound = a / fact
+        floor = np.full(a.size, prune_floor)
+        far = ~cut & (k > 0)
+        if far.any():
+            # along k brackets the degree stays <= dk and the mode <= nk
+            kf, ef = k[far], e[far]
+            dk = d[far] + raise_max * kf
+            nk = n_abs[far] + reach * kf
+            bound[far] = (a[far] * comb[kf, ef] * (a1 * dk) ** ef
+                          * (p + q * nk + r * dk) ** (kf - ef) / factorial[l + kf])
+            floor[far] = stop_tol * scale
+        small = ~cut & (bound < floor)
+        lost += float(bound[small].sum())
+        keep = ~(cut | small)
+        size = float(bound[keep].max(initial=0.0))
+        term = bracket._rows(keep)
+        jet = keep & (k == 0)
+        out = out + GradedHamiltonian._of(ctx, bracket.E[jet], bracket.n[jet],
+                                          bracket.C[jet] / fact, summed=False)
         out.dropped += lost
         if size < stop_tol * scale:
             return out
@@ -852,44 +1023,15 @@ class NormalFormResult:
         return rows
 
 
-def _min_divisor(ctx, hs_vals, psi) -> float:
-    omega = (ctx.Dmat @ np.asarray(hs_vals)).real
-    worst = np.inf
-    for (mono, n), _ in psi.terms.items():
-        deg = _mono_degree(mono)
-        if deg == 0 and n == 0:
-            continue
-        if deg == 0:
-            den = np.abs(n * omega)
-        else:
-            v = mono[0][0]
-            den = np.abs(n * omega - 1.0) if (v & 1) == 0 else np.abs(n * omega + 1.0)
-        worst = min(worst, float(np.min(den)))
-    return worst
-
-
 def _resplit(ctx, total: GradedHamiltonian):
     """(hs values, Z, R) with the unit transverse core removed from Z."""
     hs = total.mean_action().real
-    R = GradedHamiltonian(ctx, 0.0)
-    Z = GradedHamiltonian(ctx, total.dropped)
-    ones = np.ones(ctx.I_nodes.size, dtype=complex)
-    core_keys = set()
-    for k in ctx.sites:
-        mono = tuple(sorted(((ctx.z_var(int(k)), 1), (ctx.w_var(int(k)), 1))))
-        core_keys.add((mono, 0))
-    for (mono, n), c in total.terms.items():
-        deg = _mono_degree(mono)
-        if deg == 0:
-            if n != 0:
-                R.terms[(mono, n)] = c
-        elif deg == 1:
-            R.terms[(mono, n)] = c
-        else:
-            if (mono, n) in core_keys:
-                c = c - ones
-            if np.max(np.abs(c)) > 0.0:
-                Z.terms[(mono, n)] = c
+    E, n, C, deg = total.E, total.n, total.C, total.degrees
+    R = total._rows(((deg == 0) & (n != 0)) | (deg == 1))
+    core = (deg == 2) & (n == 0) & ((E[:, 0::2] == 1) & (E[:, 1::2] == 1)).any(axis=1)
+    C = C - core[:, None]
+    keep = (deg >= 2) & (np.abs(C).max(axis=1) > 0.0)
+    Z = GradedHamiltonian._of(ctx, E[keep], n[keep], C[keep], total.dropped)
     return hs, Z, R
 
 
@@ -910,43 +1052,14 @@ def measure_scaled_norm(gh: GradedHamiltonian, eps: float,
     dirs = rng.standard_normal((n_dirs, ns)) + 1j * rng.standard_normal((n_dirs, ns))
     dirs /= np.sqrt(2.0 * np.sum(np.abs(dirs) ** 2, axis=1))[:, None]
     z = R_xi * dirs                      # (nD, ns); w = conj(z) on the real subspace
-    w = np.conj(z)
     ig = np.arange(ctx.I_nodes.size)[:: max(1, ctx.I_nodes.size // 8)]
     alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
-    phases = {}
-    shape = (ig.size, n_alpha, n_dirs)
-    X_I = np.zeros(shape, dtype=complex)
-    X_a = np.zeros(shape, dtype=complex)
-    X_z = np.zeros(shape + (ns,), dtype=complex)
-    X_w = np.zeros(shape + (ns,), dtype=complex)
-    for mono, n, c, dc in gh._prepare():
-        if n not in phases:
-            phases[n] = np.exp(1j * n * alphas)
-        ph = phases[n]
-        mono_val = np.ones(n_dirs, dtype=complex)
-        for v, e in mono:
-            base = w[:, v >> 1] if v & 1 else z[:, v >> 1]
-            mono_val = mono_val * base ** e
-        body = ph[None, :, None] * mono_val[None, None, :]
-        X_I += (-1j * n) * c[ig][:, None, None] * body
-        X_a += dc[ig][:, None, None] * body
-        for v, e in mono:
-            s = v >> 1
-            base = w[:, s] if v & 1 else z[:, s]
-            dmono = e * base ** (e - 1)
-            for v2, e2 in mono:
-                if v2 == v:
-                    continue
-                b2 = w[:, v2 >> 1] if v2 & 1 else z[:, v2 >> 1]
-                dmono = dmono * b2 ** e2
-            contrib = c[ig][:, None, None] * ph[None, :, None] * dmono[None, None, :]
-            if v & 1:
-                X_z[..., s] += -1j * contrib
-            else:
-                X_w[..., s] += 1j * contrib
+    _, X_I, X_a, X_z, X_w = _field_on_grid(gh, gh.C[:, ig], gh.C @ ctx.Dmat[ig].T,
+                                           alphas, z, np.conj(z))
     xi_norm = np.sqrt(np.sum(np.abs(X_z) ** 2 + np.abs(X_w) ** 2, axis=-1))
-    return float(max(np.max(np.abs(X_I)) / R_I, np.max(np.abs(X_a)) / R_alpha,
-                     np.max(xi_norm) / R_xi))
+    return float(max(np.max(np.abs(X_I), initial=0.0) / R_I,
+                     np.max(np.abs(X_a), initial=0.0) / R_alpha,
+                     np.max(xi_norm, initial=0.0) / R_xi))
 
 
 def normalize(init: InitialDecomposition, r_max: int = 2, lie_order: int = 8,
@@ -983,7 +1096,6 @@ def normalize(init: InitialDecomposition, r_max: int = 2, lie_order: int = 8,
         else:
             psi = R.without_mean()
         psi = psi.prune(0.1 * lie_stop * scale0)
-        mind = _min_divisor(ctx, hs, psi)
         chi = solve_cohomological(ctx, hs, psi, divisor_floor)
         total = lie_transform(total, chi, order=lie_order, stop_tol=lie_stop)
         total = total.prune(0.01 * lie_stop * scale0)
@@ -1002,7 +1114,7 @@ def normalize(init: InitialDecomposition, r_max: int = 2, lie_order: int = 8,
             h_norm=measure_scaled_norm(
                 constant_hamiltonian(ctx, hs - hs_start), eps),
             Z_norm=measure_scaled_norm(Z, eps),
-            min_divisor=mind,
+            min_divisor=chi.min_divisor,
             dropped=total.dropped,
         ))
     return NormalFormResult(ctx, eps, hs, transverse_core(ctx), Z, R,
@@ -1018,19 +1130,10 @@ def invariant_manifold_check(result: NormalFormResult, n_alpha: int = 64) -> flo
     ctx = result.ctx
     lin = result.residual.part_of_degree(1)
     alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
-    G = ctx.I_nodes.size
-    Xz = np.zeros((ctx.n_sites, n_alpha, G), dtype=complex)
-    Xw = np.zeros((ctx.n_sites, n_alpha, G), dtype=complex)
-    for (mono, n), c in lin.terms.items():
-        v = mono[0][0]
-        s = v >> 1
-        phase = np.exp(1j * n * alphas)[:, None] * c[None, :]
-        if v & 1:
-            Xz[s] += -1j * phase
-        else:
-            Xw[s] += 1j * phase
-    mag = np.sqrt(np.sum(np.abs(Xz) ** 2 + np.abs(Xw) ** 2, axis=0))
-    return float(np.max(mag))
+    origin = np.zeros((1, ctx.n_sites), dtype=complex)
+    _, _, _, X_z, X_w = _field_on_grid(lin, lin.C, lin.C @ ctx.Dmat.T, alphas,
+                                       origin, origin)
+    return float(np.max(np.sqrt(np.sum(np.abs(X_z) ** 2 + np.abs(X_w) ** 2, axis=-1))))
 
 
 def reconstruct_breather_from_nf(result: NormalFormResult, I: float,
@@ -1053,19 +1156,6 @@ def reconstruct_breather_from_nf(result: NormalFormResult, I: float,
         states.append(nf_point_to_state(ctx, chart, *cur))
     period = 2.0 * np.pi / result.omega(I)
     return states, period
-
-
-def transformation_angle_displacement(result: NormalFormResult, I: float,
-                                      n_phases: int = 16, rk_steps: int = 32) -> float:
-    """max over the circle of |T_alpha(I, alpha, 0) - alpha| for the composed map."""
-    worst = 0.0
-    for a in np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False):
-        cur = (float(I), float(a), np.zeros(result.ctx.n_sites, dtype=complex))
-        for chi in reversed(result.generators):
-            cur = flow_generator(chi, *cur, time=1.0, steps=rk_steps)
-        d = (cur[1] - a + np.pi) % (2.0 * np.pi) - np.pi
-        worst = max(worst, abs(d))
-    return worst
 
 
 def nf_point_to_state(ctx: NormalFormContext, chart: ActionAngleChart,

@@ -306,7 +306,9 @@ def van_der_corput_check(eps: float, lam_grid, rho_grid=None,
     """Measured sup-over-rho decay exponents of the oscillatory integral.
 
     I1 carries a second-derivative (k=2) lower bound and should decay like
-    lam^(-1/2); I2 a third-derivative (k=3) bound and lam^(-1/3).
+    lam^(-1/2); I2 a third-derivative (k=3) bound and lam^(-1/3).  A given
+    ``rho_grid`` must be uniform (ValueError otherwise): the integrals share
+    one phase recurrence along it.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if rho_grid is None:
@@ -314,6 +316,9 @@ def van_der_corput_check(eps: float, lam_grid, rho_grid=None,
         vmax = float(np.max(np.abs(_group_velocity(eps, np.linspace(0, np.pi, 512)))))
         rho_grid = np.linspace(-1.5 * vmax, 0.25 * vmax, 181)
     rho_grid = np.asarray(rho_grid, dtype=float)
+    steps = np.diff(rho_grid)
+    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("van_der_corput_check needs a uniform rho grid")
     intervals = phase_intervals(split)
     sups = {}
     for name, pieces in intervals.items():

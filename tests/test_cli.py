@@ -3,7 +3,7 @@ import pytest
 from breatherlab import cli
 
 
-@pytest.mark.parametrize("command", ["propagate", "decay-fit", "vdc-check"])
+@pytest.mark.parametrize("command", ["propagate", "decay-fit", "vdc-check", "normal-form"])
 def test_subcommand_passes_on_default_config(tmp_path, command):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("# defaults only\n")

@@ -82,6 +82,159 @@ def _random_graded(ctx, rng, n_terms=6, max_deg=2, max_n=3):
     return gh
 
 
+def _merge_mono(m1: tuple, m2: tuple) -> tuple:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _mono_degree(mono: tuple) -> int:
+    return sum(e for _, e in mono)
+
+
+def _transverse_parts(m1: tuple, m2: tuple) -> list:
+    """[(monomial, factor)] of i sum_k (dz m1 dw m2 - dw m1 dz m2)."""
+    map2 = dict(m2)
+    parts = []
+    for v1, e1 in m1:
+        e2 = map2.get(v1 ^ 1)
+        if e2 is None:
+            continue
+        v2 = v1 ^ 1
+        sign = 1.0 if (v1 & 1) == 0 else -1.0  # +i for dz f dw g
+        red1 = tuple((v, e - 1 if v == v1 else e) for v, e in m1
+                     if not (v == v1 and e == 1))
+        red2 = tuple((v, e - 1 if v == v2 else e) for v, e in m2
+                     if not (v == v2 and e == 1))
+        parts.append((_merge_mono(red1, red2), sign * 1j * e1 * e2))
+    return parts
+
+
+def _reference_poisson(f, g):
+    """The pair-loop bracket {f, g}: (terms dict, dropped), the oracle for ``poisson``.
+
+    Screening is vectorized over g per term of f, with site bitmasks (Python
+    ints beyond 62 sites); kept pair-parts are summed one dict entry at a time.
+    The d/dI of each term is read from ``d_I``, the matrix product ``poisson``
+    also uses: a matrix-vector product rounds differently by up to ~1e-13 of
+    the bracket, which is the spectral derivative's noise, not the bracket's.
+    """
+    ctx = f.ctx
+    acc = {}
+    dropped = f.dropped + g.dropped
+    M, D = ctx.M, ctx.D
+
+    def prep(gh):
+        rows = []
+        derivative = gh.d_I().terms
+        for (m, n), c in gh.terms.items():
+            zmask = wmask = 0
+            for v, _ in m:
+                if v & 1:
+                    wmask |= 1 << (v >> 1)
+                else:
+                    zmask |= 1 << (v >> 1)
+            rows.append((m, _mono_degree(m), n, c, derivative[(m, n)],
+                         float(np.max(np.abs(c))), zmask, wmask))
+        return rows
+
+    fprep = prep(f)
+    gprep = prep(g)
+    if not fprep or not gprep:
+        return acc, dropped
+    cols = list(zip(*gprep))
+    g_mono = cols[0]
+    g_d = np.array(cols[1])
+    g_n = np.array(cols[2])
+    g_c = np.array(cols[3])
+    g_dc = np.array(cols[4])
+    g_a = np.array(cols[5])
+    mask_type = np.int64 if ctx.n_sites <= 62 else object
+    g_z = np.array(cols[6], dtype=mask_type)
+    g_w = np.array(cols[7], dtype=mask_type)
+    g_nz = g_n != 0
+    for m1, d1, n1, c1, Dc1, a1, z1, w1 in fprep:
+        n_out = n1 + g_n
+        inside = np.abs(n_out) <= M
+        lost = a1 * g_a[~inside].sum()
+        aa = inside & (g_nz | (n1 != 0))
+        aa_keep = aa & (g_d <= D - d1)
+        lost += a1 * g_a[aa & ~aa_keep].sum()
+        tr_keep = None
+        if d1:
+            tr = inside & (g_d > 0)
+            tr_keep = tr & (g_d <= D + 2 - d1)
+            lost += a1 * g_a[tr & ~tr_keep].sum()
+            tr_keep &= ((g_w & z1) | (g_z & w1)) != 0
+        dropped += float(lost)
+        for j in np.flatnonzero(aa_keep):
+            val = 1j * g_n[j] * (Dc1 * g_c[j]) - 1j * n1 * (c1 * g_dc[j])
+            key = (_merge_mono(m1, g_mono[j]), int(n_out[j]))
+            acc[key] = acc[key] + val if key in acc else val
+        if tr_keep is None:
+            continue
+        for j in np.flatnonzero(tr_keep):
+            for mono, factor in _transverse_parts(m1, g_mono[j]):
+                key = (mono, int(n_out[j]))
+                val = factor * (c1 * g_c[j])
+                acc[key] = acc[key] + val if key in acc else val
+    return acc, dropped
+
+
+def _random_operand(ctx, rng, n_monos, variables):
+    """Monomials over a few variables, each with several Fourier modes.
+
+    Degrees and modes reach the caps, so pairs overflow both.
+    """
+    gh = GradedHamiltonian(ctx)
+    for _ in range(n_monos):
+        deg = int(rng.integers(0, ctx.D + 1))
+        mono = {}
+        for v in rng.choice(variables, size=deg):
+            mono[int(v)] = mono.get(int(v), 0) + 1
+        for n in rng.choice(np.arange(-ctx.M, ctx.M + 1), size=3, replace=False):
+            gh.add_term(tuple(sorted(mono.items())), int(n), _poly_coeff(ctx, rng))
+    return gh
+
+
+def _assert_matches_reference(f, g):
+    ref, ref_dropped = _reference_poisson(f, g)
+    br = f.poisson(g)
+    assert set(br.terms) == set(ref)
+    size = max(float(np.max(np.abs(c))) for c in ref.values())
+    worst = max(float(np.max(np.abs(br.terms[key] - c))) for key, c in ref.items())
+    assert worst <= 1e-13 * size
+    assert br.dropped == pytest.approx(ref_dropped, rel=1e-12)
+
+
+@pytest.mark.parametrize("D, M", [(4, 16), (3, 5), (2, 3)])
+def test_poisson_matches_pair_loop_reference(ctx4, rng, D, M):
+    ctx = ctx4.with_truncation(D, M)
+    variables = np.arange(8)          # z and w at four sites: many z-w matches
+    for _ in range(3):
+        small = _random_operand(ctx, rng, 4, variables)
+        large = _random_operand(ctx, rng, 25, variables)
+        _assert_matches_reference(small, large)
+        _assert_matches_reference(large, small)
+
+
+def test_poisson_matches_reference_beyond_62_sites(chart4, V4, rng):
+    ctx = make_context(chart4, V4, N=32, D=3, M=16, I_span=(0.3, 0.5),
+                       n_nodes=6).with_truncation(3, 5)
+    assert ctx.n_sites > 62
+    # sites on both sides of bit 62 of the old site bitmasks
+    variables = np.concatenate([np.arange(116, 2 * ctx.n_sites), np.arange(4)])
+    small = _random_operand(ctx, rng, 4, variables)
+    large = _random_operand(ctx, rng, 25, variables)
+    _assert_matches_reference(small, large)
+    _assert_matches_reference(large, small)
+
+
 def test_bracket_convention_action_angle(ctx4):
     # {I, e^{i alpha}} = i e^{i alpha}: the angle advances at rate dI
     I_fun = constant_hamiltonian(ctx4, ctx4.I_nodes)

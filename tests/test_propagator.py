@@ -385,6 +385,13 @@ def test_forced_evolution_single_sample_is_zero(rng):
     assert len(u) == 1 and norm(u[0], np.inf) == 0.0
 
 
+def test_vdc_check_rejects_non_uniform_rho_grid():
+    # the shared phase recurrence steps by rho[1] - rho[0]; on this grid the
+    # third value came out 6.5e-2 off at lambda = 1e3
+    with pytest.raises(ValueError):
+        van_der_corput_check(0.1, [1e3, 2e3], rho_grid=[-0.14, -0.13, 0.0])
+
+
 def test_forced_evolution_rejects_non_uniform_grid(rng):
     times = np.array([0.0, 1.0, 2.5, 3.0])
     with pytest.raises(ValueError):
