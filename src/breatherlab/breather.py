@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import LatticeState, norm
+from .lattice import LatticeState, coupling_force, norm
 from .potential import (ActionAngleChart, PotentialSpec, action_of_point,
                         from_cartesian, h0_of_action, omega0)
 from . import integrate as tint
@@ -56,9 +56,13 @@ def _rhs(V: PotentialSpec, eps: float, N: int):
     def rhs(_, y):
         n = y.size // 2
         p, q = y[:n], y[n:]
-        qp = np.concatenate(([0.0], q, [0.0]))
-        lap = qp[2:] + qp[:-2] - 2.0 * qp[1:-1]
-        return np.concatenate([-q - V.derivative(q) + eps * lap, p])
+        out = np.empty_like(y)
+        dp = coupling_force(q, False, N, out=out[:n])
+        dp *= eps
+        dp -= q
+        dp -= V.derivative(q)
+        out[n:] = p
+        return out
     return rhs
 
 
@@ -75,38 +79,34 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
 
     Each rotation substep rotates (dp, dq) blocks; each kick adds
     tau (eps Delta - V''(q(t))) dq to dp with q(t) co-evolved, so the product
-    is symplectic to round-off.
+    is symplectic to round-off.  The state rides along as column 0 of the
+    blocks P = [p | Dp] and Q = [q | Dq], so a substep is one rotation and one
+    Laplacian of the stacked blocks, all in preallocated buffers.
     """
     n = 2 * x.N + 1
-    p, q = x.p.copy(), x.q.copy()
-    Dp = np.zeros((n, 2 * n))
-    Dq = np.zeros((n, 2 * n))
-    Dp[:, :n] = np.eye(n)
-    Dq[:, n:] = np.eye(n)
+    P = np.zeros((n, 2 * n + 1))
+    Q = np.zeros((n, 2 * n + 1))
+    P[:, 0], Q[:, 0] = x.p, x.q
+    P[:, 1:n + 1] = np.eye(n)
+    Q[:, n + 1:] = np.eye(n)
+    scratch = np.empty((2,) + P.shape)
+    dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
     steps = max(1, int(np.ceil(T / dt)))
     h = T / steps
     rots, kicks = tint._SCHEMES["yoshida4"]
-
-    def lap_cols(A):
-        out = -2.0 * A
-        out[:-1] += A[1:]
-        out[1:] += A[:-1]
-        return out
-
     for _ in range(steps):
         for i, ck in enumerate(kicks):
-            c, s = np.cos(rots[i] * h), np.sin(rots[i] * h)
-            p, q = c * p - s * q, s * p + c * q
-            Dp, Dq = c * Dp - s * Dq, s * Dp + c * Dq
-            tau = ck * h
-            qp = np.concatenate(([0.0], q, [0.0]))
-            lap = qp[2:] + qp[:-2] - 2.0 * q
-            p = p + tau * (eps * lap - V.derivative(q))
-            Dp = Dp + tau * (eps * lap_cols(Dq) - V.second_derivative(q)[:, None] * Dq)
-        c, s = np.cos(rots[-1] * h), np.sin(rots[-1] * h)
-        p, q = c * p - s * q, s * p + c * q
-        Dp, Dq = c * Dp - s * Dq, s * Dp + c * Dq
-    return np.vstack([Dp, Dq])
+            tint._rotate(P, Q, rots[i] * h, scratch)
+            q = Q[:, 0]
+            np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
+            dV[:, 0] = V.derivative(q)
+            kick = coupling_force(Q, False, x.N, out=scratch[0])
+            kick *= eps
+            kick -= dV
+            kick *= ck * h
+            P += kick
+        tint._rotate(P, Q, rots[-1] * h, scratch)
+    return np.vstack([P[:, 1:], Q[:, 1:]])
 
 
 def _sample_orbit_states(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -175,28 +175,27 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
                       chart: ActionAngleChart | None = None) -> Breather:
     """Path-follow the fixed-period breather family from the seed to eps_target."""
     T = seed.period
-    x = seed.x0.copy()
+    x, eps_x = seed.x0.copy(), seed.eps
+    x_prev = eps_prev = None
     eps_values = np.arange(eps_step, eps_target + 0.5 * eps_step, eps_step)
     if eps_values.size == 0 or abs(eps_values[-1] - eps_target) > 1e-12:
         eps_values = np.append(eps_values, eps_target)
     defect = seed.defect
     for eps in eps_values:
-        x, defect, _ = _newton_polish(x, V, float(eps), T, tol, max_newton)
+        # secant predictor: extrapolate the last two solutions linearly in eps
+        # (2 x_1 - x_0 on a uniform grid); the first stage starts from the seed
+        guess = x
+        if x_prev is not None:
+            guess = x + (x - x_prev).scaled((eps - eps_x) / (eps_x - eps_prev))
+        x_prev, eps_prev = x, eps_x
+        x, defect, _ = _newton_polish(guess, V, float(eps), T, tol, max_newton)
+        eps_x = float(eps)
     orbit = _sample_orbit_states(x, V, eps_target, T, n_phases)
     beta_hat, resid = localization_rate(orbit)
     I_label = seed.I_label
     if chart is not None:
         I_label = action_of_point(chart, 0.0, float(x.q[x.index(0)]))
     return Breather(I_label, eps_target, T, x, orbit, beta_hat, resid, defect)
-
-
-def polish_periodic_orbit(x: LatticeState, V: PotentialSpec, eps: float, T: float,
-                          tol: float = 1e-11, max_newton: int = 10):
-    """Newton-polish an approximate periodic point at fixed period.
-
-    Returns (point on section, defect, newton steps used).
-    """
-    return _newton_polish(x, V, eps, T, tol, max_newton)
 
 
 def orbit_defect(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -316,23 +315,3 @@ def breather_from_csv(path) -> tuple[dict, LatticeState]:
         i = state.index(k)
         state.p[i], state.q[i] = p, q
     return meta, state
-
-
-def section_point(x: LatticeState, V: PotentialSpec, eps: float, T: float,
-                  rtol: float = 1e-13) -> LatticeState:
-    """Move a point along its orbit to the section p_0 = 0 (descending), q_0 > 0."""
-    N = x.N
-    ip0 = N
-
-    def event(_, y):
-        return y[ip0]
-    event.direction = -1
-
-    sol = solve_ivp(_rhs(V, eps, N), (0.0, 2.0 * T), _pack(x), method="DOP853",
-                    rtol=rtol, atol=1e-14, events=event)
-    if sol.y_events[0].size == 0:
-        raise RuntimeError("section crossing not found")
-    y = sol.y_events[0][0]
-    out = _unpack(y, N)
-    out.p[out.index(0)] = 0.0
-    return out

@@ -253,7 +253,11 @@ def cmd_stability(cfg, out_dir, seed) -> bool:
         perturbation_shape=str(cfg.get("shape", "localized")),
         sample_stride=int(cfg.get("sample_stride", 100)),
     )
-    record = ex.run_stability(config, chart)
+    try:
+        record = ex.run_stability(config, chart)
+    except ex.FamilyWindowError as exc:
+        print(f"stability: {exc}")
+        return False
     tolerances = {
         "max_residual_l2_over_mu": float(cfg.get("residual_bound", 5.0)),
         "I_drift": float(cfg.get("drift_bound", 10.0)) * config.mu ** 2

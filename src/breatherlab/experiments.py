@@ -20,7 +20,7 @@ import numpy as np
 from .breather import anti_continuum_seed, continue_breather
 from .integrate import BlowupError, IntegratorConfig, step_arrays
 from .lattice import AdmissiblePair, LatticeState, hamiltonian, norm
-from .potential import ActionAngleChart, PotentialSpec, omega0
+from .potential import ActionAngleChart, PotentialSpec, max_action_gradient
 
 
 class FamilyWindowError(RuntimeError):
@@ -223,9 +223,22 @@ class StabilityRecord:
 
 def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
                   family: BreatherFamily | None = None) -> StabilityRecord:
-    """Perturb, evolve, track; returns the full time series plus summaries."""
+    """Perturb, evolve, track; returns the full time series plus summaries.
+
+    Raises FamilyWindowError up front, before any family is built, when the
+    kick alone can carry the central action past the family's edge: to first
+    order an l^2 kick of size mu moves I by up to mu max |grad I| on the
+    I_label orbit.
+    """
     c = config
     IntegratorConfig(t_final=c.T, dt=c.dt).check_stability(c.eps)
+    shift = c.mu * max_action_gradient(chart, c.I_label)
+    if shift >= c.family_half_width:
+        raise FamilyWindowError(
+            f"a kick of size mu={c.mu:.4g} can move the central action by "
+            f"mu max|grad I| = {shift:.4g}, beyond the family half-width "
+            f"{c.family_half_width:g} around I_label={c.I_label:g}; "
+            "lower mu or widen the family")
     if family is None:
         family = build_family(chart, c)
     center = int(np.argmin(np.abs(family.I_values - c.I_label)))

@@ -8,6 +8,7 @@ second-order composition; yoshida4 the standard triple composition of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,26 +52,36 @@ class IntegratorConfig:
             )
 
 
-def _rotate(p: np.ndarray, q: np.ndarray, tau: float):
-    c, s = np.cos(tau), np.sin(tau)
-    p_new = c * p - s * q
-    q[:] = s * p + c * q
-    p[:] = p_new
+def _rotate(p: np.ndarray, q: np.ndarray, tau: float, scratch: np.ndarray):
+    """(p, q) <- (c p - s q, s p + c q) in place; ``scratch`` is (2,) + p.shape."""
+    c, s = math.cos(tau), math.sin(tau)
+    sp, sq = scratch
+    np.multiply(p, s, out=sp)
+    np.multiply(q, s, out=sq)
+    p *= c
+    p -= sq
+    q *= c
+    q += sp
 
 
 def _kick(p: np.ndarray, q: np.ndarray, tau: float, V: PotentialSpec,
-          eps: float, pinned: bool, N: int):
-    p += tau * (eps * coupling_force(q, pinned, N) - V.derivative(q))
+          eps: float, pinned: bool, N: int, scratch: np.ndarray):
+    force = coupling_force(q, pinned, N, out=scratch)
+    force *= eps
+    force -= V.derivative(q)
+    force *= tau
+    p += force
 
 
 def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float,
                 dt: float, scheme: str, pinned: bool, N: int):
     """One splitting step in place on raw arrays."""
     rots, kicks = _SCHEMES[scheme]
+    scratch = np.empty((2,) + p.shape)
     for i, ck in enumerate(kicks):
-        _rotate(p, q, rots[i] * dt)
-        _kick(p, q, ck * dt, V, eps, pinned, N)
-    _rotate(p, q, rots[-1] * dt)
+        _rotate(p, q, rots[i] * dt, scratch)
+        _kick(p, q, ck * dt, V, eps, pinned, N, scratch[0])
+    _rotate(p, q, rots[-1] * dt, scratch)
 
 
 def step(state: LatticeState, V: PotentialSpec, eps: float, dt: float,

@@ -132,18 +132,24 @@ def hamiltonian(state: LatticeState, V: PotentialSpec, eps: float) -> float:
     return float(onsite + coupling)
 
 
-def coupling_force(q: np.ndarray, pinned_center: bool, N: int) -> np.ndarray:
-    """Discrete Laplacian with Dirichlet ghosts; optionally with site 0 pinned."""
+def coupling_force(q: np.ndarray, pinned_center: bool, N: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Discrete Laplacian with Dirichlet ghosts; optionally with site 0 pinned.
+
+    Without site 0 the arrays hold -N..-1, 1..N, so pinning q_0 = 0 amounts to
+    cutting the bond between the array neighbours N - 1 and N.  Sites run
+    along axis 0, so ``q`` may carry trailing columns (tangent vectors); the
+    result goes to ``out`` when given.
+    """
+    lap = np.multiply(q, -2.0, out=out)
     if pinned_center:
-        full = np.insert(q, N, 0.0)
+        lap[:N - 1] += q[1:N]
+        lap[1:N] += q[:N - 1]
+        lap[N:-1] += q[N + 1:]
+        lap[N + 1:] += q[N:-1]
     else:
-        full = q
-    padded = np.concatenate(([0.0], full, [0.0]))
-    lap = padded[2:] + padded[:-2] - 2.0 * padded[1:-1]
-    if pinned_center:
-        keep = np.ones(full.size, dtype=bool)
-        keep[N] = False
-        return lap[keep]
+        lap[:-1] += q[1:]
+        lap[1:] += q[:-1]
     return lap
 
 

@@ -58,24 +58,30 @@ class PotentialSpec:
             if not np.isfinite(a):
                 raise ValueError(f"non-finite coefficient for degree {m}")
         object.__setattr__(self, "coefficients", coeffs)
+        merged = {}
+        for m, a in coeffs:
+            merged[m] = merged.get(m, 0.0) + a
+        terms = tuple((m, a) for m, a in sorted(merged.items()) if a != 0.0)
         deg = max((m for m, _ in coeffs), default=0)
         c = np.zeros(deg + 1)
-        for m, a in coeffs:
-            c[m] += a
+        for m, a in terms:
+            c[m] = a
         object.__setattr__(self, "_poly", c)
-        object.__setattr__(self, "_dpoly", npoly.polyder(c))
-        object.__setattr__(self, "_ddpoly", npoly.polyder(c, 2))
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_dterms", tuple((m - 1, m * a) for m, a in terms))
+        object.__setattr__(self, "_ddterms",
+                           tuple((m - 2, m * (m - 1) * a) for m, a in terms))
 
     def __call__(self, q):
-        return npoly.polyval(q, self._poly)
+        return _sum_powers(self._terms, q)
 
     def derivative(self, q):
         """V'(q)."""
-        return npoly.polyval(q, self._dpoly)
+        return _sum_powers(self._dterms, q)
 
     def second_derivative(self, q):
         """V''(q)."""
-        return npoly.polyval(q, self._ddpoly)
+        return _sum_powers(self._ddterms, q)
 
     @classmethod
     def monomial(cls, degree: int, coefficient: float = 1.0, min_degree: int | None = None):
@@ -87,6 +93,38 @@ class PotentialSpec:
     def zero(cls, min_degree: int = 4):
         """V = 0 (harmonic oscillator); useful for exactly solvable checks."""
         return cls((), min_degree)
+
+
+def _power(q, k: int):
+    """q^k for k >= 1 by repeated squaring.
+
+    A chain of multiplications: ``q ** k`` on an array goes through the
+    generic power loop and is some fifty times slower at a few thousand sites.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = q if out is None else out * q
+        k >>= 1
+        if not k:
+            return out
+        q = q * q
+
+
+def _sum_powers(terms, q):
+    """sum of a q^m over the (m, a) pairs of ``terms``, ascending in m.
+
+    Horner over the exponent gaps: q^m1 (a1 + q^(m2-m1) (a2 + ...)).  Every
+    exponent is at least 2 (``min_degree`` is 4 or 8), so no power is q^0.
+    """
+    q = np.asarray(q, dtype=float)
+    if not terms:
+        return q * 0.0
+    m, acc = terms[-1]
+    for m_lo, a in reversed(terms[:-1]):
+        acc = a + _power(q, m - m_lo) * acc
+        m = m_lo
+    return acc * _power(q, m)
 
 
 def eval_potential(V: PotentialSpec, q):
@@ -375,6 +413,20 @@ def sample_orbit(chart: ActionAngleChart, I: float, n_samples: int,
                     method="DOP853", rtol=rtol, atol=1e-14, t_eval=t_eval)
     alphas = omega * t_eval
     return alphas, sol.y[0], sol.y[1]
+
+
+def max_action_gradient(chart: ActionAngleChart, I: float) -> float:
+    """max over the orbit of action I of |grad I| = |grad H0| / omega0(I).
+
+    On the level set E = h0(I), p^2 = 2(E - U(q)) with U = q^2/2 + V(q), so
+    |grad H0|^2 = p^2 + U'(q)^2 is a function of q alone between the turning
+    points, maximised here on 2049 equally spaced q.
+    """
+    E = h0_of_action(chart, I)
+    V = chart.potential
+    q = np.linspace(_turning_point(V, E, -1), _turning_point(V, E, +1), 2049)
+    grad2 = 2.0 * (E - _effective_potential(V, q)) + (q + V.derivative(q)) ** 2
+    return float(np.sqrt(np.max(grad2))) / omega0(chart, I)
 
 
 def nonresonance_margin(chart: ActionAngleChart, I_lo: float, I_hi: float,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from breatherlab import breather as br
+from breatherlab import integrate as tint
 from breatherlab.breather import (Breather, anti_continuum_seed, continue_breather,
                                   distance_to_unperturbed, floquet_spectrum,
                                   localization_fit, monodromy, orbit_defect)
@@ -138,3 +140,76 @@ def test_monodromy_symplectic(breather005, V8):
     J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     err = M.T @ J @ M - J
     assert np.max(np.abs(err)) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def breather16(chart8, V8):
+    return continue_breather(anti_continuum_seed(chart8, 0.4, N=16), V8, 0.05, eps_step=0.01)
+
+
+def _oracle_monodromy(x, V, eps, T, dt=0.01):
+    """Two-block tangent map: state and (Dp, Dq) stepped apart, dense polyval forces."""
+    poly = np.polynomial.polynomial
+    c = np.bincount([m for m, _ in V.coefficients], [a for _, a in V.coefficients])
+    dV, ddV = poly.polyder(c), poly.polyder(c, 2)
+    n = 2 * x.N + 1
+    p, q = x.p.copy(), x.q.copy()
+    Dp = np.zeros((n, 2 * n))
+    Dq = np.zeros((n, 2 * n))
+    Dp[:, :n] = np.eye(n)
+    Dq[:, n:] = np.eye(n)
+    steps = max(1, int(np.ceil(T / dt)))
+    h = T / steps
+    rots, kicks = tint._SCHEMES["yoshida4"]
+
+    def lap_cols(A):
+        out = -2.0 * A
+        out[:-1] += A[1:]
+        out[1:] += A[:-1]
+        return out
+
+    for _ in range(steps):
+        for i, ck in enumerate(kicks):
+            c, s = np.cos(rots[i] * h), np.sin(rots[i] * h)
+            p, q = c * p - s * q, s * p + c * q
+            Dp, Dq = c * Dp - s * Dq, s * Dp + c * Dq
+            tau = ck * h
+            qp = np.concatenate(([0.0], q, [0.0]))
+            lap = qp[2:] + qp[:-2] - 2.0 * q
+            p = p + tau * (eps * lap - poly.polyval(q, dV))
+            Dp = Dp + tau * (eps * lap_cols(Dq) - poly.polyval(q, ddV)[:, None] * Dq)
+        c, s = np.cos(rots[-1] * h), np.sin(rots[-1] * h)
+        p, q = c * p - s * q, s * p + c * q
+        Dp, Dq = c * Dp - s * Dq, s * Dp + c * Dq
+    return np.vstack([Dp, Dq])
+
+
+def test_monodromy_matches_two_block_oracle(breather16, V8):
+    b = breather16
+    M = monodromy(b.x0, V8, b.eps, b.period)
+    M_ref = _oracle_monodromy(b.x0, V8, b.eps, b.period)
+    assert M.shape == M_ref.shape == (66, 66)
+    assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+
+
+def test_secant_predictor_needs_two_newton_steps(chart8, V8, monkeypatch):
+    seed = anti_continuum_seed(chart8, 0.4, N=16)
+    # zero-order continuation on the same grid: each stage starts from the last
+    zero_order = seed.x0
+    for eps in np.arange(0.01, 0.055, 0.01):
+        zero_order, _, _ = br._newton_polish(zero_order, V8, float(eps), seed.period,
+                                             1e-11, 10)
+    iterations = []
+    polish = br._newton_polish
+
+    def counting(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(br, "_newton_polish", counting)
+    b = continue_breather(seed, V8, 0.05, eps_step=0.01)
+    assert len(iterations) == 5
+    assert max(iterations[1:]) <= 2, iterations
+    assert np.max(np.abs(b.x0.p - zero_order.p)) < 1e-12
+    assert np.max(np.abs(b.x0.q - zero_order.q)) < 1e-12

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from breatherlab.integrate import (BlowupError, IntegratorConfig, energy_observer,
-                                   evolve, flow, step)
-from breatherlab.lattice import LatticeState, hamiltonian, norm, vector_field
+from breatherlab.integrate import (_SCHEMES, BlowupError, IntegratorConfig,
+                                   energy_observer, evolve, flow, step, step_arrays)
+from breatherlab.lattice import (LatticeState, coupling_force, hamiltonian, norm,
+                                 vector_field)
 from breatherlab.potential import PotentialSpec
 
 
@@ -141,3 +142,61 @@ def test_trajectory_csv(tmp_path, rng, V8):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,observable,value"
     assert len(lines) == 1 + len(rec.times)
+
+
+def _oracle_coupling_force(q, pinned_center, N):
+    """The Laplacian built by inserting the pinned site and padding the ghosts."""
+    full = np.insert(q, N, 0.0) if pinned_center else q
+    padded = np.concatenate(([0.0], full, [0.0]))
+    lap = padded[2:] + padded[:-2] - 2.0 * padded[1:-1]
+    if pinned_center:
+        keep = np.ones(full.size, dtype=bool)
+        keep[N] = False
+        return lap[keep]
+    return lap
+
+
+def _oracle_step_arrays(p, q, V, eps, dt, scheme, pinned, N):
+    """The splitting step with fresh arrays per substep and a dense polyval force."""
+    dV = np.polynomial.polynomial.polyder(
+        np.bincount([m for m, _ in V.coefficients], [a for _, a in V.coefficients]))
+    rots, kicks = _SCHEMES[scheme]
+
+    def rotate(tau):
+        c, s = np.cos(tau), np.sin(tau)
+        p_new = c * p - s * q
+        q[:] = s * p + c * q
+        p[:] = p_new
+
+    for i, ck in enumerate(kicks):
+        rotate(rots[i] * dt)
+        tau = ck * dt
+        p += tau * (eps * _oracle_coupling_force(q, pinned, N)
+                    - np.polynomial.polynomial.polyval(q, dV))
+    rotate(rots[-1] * dt)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["full", "pinned"])
+def test_step_arrays_matches_oracle(rng, pinned):
+    V = PotentialSpec(((8, 1.0), (10, -0.3)))
+    N = 8
+    n = 2 * N if pinned else 2 * N + 1
+    p, q = 0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(n)
+    p_ref, q_ref = p.copy(), q.copy()
+    for _ in range(100):
+        step_arrays(p, q, V, 0.1, 0.05, "yoshida4", pinned, N)
+        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", pinned, N)
+    assert np.max(np.abs(p - p_ref)) < 1e-14
+    assert np.max(np.abs(q - q_ref)) < 1e-14
+
+
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_coupling_force_matches_oracle(rng, N):
+    for pinned in (False, True):
+        q = rng.standard_normal(2 * N if pinned else 2 * N + 1)
+        assert np.allclose(coupling_force(q, pinned, N),
+                           _oracle_coupling_force(q, pinned, N), rtol=0.0, atol=1e-15)
+    # the pinned site exerts no force at all: the two half-chains decouple
+    q = np.zeros(2 * N)
+    q[:N] = rng.standard_normal(N)
+    assert np.all(coupling_force(q, True, N)[N:] == 0.0)

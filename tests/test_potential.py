@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
                                    action_of_energy, build_chart, eval_potential,
-                                   from_cartesian, h0_of_action,
+                                   from_cartesian, h0_of_action, max_action_gradient,
                                    nonresonance_margin, omega0, period_of_energy,
                                    sample_orbit, to_cartesian)
 
@@ -21,6 +23,44 @@ def test_eval_potential_matches_direct_summation():
     # derivative against the same oracle
     expected_d = 8 * 0.5 * q**7 + 10 * 0.1 * q**9
     assert V.derivative(q) == pytest.approx(expected_d, rel=1e-15)
+
+
+EVALUATOR_CASES = [
+    PotentialSpec(((8, 1.0), (10, -0.3), (12, 0.05))),
+    PotentialSpec(((4, 1.0), (6, 2.0)), min_degree=4),
+    PotentialSpec.zero(),
+    PotentialSpec(((8, 1.0), (10, 0.5), (8, 0.25), (10, -0.5))),   # merged to 1.25 q^8
+]
+EVALUATOR_INPUTS = [
+    0.7,
+    np.float64(-0.45),
+    np.array(0.9),
+    np.linspace(-1.2, 1.2, 33),
+    np.linspace(-0.8, 0.8, 12).reshape(3, 4),
+]
+
+
+def _direct_sum(V, q, order):
+    """sum of a_m (m)_order q^(m - order), one term at a time from math.pow."""
+    q = np.asarray(q, dtype=float)
+    out = np.zeros(q.shape)
+    for m, a in V.coefficients:
+        falling = float(np.prod(np.arange(m - order + 1, m + 1)))
+        out = out + a * falling * np.vectorize(lambda x: math.pow(x, m - order))(q)
+    return out
+
+
+@pytest.mark.parametrize("V", EVALUATOR_CASES, ids=["8-10-12", "4-6", "zero", "merged"])
+@pytest.mark.parametrize("q", EVALUATOR_INPUTS, ids=["float", "float64", "0d", "1d", "2d"])
+def test_evaluator_matches_direct_summation(V, q):
+    for order, f in enumerate((V, V.derivative, V.second_derivative)):
+        got = f(q)
+        expected = _direct_sum(V, q, order)
+        assert np.shape(got) == np.shape(q)
+        if np.ndim(q) == 0:
+            assert np.isscalar(got)
+        scale = np.maximum(np.abs(expected), 1e-300)
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale), (order, got, expected)
 
 
 def test_potential_spec_rejects_low_degree():
@@ -155,3 +195,15 @@ def test_nonresonance_margin_positive_interval(chart8):
 def test_nonresonance_margin_vanishes_at_small_action(V8):
     chart = build_chart(V8, 1e-4, 0.1, n_grid=64)
     assert nonresonance_margin(chart, 1e-4, 1e-3, 4) < 1e-2
+
+
+def test_max_action_gradient_matches_orbit_samples(chart8, V8):
+    # |grad I| = |grad H0| / omega0 at points sampled along the orbit itself
+    _, p, q = sample_orbit(chart8, 0.4, 4096)
+    sampled = np.max(np.hypot(p, q + V8.derivative(q))) / omega0(chart8, 0.4)
+    assert max_action_gradient(chart8, 0.4) == pytest.approx(sampled, rel=1e-6)
+
+
+def test_max_action_gradient_harmonic(chart0):
+    # circles of radius sqrt(2I): |grad H0| = sqrt(2I) everywhere, omega0 = 1
+    assert max_action_gradient(chart0, 0.3) == pytest.approx(np.sqrt(0.6), rel=1e-9)
