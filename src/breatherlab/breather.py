@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import LatticeState, coupling_force, norm
-from .potential import (ActionAngleChart, PotentialSpec, action_of_point,
-                        from_cartesian, h0_of_action, omega0)
+from .lattice import ExponentialWeight, LatticeState, coupling_force, norm, vector_field
+from .potential import ActionAngleChart, PotentialSpec, action_of_point, h0_of_action, omega0
 from . import integrate as tint
 
 
@@ -43,34 +42,11 @@ class Breather:
     defect: float
 
 
-def _pack(state: LatticeState) -> np.ndarray:
-    return np.concatenate([state.p, state.q])
-
-
-def _unpack(y: np.ndarray, N: int) -> LatticeState:
-    n = y.size // 2
-    return LatticeState(N, y[:n], y[n:], include_site0=True)
-
-
-def _rhs(V: PotentialSpec, eps: float, N: int):
-    def rhs(_, y):
-        n = y.size // 2
-        p, q = y[:n], y[n:]
-        out = np.empty_like(y)
-        dp = coupling_force(q, False, N, out=out[:n])
-        dp *= eps
-        dp -= q
-        dp -= V.derivative(q)
-        out[n:] = p
-        return out
-    return rhs
-
-
 def flow_map(x: LatticeState, V: PotentialSpec, eps: float, T: float,
              rtol: float = 1e-13, t_eval=None):
-    sol = solve_ivp(_rhs(V, eps, x.N), (0.0, T), _pack(x), method="DOP853",
-                    rtol=rtol, atol=1e-14, t_eval=t_eval, dense_output=False)
-    return sol
+    return solve_ivp(lambda _, y: vector_field(y, V, eps, x.N), (0.0, T),
+                     np.concatenate([x.p, x.q]), method="DOP853", rtol=rtol, atol=1e-14,
+                     t_eval=t_eval, dense_output=False)
 
 
 def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -114,7 +90,8 @@ def _sample_orbit_states(x: LatticeState, V: PotentialSpec, eps: float, T: float
     t_eval = np.linspace(0.0, T, n_phases, endpoint=False)
     sol = flow_map(x, V, eps, float(t_eval[-1]) if n_phases > 1 else T,
                    rtol=rtol, t_eval=t_eval)
-    return [(float(t), _unpack(sol.y[:, i], x.N)) for i, t in enumerate(t_eval)]
+    return [(float(t), LatticeState(x.N, *np.split(sol.y[:, i], 2)))
+            for i, t in enumerate(t_eval)]
 
 
 def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64,
@@ -139,7 +116,7 @@ def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     cur = x.copy()
     cur.p[cur.index(0)] = 0.0
     for it in range(max_newton + 1):
-        y = _pack(cur)
+        y = np.concatenate([cur.p, cur.q])
         F = flow_map(cur, V, eps, T).y[:, -1] - y
         defect = float(np.linalg.norm(F))
         if defect < tol:
@@ -147,7 +124,7 @@ def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
         if it == max_newton:
             break
         M = monodromy(cur, V, eps, T)
-        v = _rhs(V, eps, N)(0.0, y)
+        v = vector_field(y, V, eps, N)
         # border with the energy gradient (v_q, -v_p): the left kernel of
         # (M - I) is J v, which is orthogonal to v itself (Hamiltonian Jordan
         # block at 1) but not to grad H, so this keeps the system regular
@@ -163,7 +140,7 @@ def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
             raise ContinuationError(
                 f"singular bordered Jacobian at eps={eps} (resonance?)") from exc
         delta = sol[:d]
-        cur = _unpack(y + delta, N)
+        cur = LatticeState(N, *np.split(y + delta, 2))
         cur.p[cur.index(0)] = 0.0
     raise ContinuationError(
         f"Newton stalled at eps={eps}: defect {defect:.3e} after {max_newton} steps")
@@ -173,11 +150,17 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
                       eps_step: float = 0.01, tol: float = 1e-11,
                       max_newton: int = 10, n_phases: int = 64,
                       chart: ActionAngleChart | None = None) -> Breather:
-    """Path-follow the fixed-period breather family from the seed to eps_target."""
+    """Path-follow the fixed-period breather family from the seed to eps_target.
+
+    The stages run from seed.eps + eps_step up to eps_target; a target equal
+    to seed.eps re-polishes the seed at its own coupling.
+    """
+    if eps_target < seed.eps:
+        raise ValueError(f"eps_target={eps_target} is below the seed's eps={seed.eps}")
     T = seed.period
     x, eps_x = seed.x0.copy(), seed.eps
     x_prev = eps_prev = None
-    eps_values = np.arange(eps_step, eps_target + 0.5 * eps_step, eps_step)
+    eps_values = np.arange(seed.eps + eps_step, eps_target + 0.5 * eps_step, eps_step)
     if eps_values.size == 0 or abs(eps_values[-1] - eps_target) > 1e-12:
         eps_values = np.append(eps_values, eps_target)
     defect = seed.defect
@@ -201,7 +184,7 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
 def orbit_defect(x: LatticeState, V: PotentialSpec, eps: float, T: float,
                  rtol: float = 1e-13) -> float:
     """l^2 periodicity defect of the point under the adaptive flow."""
-    F = flow_map(x, V, eps, T, rtol=rtol).y[:, -1] - _pack(x)
+    F = flow_map(x, V, eps, T, rtol=rtol).y[:, -1] - np.concatenate([x.p, x.q])
     return float(np.linalg.norm(F))
 
 
@@ -230,10 +213,6 @@ def localization_rate(orbit: list[tuple[float, LatticeState]],
     return float(-slope), float(r2)
 
 
-def localization_fit(b: Breather, floor: float = 1e-13) -> tuple[float, float]:
-    return localization_rate(b.orbit, floor)
-
-
 def distance_to_unperturbed(b: Breather, chart: ActionAngleChart,
                             beta: float = 1.0) -> float:
     """d_+ distance from the breather orbit to the uncoupled family at the same label.
@@ -243,7 +222,6 @@ def distance_to_unperturbed(b: Breather, chart: ActionAngleChart,
     xi = 0, so the pointwise distance is max(|I - I_label|, ||xi||_+), and the
     orbit-to-family distance is the minimum over the sampled phases.
     """
-    from .lattice import ExponentialWeight
     w = ExponentialWeight(beta, +1)
     per_point = []
     for _, s in b.orbit:
@@ -276,42 +254,3 @@ def floquet_spectrum(b: Breather, V: PotentialSpec, dt: float = 0.005) -> Floque
     rest = eigs[order[2:]]
     excess = float(np.max(np.abs(rest)) - 1.0) if rest.size else 0.0
     return FloquetResult(eigs[np.argsort(-np.abs(eigs))], trivial_err, excess)
-
-
-def breather_to_csv(b: Breather, path):
-    """Section point as k, p_k, q_k rows under a metadata comment header."""
-    import csv
-    import os
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# I_label={b.I_label!r} eps={b.eps!r} T={b.period!r} "
-                 f"beta_hat={b.beta_hat!r} defect={b.defect!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p_k", "q_k"])
-        for k in b.x0.sites():
-            i = b.x0.index(int(k))
-            writer.writerow([int(k), repr(float(b.x0.p[i])), repr(float(b.x0.q[i]))])
-
-
-def breather_from_csv(path) -> tuple[dict, LatticeState]:
-    """Metadata dict plus the section state from breather_to_csv output."""
-    import csv
-    meta = {}
-    ks, ps, qs = [], [], []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        for item in header.lstrip("# ").split():
-            key, _, val = item.partition("=")
-            meta[key] = float(val)
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ks.append(int(row[0]))
-            ps.append(float(row[1]))
-            qs.append(float(row[2]))
-    N = max(abs(k) for k in ks)
-    state = LatticeState.zeros(N, include_site0=0 in ks)
-    for k, p, q in zip(ks, ps, qs):
-        i = state.index(k)
-        state.p[i], state.q[i] = p, q
-    return meta, state

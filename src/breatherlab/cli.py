@@ -3,21 +3,22 @@
 Every subcommand reads a plain-text config of ``key = value`` lines (numbers,
 comma lists, and degree:coefficient pairs for potentials; '#' starts a
 comment), writes CSV into --out-dir, and exits 0 only when the checks
-configured for it pass.
+configured for it pass.  A config that cannot be read or holds a bad value
+ends with one ``error:`` line on stderr and exit status 2.
 
-    breatherlab breather find -c find.cfg --out-dir out
-    breatherlab propagate -c prop.cfg
-    breatherlab decay-fit -c decay.cfg
-    breatherlab vdc-check -c vdc.cfg
-    breatherlab resolvent-check -c res.cfg
-    breatherlab normal-form -c nf.cfg
-    breatherlab stability -c stab.cfg --seed 7
+    breatherlab breather find -c find.cfg --out-dir out    # breather.csv
+    breatherlab propagate -c prop.cfg                      # propagated.csv
+    breatherlab decay-fit -c decay.cfg                     # decay.csv
+    breatherlab vdc-check -c vdc.cfg                       # vdc.csv
+    breatherlab resolvent-check -c res.cfg                 # resolvent.csv
+    breatherlab normal-form -c nf.cfg                      # normal_form.csv
+    breatherlab stability -c stab.cfg --seed 7             # stability_series.csv,
+                                                           # stability_summary.csv
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -27,7 +28,8 @@ from . import breather as br
 from . import experiments as ex
 from . import normalform as nf
 from . import propagator as pr
-from .lattice import LatticeState, PolynomialWeight, norm, skew_symmetrize
+from .csvio import write_table
+from .lattice import LatticeState, PolynomialWeight, norm
 from .potential import PotentialSpec, build_chart
 
 
@@ -79,12 +81,8 @@ def parse_potential(cfg: dict) -> PotentialSpec:
     return PotentialSpec(tuple(coeffs), min_degree)
 
 
-def _write_rows(path, header, rows):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_state(path, state: LatticeState, comment: str | None = None):
+    write_table(path, ["k", "p_k", "q_k"], zip(state.sites(), state.p, state.q), comment)
 
 
 def _chart_for(cfg, V):
@@ -117,22 +115,21 @@ def cmd_breather_find(cfg, out_dir, seed) -> bool:
     b = br.continue_breather(seed_b, V, eps, eps_step=float(cfg.get("eps_step", 0.01)),
                              tol=min(tol, 1e-11), chart=chart)
     path = os.path.join(out_dir, "breather.csv")
-    br.breather_to_csv(b, path)
+    _write_state(path, b.x0, comment=f"I_label={b.I_label!r} eps={b.eps!r} T={b.period!r} "
+                 f"beta_hat={b.beta_hat!r} defect={b.defect!r}")
     print(f"breather: defect={b.defect:.3e} beta_hat={b.beta_hat:.3f} "
           f"R2={b.fit_residual:.4f} -> {path}")
     return b.defect < tol and b.fit_residual > float(cfg.get("min_r2", 0.99))
 
 
 def cmd_propagate(cfg, out_dir, seed) -> bool:
-    from .lattice import to_csv
     N = int(cfg.get("N", 1024))
     eps = float(cfg.get("eps", 0.1))
     t = float(cfg.get("t", 50.0))
     state = _skew_datum(cfg, N, seed)
     moved = pr.propagate_whole_chain(state, t, eps)
     path = os.path.join(out_dir, "propagated.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    to_csv(moved, path)
+    _write_state(path, moved)
     # group-property self check: S(t) = S(t/2) S(t/2)
     two = pr.propagate_whole_chain(pr.propagate_whole_chain(state, t / 2, eps),
                                    t / 2, eps)
@@ -158,7 +155,7 @@ def cmd_decay_fit(cfg, out_dir, seed) -> bool:
                            n_samples=int(cfg.get("n_samples", 30)))
     rows = [(et / eps, et, v) for et, v in zip(fit.eps_t, fit.values)]
     rows.append(("slope", fit.slope, f"window {window[0]}..{window[1]}"))
-    _write_rows(os.path.join(out_dir, "decay.csv"), ["t", "eps_t", "norm"], rows)
+    write_table(os.path.join(out_dir, "decay.csv"), ["t", "eps_t", "norm"], rows)
     lo = float(cfg.get("slope_min", -0.40))
     hi = float(cfg.get("slope_max", -0.28))
     print(f"decay-fit: norm={kind} slope={fit.slope:+.4f} band [{lo}, {hi}]")
@@ -173,7 +170,7 @@ def cmd_vdc_check(cfg, out_dir, seed) -> bool:
     res = pr.van_der_corput_check(eps, lams, split=split)
     rows = [(l, a, b) for l, a, b in zip(res.lam_grid, res.sup_I1, res.sup_I2)]
     rows.append(("slopes", res.slope_I1, res.slope_I2))
-    _write_rows(os.path.join(out_dir, "vdc.csv"), ["lambda", "sup_I1", "sup_I2"], rows)
+    write_table(os.path.join(out_dir, "vdc.csv"), ["lambda", "sup_I1", "sup_I2"], rows)
     ok1 = abs(res.slope_I1 + 0.5) <= float(cfg.get("tol_I1", 0.05))
     ok2 = abs(res.slope_I2 + 1.0 / 3.0) <= float(cfg.get("tol_I2", 0.05))
     print(f"vdc-check ({split}): slope_I1={res.slope_I1:+.4f} "
@@ -195,7 +192,7 @@ def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
     err = float(np.max(np.abs(kern - col[sel])))
     rows = [(int(k), v.real, v.imag) for k, v in zip(ks[sel], kern)]
     rows.append(("max_error", err, ""))
-    _write_rows(os.path.join(out_dir, "resolvent.csv"), ["k", "re", "im"], rows)
+    write_table(os.path.join(out_dir, "resolvent.csv"), ["k", "re", "im"], rows)
     tol = float(cfg.get("tol", 1e-6))
     print(f"resolvent-check: nu={nu} max_error={err:.3e} tol={tol}")
     return err < tol
@@ -221,7 +218,7 @@ def cmd_normal_form(cfg, out_dir, seed) -> bool:
         for rec in res.records:
             rows.append((eps, rec.step, rec.residual_norm, rec.h_norm,
                          rec.Z_norm, rec.min_divisor, rec.dropped))
-    _write_rows(os.path.join(out_dir, "normal_form.csv"),
+    write_table(os.path.join(out_dir, "normal_form.csv"),
                 ["eps", "step", "residual_norm", "h_norm", "Z_norm",
                  "min_divisor", "dropped"], rows)
     ok = True
@@ -240,19 +237,22 @@ def cmd_normal_form(cfg, out_dir, seed) -> bool:
     return ok
 
 
+# config key -> (ExperimentConfig field, type); an absent key keeps the field's default
+_STABILITY_KEYS = {
+    "N": ("N", int), "delta": ("delta", float), "mu": ("mu", float), "T": ("T", float),
+    "dt": ("dt", float), "shape": ("perturbation_shape", str),
+    "sample_stride": ("sample_stride", int),
+}
+
+
 def cmd_stability(cfg, out_dir, seed) -> bool:
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     config = ex.ExperimentConfig(
         eps=float(cfg.get("eps", 0.05)), potential=V,
-        I_label=float(cfg.get("I_label", 0.4)), N=int(cfg.get("N", 2048)),
-        delta=float(cfg.get("delta", 0.6)),
-        mu=float(cfg["mu"]) if "mu" in cfg else None,
-        T=float(cfg["T"]) if "T" in cfg else None,
-        dt=float(cfg.get("dt", 0.02)), seed=seed,
-        perturbation_shape=str(cfg.get("shape", "localized")),
-        sample_stride=int(cfg.get("sample_stride", 100)),
-    )
+        I_label=float(cfg.get("I_label", 0.4)), seed=seed,
+        **{name: cast(cfg[key]) for key, (name, cast) in _STABILITY_KEYS.items()
+           if key in cfg})
     try:
         record = ex.run_stability(config, chart)
     except ex.FamilyWindowError as exc:
@@ -294,12 +294,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", required=True)
     args = parser.parse_args(argv)
-    cfg = parse_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    if args.command == "breather":
-        ok = cmd_breather_find(cfg, args.out_dir, args.seed)
-    else:
-        ok = _COMMANDS[args.command](cfg, args.out_dir, args.seed)
+    command = cmd_breather_find if args.command == "breather" else _COMMANDS[args.command]
+    # OSError: the config or the output directory; ValueError: the package's
+    # rejection of a value (config line, norm, ExperimentConfig, chart range)
+    try:
+        cfg = parse_config(args.config)
+        os.makedirs(args.out_dir, exist_ok=True)
+        ok = command(cfg, args.out_dir, args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

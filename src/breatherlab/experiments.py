@@ -10,16 +10,15 @@ dispersive theory bounds.
 
 from __future__ import annotations
 
-import csv
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .breather import anti_continuum_seed, continue_breather
+from .csvio import write_table
 from .integrate import BlowupError, IntegratorConfig, step_arrays
-from .lattice import AdmissiblePair, LatticeState, hamiltonian, norm
+from .lattice import AdmissiblePair, LatticeState, hamiltonian
 from .potential import ActionAngleChart, PotentialSpec, max_action_gradient
 
 
@@ -38,7 +37,7 @@ class ExperimentConfig:
     T: float | None = None             # defaults to 100/eps
     dt: float = 0.02
     seed: int = 1
-    perturbation_shape: str = "localized"
+    perturbation_shape: str = "localized"   # or "uniform"
     sample_stride: int = 50
     family_half_width: float = 0.02
     family_members: int = 9
@@ -51,6 +50,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.delta <= 0.5:
             raise ValueError("need delta > 1/2")
+        if self.perturbation_shape not in ("localized", "uniform"):
+            raise ValueError(f"unknown perturbation shape {self.perturbation_shape!r}; "
+                             "use 'localized' or 'uniform'")
         if self.mu is None:
             self.mu = self.eps ** self.delta
         if self.mu >= self.eps ** 0.5:
@@ -322,42 +324,19 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
 def emit_report(record: StabilityRecord, out_dir, tolerances: dict | None = None,
                 basename: str = "stability"):
     """CSV time series + summary with pass/fail against configured tolerances."""
-    os.makedirs(out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, f"{basename}_series.csv")
-    with open(series_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "eps_t", "I_bar", "phase", "residual_l2",
-                         "dist_l2", "dist_lr", "energy"])
-        for i, t in enumerate(record.times):
-            writer.writerow([repr(float(t)), repr(float(record.eps * t)),
-                             repr(float(record.I_bar[i])),
-                             repr(float(record.phase[i])),
-                             repr(float(record.residual_l2[i])),
-                             repr(float(record.dist_l2[i])),
-                             repr(float(record.dist_lr[i])),
-                             repr(float(record.energy[i]))])
+    write_table(series_path, ["t", "eps_t", "I_bar", "phase", "residual_l2",
+                              "dist_l2", "dist_lr", "energy"],
+                zip(record.times, record.eps * record.times, record.I_bar, record.phase,
+                    record.residual_l2, record.dist_l2, record.dist_lr, record.energy))
     summary_path = os.path.join(out_dir, f"{basename}_summary.csv")
     checks = {}
     if tolerances:
         for key, bound in tolerances.items():
             val = record.summary.get(key)
             checks[f"pass_{key}"] = bool(val is not None and val <= bound)
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for k, v in {**record.summary, **checks}.items():
-            writer.writerow([k, repr(v) if isinstance(v, bool) else repr(float(v))])
-        for Tp, tail in record.cauchy_tails:
-            writer.writerow([f"cauchy_tail_T{Tp:g}", repr(float(tail))])
+    rows = [(k, v if isinstance(v, bool) else float(v))
+            for k, v in {**record.summary, **checks}.items()]
+    rows += [(f"cauchy_tail_T{Tp:g}", tail) for Tp, tail in record.cauchy_tails]
+    write_table(summary_path, ["key", "value"], rows)
     return series_path, summary_path, all(checks.values()) if checks else True
-
-
-def load_series(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = {h: [] for h in header}
-        for row in reader:
-            for h, v in zip(header, row):
-                cols[h].append(float(v))
-    return {h: np.asarray(v) for h, v in cols.items()}

@@ -9,11 +9,11 @@ second-order composition; yoshida4 the standard triple composition of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeState, coupling_force, hamiltonian
+from .lattice import LatticeState, coupling_force
 from .potential import PotentialSpec
 
 _Y_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -110,22 +110,11 @@ def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
 class TrajectoryRecord:
     times: np.ndarray
     observables: dict[str, np.ndarray]
-    states: list[LatticeState] | None = None
-
-    def to_csv(self, path):
-        """Long format: columns t, observable, value."""
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "observable", "value"])
-            for name, vals in self.observables.items():
-                for t, v in zip(self.times, vals):
-                    writer.writerow([repr(float(t)), name, repr(float(v))])
 
 
 def evolve(state: LatticeState, V: PotentialSpec, eps: float,
            config: IntegratorConfig, observers: dict | None = None,
-           sample_stride: int = 1, store_states: bool = False) -> TrajectoryRecord:
+           sample_stride: int = 1) -> TrajectoryRecord:
     """Repeated stepping with sampled observers.
 
     ``observers`` maps a name to a callable LatticeState -> float; samples are
@@ -139,7 +128,6 @@ def evolve(state: LatticeState, V: PotentialSpec, eps: float,
     pinned = not state.include_site0
     times = []
     obs = {name: [] for name in observers}
-    states = [] if store_states else None
 
     def sample(t):
         if not (np.all(np.isfinite(cur.p)) and np.all(np.isfinite(cur.q))):
@@ -147,17 +135,10 @@ def evolve(state: LatticeState, V: PotentialSpec, eps: float,
         times.append(t)
         for name, fn in observers.items():
             obs[name].append(float(fn(cur)))
-        if store_states:
-            states.append(cur.copy())
 
     sample(0.0)
     for i in range(1, n_steps + 1):
         step_arrays(cur.p, cur.q, V, eps, config.dt, config.scheme, pinned, state.N)
         if i % sample_stride == 0 or i == n_steps:
             sample(i * config.dt)
-    return TrajectoryRecord(np.asarray(times),
-                            {k: np.asarray(v) for k, v in obs.items()}, states)
-
-
-def energy_observer(V: PotentialSpec, eps: float):
-    return lambda s: hamiltonian(s, V, eps)
+    return TrajectoryRecord(np.asarray(times), {k: np.asarray(v) for k, v in obs.items()})

@@ -8,7 +8,6 @@ which case the arrays hold the sites -N..-1, 1..N in ascending order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,16 +152,21 @@ def coupling_force(q: np.ndarray, pinned_center: bool, N: int,
     return lap
 
 
-def vector_field(state: LatticeState, V: PotentialSpec, eps: float) -> LatticeState:
-    """Hamiltonian vector field: dp_k = -q_k - V'(q_k) + eps (Delta q)_k, dq_k = p_k.
+def vector_field(y: np.ndarray, V: PotentialSpec, eps: float, N: int) -> np.ndarray:
+    """Hamiltonian vector field on the packed vector y = (p, q).
 
-    For states without the central site, site 0 is pinned to zero, which is
-    the transverse linear+anharmonic field used by the pinned propagator checks.
+    dp_k = eps (Delta q)_k - q_k - V'(q_k) and dq_k = p_k.  When each half of
+    y holds the 2N sites without the central one, site 0 is pinned to zero.
     """
-    lap = coupling_force(state.q, not state.include_site0, state.N)
-    dp = -state.q - V.derivative(state.q) + eps * lap
-    dq = state.p.copy()
-    return LatticeState(state.N, dp, dq, state.include_site0)
+    n = y.size // 2
+    p, q = y[:n], y[n:]
+    out = np.empty_like(y)
+    dp = coupling_force(q, n == 2 * N, N, out=out[:n])
+    dp *= eps
+    dp -= q
+    dp -= V.derivative(q)
+    out[n:] = p
+    return out
 
 
 def _site_factors(weight: WeightSpec | None, ks: np.ndarray) -> np.ndarray:
@@ -171,17 +175,6 @@ def _site_factors(weight: WeightSpec | None, ks: np.ndarray) -> np.ndarray:
     if isinstance(weight, PolynomialWeight):
         return (1.0 + ks.astype(float) ** 2) ** (weight.s / 2.0)
     return np.exp(0.5 * weight.sign * weight.beta * np.abs(ks))
-
-
-def seq_norm(x: np.ndarray, ks: np.ndarray, r_exp: float, weight: WeightSpec | None) -> float:
-    """Weighted sequence norm of a scalar sequence x over sites ks."""
-    if isinstance(weight, ExponentialWeight):
-        return float(np.sqrt(np.sum(np.exp(weight.sign * weight.beta * np.abs(ks)) * x ** 2)))
-    w = _site_factors(weight, ks)
-    y = np.abs(x) * w
-    if np.isinf(r_exp):
-        return float(np.max(y, initial=0.0))
-    return float(np.sum(y ** r_exp) ** (1.0 / r_exp))
 
 
 def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) -> float:
@@ -234,33 +227,3 @@ def check_skew(state: LatticeState, tol: float = 0.0) -> bool:
         raise ValueError("skew operations need the full state including site 0")
     return bool(np.all(np.abs(state.p + state.p[::-1]) <= tol)
                 and np.all(np.abs(state.q + state.q[::-1]) <= tol))
-
-
-def to_csv(state: LatticeState, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p_k", "q_k"])
-        for k in state.sites():
-            i = state.index(int(k))
-            writer.writerow([int(k), repr(float(state.p[i])), repr(float(state.q[i]))])
-
-
-def from_csv(path) -> LatticeState:
-    ks, ps, qs = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["k", "p_k", "q_k"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        for row in reader:
-            ks.append(int(row[0]))
-            ps.append(float(row[1]))
-            qs.append(float(row[2]))
-    ks = np.asarray(ks)
-    N = int(np.max(np.abs(ks)))
-    include0 = 0 in ks
-    state = LatticeState.zeros(N, include0)
-    for k, p, q in zip(ks, ps, qs):
-        i = state.index(int(k))
-        state.p[i], state.q[i] = p, q
-    return state

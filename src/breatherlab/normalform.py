@@ -64,7 +64,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeState
-from .potential import ActionAngleChart, PotentialSpec, sample_orbit, to_cartesian
+from .potential import (ActionAngleChart, PotentialSpec, from_cartesian, sample_orbit,
+                        to_cartesian)
 
 
 class ResonanceError(RuntimeError):
@@ -686,10 +687,6 @@ def _field_on_grid(gh: GradedHamiltonian, cI: np.ndarray, dcI: np.ndarray,
     return H, X_I, X_a, -1j * dH[..., 1::2], 1j * dH[..., 0::2]
 
 
-def poisson_bracket(f: GradedHamiltonian, g: GradedHamiltonian) -> GradedHamiltonian:
-    return f.poisson(g)
-
-
 def split_parts(f: GradedHamiltonian):
     """(xi^0 part, xi^1 part, rest, alpha-mean of the xi^0 part)."""
     f0 = f.part_of_degree(0)
@@ -1015,12 +1012,6 @@ class NormalFormResult:
     def omega(self, I: float) -> float:
         return float(bary_eval(self.ctx.I_nodes, (self.ctx.Dmat @ self.hs).real, I))
 
-    def report_rows(self):
-        rows = [("step", "residual_norm", "h_norm", "Z_norm", "min_divisor", "dropped")]
-        for r in self.records:
-            rows.append((r.step, r.residual_norm, r.h_norm, r.Z_norm,
-                         r.min_divisor, r.dropped))
-        return rows
 
 
 def _resplit(ctx, total: GradedHamiltonian):
@@ -1177,7 +1168,6 @@ def nf_point_to_state(ctx: NormalFormContext, chart: ActionAngleChart,
 def state_to_nf_point(ctx: NormalFormContext, chart: ActionAngleChart,
                       state: LatticeState):
     """Inverse of nf_point_to_state on real states."""
-    from .potential import from_cartesian
     i0 = state.index(0)
     I, alpha = from_cartesian(chart, float(state.p[i0]), float(state.q[i0]))
     z = np.empty(ctx.n_sites, dtype=complex)

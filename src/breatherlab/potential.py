@@ -127,11 +127,6 @@ def _sum_powers(terms, q):
     return acc * _power(q, m)
 
 
-def eval_potential(V: PotentialSpec, q):
-    """Value of the on-site potential at q."""
-    return V(q)
-
-
 def oscillator_energy(V: PotentialSpec, p, q):
     """Single-oscillator energy (p^2 + q^2)/2 + V(q)."""
     return 0.5 * (np.asarray(p) ** 2 + np.asarray(q) ** 2) + V(q)
@@ -260,7 +255,6 @@ class ActionAngleChart:
     I_grid: np.ndarray
     E_values: np.ndarray
     omega_values: np.ndarray
-    interpolation_order: int = 3
     _E_spline: CubicSpline = field(repr=False, default=None)
     _omega_spline: CubicSpline = field(repr=False, default=None)
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
-                      PolynomialWeight, WeightSpec, check_skew, norm, seq_norm)
-from .potential import gauss_legendre
+from .lattice import AdmissiblePair, LatticeState, WeightSpec, check_skew, norm
+from .potential import QuadratureError, gauss_legendre
 
 
 class SpectralCutError(ValueError):
@@ -30,10 +29,6 @@ class SpectralCutError(ValueError):
 
 class BoundaryWindowError(ValueError):
     """Requested fit window reaches past the boundary-safe time."""
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed to converge."""
 
 
 def dispersion_frequency(eps: float, theta):

@@ -3,10 +3,10 @@ import pytest
 
 from breatherlab import breather as br
 from breatherlab import integrate as tint
-from breatherlab.breather import (Breather, anti_continuum_seed, continue_breather,
+from breatherlab.breather import (anti_continuum_seed, continue_breather,
                                   distance_to_unperturbed, floquet_spectrum,
-                                  localization_fit, monodromy, orbit_defect)
-from breatherlab.lattice import LatticeState, norm
+                                  localization_rate, monodromy, orbit_defect)
+from breatherlab.lattice import norm
 from breatherlab.potential import h0_of_action, nonresonance_margin, omega0, period_of_energy
 
 
@@ -74,7 +74,7 @@ def test_first_neighbor_linear_response(seed, V8, chart8):
 
 
 def test_localization(breather005):
-    beta, r2 = localization_fit(breather005)
+    beta, r2 = localization_rate(breather005.orbit)
     assert beta > 0
     assert r2 > 0.99
 
@@ -83,12 +83,12 @@ def test_localization_strengthens_as_coupling_shrinks(seed, V8, chart8):
     betas = []
     for eps in (0.08, 0.04, 0.02):
         b = continue_breather(seed, V8, eps, chart=chart8)
-        betas.append(localization_fit(b)[0])
+        betas.append(localization_rate(b.orbit)[0])
     assert betas[0] < betas[1] < betas[2]
 
 
 def test_localization_degenerate_at_zero(seed):
-    beta, _ = localization_fit(seed)
+    beta, _ = localization_rate(seed.orbit)
     assert np.isinf(beta)
 
 
@@ -213,3 +213,25 @@ def test_secant_predictor_needs_two_newton_steps(chart8, V8, monkeypatch):
     assert max(iterations[1:]) <= 2, iterations
     assert np.max(np.abs(b.x0.p - zero_order.p)) < 1e-12
     assert np.max(np.abs(b.x0.q - zero_order.q)) < 1e-12
+
+
+def test_continuation_starts_from_the_seed_eps(breather16, chart8, V8, monkeypatch):
+    scratch = continue_breather(anti_continuum_seed(chart8, 0.4, N=16), V8, 0.06,
+                                eps_step=0.01)
+    stages = []
+    polish = br._newton_polish
+
+    def counting(*args, **kwargs):
+        stages.append(args[2])
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(br, "_newton_polish", counting)
+    b = continue_breather(breather16, V8, 0.06, eps_step=0.01)
+    assert stages == [pytest.approx(0.06, abs=1e-15)]
+    assert np.max(np.abs(b.x0.p - scratch.x0.p)) < 1e-12
+    assert np.max(np.abs(b.x0.q - scratch.x0.q)) < 1e-12
+
+
+def test_continuation_below_the_seed_eps_is_rejected(breather16, V8):
+    with pytest.raises(ValueError, match="below the seed's eps"):
+        continue_breather(breather16, V8, 0.04)

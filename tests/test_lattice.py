@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from breatherlab.csvio import read_state, write_table
 from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
                                  PolynomialWeight, check_skew, circle_distance,
-                                 distance, from_csv, hamiltonian, is_admissible,
-                                 norm, skew_symmetrize, to_csv, vector_field)
-from breatherlab.potential import PotentialSpec
+                                 distance, hamiltonian, is_admissible, norm,
+                                 skew_symmetrize, vector_field)
 
 
 def random_state(rng, N=32, scale=0.3, include_site0=True):
@@ -40,13 +40,16 @@ def test_hamiltonian_matches_naive_sum(rng, V8):
     assert hamiltonian(s, V8, eps) == pytest.approx(total, rel=1e-12)
 
 
+def packed(state):
+    return np.concatenate([state.p, state.q])
+
+
 def test_vector_field_zero_and_harmonic(rng, V0):
-    z = LatticeState.zeros(4)
-    f = vector_field(z, V0, 0.2)
-    assert np.all(f.p == 0) and np.all(f.q == 0)
+    f = vector_field(np.zeros(18), V0, 0.2, 4)
+    assert np.all(f == 0)
     s = random_state(rng, N=4)
-    f = vector_field(s, V0, 0.0)
-    assert np.allclose(f.p, -s.q) and np.allclose(f.q, s.p)
+    f = vector_field(packed(s), V0, 0.0, 4)
+    assert np.allclose(f[:9], -s.q) and np.allclose(f[9:], s.p)
 
 
 def test_vector_field_is_symplectic_gradient(rng, V8):
@@ -54,18 +57,31 @@ def test_vector_field_is_symplectic_gradient(rng, V8):
     h = 1e-6
     for _ in range(5):
         s = random_state(rng, N=8, scale=0.2)
-        f = vector_field(s, V8, eps)
-        i = rng.integers(0, 2 * s.N + 1)
+        f = vector_field(packed(s), V8, eps, s.N)
+        n = 2 * s.N + 1
+        i = rng.integers(0, n)
         sp, sm = s.copy(), s.copy()
         sp.q[i] += h
         sm.q[i] -= h
         dHdq = (hamiltonian(sp, V8, eps) - hamiltonian(sm, V8, eps)) / (2 * h)
-        assert f.p[i] == pytest.approx(-dHdq, rel=1e-5, abs=1e-8)
+        assert f[i] == pytest.approx(-dHdq, rel=1e-5, abs=1e-8)
         sp, sm = s.copy(), s.copy()
         sp.p[i] += h
         sm.p[i] -= h
         dHdp = (hamiltonian(sp, V8, eps) - hamiltonian(sm, V8, eps)) / (2 * h)
-        assert f.q[i] == pytest.approx(dHdp, rel=1e-5, abs=1e-8)
+        assert f[n + i] == pytest.approx(dHdp, rel=1e-5, abs=1e-8)
+
+
+def test_vector_field_pins_site0_when_absent(rng, V8):
+    # without site 0 the field is the full one with q_0 = p_0 = 0, site 0 left out
+    s = random_state(rng, N=6, include_site0=False)
+    full = s.with_site0()
+    f = vector_field(packed(s), V8, 0.3, s.N)
+    f_full = vector_field(packed(full), V8, 0.3, s.N)
+    keep = np.ones(2 * s.N + 1, dtype=bool)
+    keep[s.N] = False
+    assert np.allclose(f, np.concatenate([f_full[:13][keep], f_full[13:][keep]]),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_norm_unit_impulse_polynomial():
@@ -164,14 +180,20 @@ def test_skew_symmetrize(rng):
 
 
 def test_csv_round_trip(tmp_path, rng):
-    s = random_state(rng, N=5)
     path = tmp_path / "state.csv"
-    to_csv(s, path)
-    s2 = from_csv(path)
+
+    def write(state, comment=None):
+        write_table(path, ["k", "p_k", "q_k"], zip(state.sites(), state.p, state.q),
+                    comment)
+
+    s = random_state(rng, N=5)
+    write(s)
+    s2 = read_state(path)
     assert s2.N == s.N and s2.include_site0
     assert np.array_equal(s2.p, s.p) and np.array_equal(s2.q, s.q)
     t = random_state(rng, N=4, include_site0=False)
-    to_csv(t, path)
-    t2 = from_csv(path)
+    write(t, comment="transverse part")
+    assert path.read_text().startswith("# transverse part\nk,p_k,q_k\n")
+    t2 = read_state(path)
     assert not t2.include_site0
-    assert np.array_equal(t2.q, t.q)
+    assert np.array_equal(t2.p, t.p) and np.array_equal(t2.q, t.q)

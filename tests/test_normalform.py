@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from breatherlab.lattice import LatticeState, hamiltonian as lattice_hamiltonian
-from breatherlab.normalform import (FourierTailError, GradedHamiltonian,
-                                    NormalFormContext, ResonanceError, bary_eval,
+from breatherlab.lattice import hamiltonian as lattice_hamiltonian
+from breatherlab.normalform import (GradedHamiltonian, ResonanceError, bary_eval,
                                     build_initial, cheb_diff_matrix, cheb_nodes,
                                     constant_hamiltonian, flow_generator,
                                     invariant_manifold_check, lie_transform,
                                     make_context, measure_scaled_norm,
-                                    nf_point_to_state, normalize, poisson_bracket,
-                                    solve_cohomological, split_parts,
-                                    state_to_nf_point, transverse_core)
+                                    nf_point_to_state, normalize, solve_cohomological,
+                                    split_parts, state_to_nf_point, transverse_core)
 from breatherlab.potential import PotentialSpec, build_chart
 
 
@@ -239,7 +237,7 @@ def test_bracket_convention_action_angle(ctx4):
     # {I, e^{i alpha}} = i e^{i alpha}: the angle advances at rate dI
     I_fun = constant_hamiltonian(ctx4, ctx4.I_nodes)
     g = GradedHamiltonian(ctx4).add_term((), 1, np.ones(ctx4.I_nodes.size))
-    br = poisson_bracket(I_fun, g)
+    br = I_fun.poisson(g)
     assert set(br.terms) == {((), 1)}
     assert np.allclose(br.terms[((), 1)], 1j, atol=1e-12)
 
@@ -250,7 +248,7 @@ def test_bracket_convention_transverse(ctx4):
     zw = GradedHamiltonian(ctx4).add_term(
         tuple(sorted(((ctx4.z_var(k), 1), (ctx4.w_var(k), 1)))), 0, 1.0)
     z = GradedHamiltonian(ctx4).add_term(((ctx4.z_var(k), 1),), 0, 1.0)
-    br = poisson_bracket(zw, z)
+    br = zw.poisson(z)
     key = (((ctx4.z_var(k), 1),), 0)
     assert set(br.terms) == {key}
     assert np.allclose(br.terms[key], -1j)
@@ -261,11 +259,11 @@ def test_bracket_antisymmetry_and_jacobi(ctx4, rng):
         f = _random_graded(ctx4, rng)
         g = _random_graded(ctx4, rng)
         h = _random_graded(ctx4, rng)
-        anti = poisson_bracket(f, g) + poisson_bracket(g, f)
+        anti = f.poisson(g) + g.poisson(f)
         assert anti.max_coeff() < 1e-10
-        double = [poisson_bracket(f, poisson_bracket(g, h)),
-                  poisson_bracket(g, poisson_bracket(h, f)),
-                  poisson_bracket(h, poisson_bracket(f, g))]
+        double = [f.poisson(g.poisson(h)),
+                  g.poisson(h.poisson(f)),
+                  h.poisson(f.poisson(g))]
         jac = double[0] + double[1] + double[2]
         # the residual is round-off of the twice-applied spectral d/dI, so it
         # scales with the double brackets (up to ~1e3 here)
@@ -294,7 +292,7 @@ def test_reality_preserved_by_bracket(ctx4, rng):
     f = _realize(ctx4, rng)
     g = _realize(ctx4, rng)
     assert f.conjugation_defect() < 1e-12
-    br = poisson_bracket(f, g)
+    br = f.poisson(g)
     assert br.conjugation_defect() < 1e-12 * max(1.0, br.max_coeff())
 
 
@@ -395,7 +393,7 @@ def test_cohomological_back_substitution(ctx4, rng):
             psi.add_term(((v, 1),), int(rng.integers(-5, 6)),
                          rng.standard_normal() + 1j * rng.standard_normal())
         chi = solve_cohomological(ctx4, hs, psi)
-        resid = poisson_bracket(H_lin, chi) - psi
+        resid = H_lin.poisson(chi) - psi
         assert resid.max_coeff() < 1e-10
 
 
@@ -450,8 +448,8 @@ def test_lie_transform_canonicity(ctx4_fine, rng):
     chi = _realize(ctx, rng).scale(0.01)
     f = _realize(ctx, rng)
     g = _realize(ctx, rng)
-    lhs = poisson_bracket(lie_transform(f, chi, 10), lie_transform(g, chi, 10))
-    rhs = lie_transform(poisson_bracket(f, g), chi, 10)
+    lhs = lie_transform(f, chi, 10).poisson(lie_transform(g, chi, 10))
+    rhs = lie_transform(f.poisson(g), chi, 10)
     diff = lhs - rhs
     worst = max(diff.part_of_degree(d).max_coeff() for d in range(ctx.D))
     assert worst < 1e-8 * max(1.0, rhs.max_coeff())

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
-                                   action_of_energy, build_chart, eval_potential,
-                                   from_cartesian, h0_of_action, max_action_gradient,
-                                   nonresonance_margin, omega0, period_of_energy,
-                                   sample_orbit, to_cartesian)
+                                   action_of_energy, build_chart, from_cartesian,
+                                   h0_of_action, max_action_gradient, nonresonance_margin,
+                                   omega0, period_of_energy, sample_orbit, to_cartesian)
 
 
 def test_eval_potential_zero_of_order_eight(V8):
-    assert eval_potential(V8, 0.0) == 0.0
-    assert eval_potential(V8, 1.0) == 1.0
+    assert V8(0.0) == 0.0
+    assert V8(1.0) == 1.0
 
 
 def test_eval_potential_matches_direct_summation():
     V = PotentialSpec(((8, 0.5), (10, 0.1)))
     q = 0.5
     expected = 0.5 * q**8 + 0.1 * q**10  # independent direct summation
-    assert eval_potential(V, q) == pytest.approx(expected, rel=0, abs=1e-16)
+    assert V(q) == pytest.approx(expected, rel=0, abs=1e-16)
     # derivative against the same oracle
     expected_d = 8 * 0.5 * q**7 + 10 * 0.1 * q**9
     assert V.derivative(q) == pytest.approx(expected_d, rel=1e-15)

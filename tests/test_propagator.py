@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from breatherlab.integrate import IntegratorConfig, evolve, flow
-from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
-                                 PolynomialWeight, norm, skew_symmetrize)
-from breatherlab.potential import PotentialSpec
+from breatherlab.integrate import flow
+from breatherlab.lattice import AdmissiblePair, LatticeState, PolynomialWeight, norm
 from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     _osc_on_rho_grid, dispersion_frequency,
                                     forced_evolution, measure_decay, modified_energy,
