@@ -1,13 +1,16 @@
 """Breather construction by Newton continuation from the uncoupled limit.
 
 The continuation fixes the orbit period (the seed's 2 pi / omega0(I)) and
-follows the periodic orbit in the coupling strength.  The phase is pinned by
-the section p = 0 on the central site; the neutral direction along the flow
-is removed by bordering the linearized system with the flow direction.  The
-orbit map is evaluated with an adaptive high-order integrator so defects are
-meaningful down to 1e-12; the monodromy comes from the splitting scheme's
-exact tangent (symplectic to round-off), which is plenty for Newton and the
-Floquet diagnostics.
+follows the periodic orbit in the coupling strength.  The lattice is
+reversible under (p, q, t) -> (-p, q, -t), so an orbit with p = 0 on every
+site at t = 0 and at t = T/2 is T-periodic.  Newton shoots over half a
+period: the unknowns are q(0), the residual is p(T/2).  The time shift along
+the orbit moves p(0) off zero, so this square system needs no bordering; it
+is singular at the full period's resonances, omega_phonon = k omega_b.  The
+flows use an adaptive high-order integrator, so defects are meaningful down
+to 1e-12; the tangent is the splitting scheme's exact one (symplectic to
+round-off).  `Breather.defect` is the full-period return defect
+||Phi_T(x0) - x0||, measured by the flow that tabulates the orbit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import integrate as tint
 
 
 class ContinuationError(RuntimeError):
-    """Newton failed to converge or the bordered system became singular."""
+    """Newton failed to converge, its Jacobian became singular, or the orbit did not close."""
 
 
 class LocalizationError(RuntimeError):
@@ -35,7 +38,7 @@ class Breather:
     I_label: float
     eps: float
     period: float
-    x0: LatticeState                       # section point: central p = 0, q > 0
+    x0: LatticeState                       # section point: p = 0 on every site
     orbit: list[tuple[float, LatticeState]]
     beta_hat: float
     fit_residual: float
@@ -85,13 +88,13 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 
-def _sample_orbit_states(x: LatticeState, V: PotentialSpec, eps: float, T: float,
-                         n_phases: int, rtol: float = 1e-12):
-    t_eval = np.linspace(0.0, T, n_phases, endpoint=False)
-    sol = flow_map(x, V, eps, float(t_eval[-1]) if n_phases > 1 else T,
-                   rtol=rtol, t_eval=t_eval)
-    return [(float(t), LatticeState(x.N, *np.split(sol.y[:, i], 2)))
-            for i, t in enumerate(t_eval)]
+def _tabulate(x: LatticeState, V: PotentialSpec, eps: float, T: float, n_phases: int):
+    """Orbit at n_phases equally spaced times and the return defect, from one flow over [0, T]."""
+    t_eval = np.append(np.linspace(0.0, T, n_phases, endpoint=False), T)
+    y = flow_map(x, V, eps, T, t_eval=t_eval).y
+    orbit = [(float(t), LatticeState(x.N, *np.split(y[:, i], 2)))
+             for i, t in enumerate(t_eval[:-1])]
+    return orbit, float(np.linalg.norm(y[:, -1] - np.concatenate([x.p, x.q])))
 
 
 def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64,
@@ -101,47 +104,32 @@ def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64,
     T = 2.0 * np.pi / omega0(chart, I)
     x0 = LatticeState.zeros(N)
     x0.q[x0.index(0)] = chart.q_max(E)
-    orbit = _sample_orbit_states(x0, chart.potential, 0.0, T, n_phases)
+    orbit, defect = _tabulate(x0, chart.potential, 0.0, T, n_phases)
     return Breather(I, 0.0, T, x0, orbit, beta_hat=np.inf, fit_residual=0.0,
-                    defect=0.0)
+                    defect=defect)
 
 
 def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
                    tol: float, max_newton: int) -> tuple[LatticeState, float, int]:
-    """Newton for Phi_T(x) - x = 0 on the section p_0 = 0, bordered by the flow."""
-    N = x.N
-    n = 2 * N + 1
-    d = 2 * n
-    ip0 = N  # index of the central p component in the packed vector
-    cur = x.copy()
-    cur.p[cur.index(0)] = 0.0
+    """Newton for p(T/2) = 0 in the unknowns q(0), with p(0) = 0 on every site.
+
+    Returns the point, the l^2 norm of p(T/2) and the iterations taken.
+    """
+    n = 2 * x.N + 1
+    cur = LatticeState(x.N, np.zeros(n), x.q.copy())
     for it in range(max_newton + 1):
-        y = np.concatenate([cur.p, cur.q])
-        F = flow_map(cur, V, eps, T).y[:, -1] - y
+        F = flow_map(cur, V, eps, 0.5 * T).y[:n, -1]
         defect = float(np.linalg.norm(F))
         if defect < tol:
             return cur, defect, it
         if it == max_newton:
             break
-        M = monodromy(cur, V, eps, T)
-        v = vector_field(y, V, eps, N)
-        # border with the energy gradient (v_q, -v_p): the left kernel of
-        # (M - I) is J v, which is orthogonal to v itself (Hamiltonian Jordan
-        # block at 1) but not to grad H, so this keeps the system regular
-        grad = np.concatenate([v[n:], -v[:n]])
-        A = np.zeros((d + 1, d + 1))
-        A[:d, :d] = M - np.eye(d)
-        A[:d, d] = grad
-        A[d, ip0] = 1.0
-        rhs = np.concatenate([-F, [0.0]])
+        J = monodromy(cur, V, eps, 0.5 * T)[:n, n:]      # dp(T/2) / dq(0)
         try:
-            sol = np.linalg.solve(A, rhs)
+            cur.q = cur.q - np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
             raise ContinuationError(
-                f"singular bordered Jacobian at eps={eps} (resonance?)") from exc
-        delta = sol[:d]
-        cur = LatticeState(N, *np.split(y + delta, 2))
-        cur.p[cur.index(0)] = 0.0
+                f"singular half-period Jacobian at eps={eps} (resonance?)") from exc
     raise ContinuationError(
         f"Newton stalled at eps={eps}: defect {defect:.3e} after {max_newton} steps")
 
@@ -153,7 +141,9 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
     """Path-follow the fixed-period breather family from the seed to eps_target.
 
     The stages run from seed.eps + eps_step up to eps_target; a target equal
-    to seed.eps re-polishes the seed at its own coupling.
+    to seed.eps re-polishes the seed at its own coupling.  One flow over the
+    full period tabulates the orbit and measures the return defect; the
+    breather is returned only when that defect is below tol.
     """
     if eps_target < seed.eps:
         raise ValueError(f"eps_target={eps_target} is below the seed's eps={seed.eps}")
@@ -163,7 +153,6 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
     eps_values = np.arange(seed.eps + eps_step, eps_target + 0.5 * eps_step, eps_step)
     if eps_values.size == 0 or abs(eps_values[-1] - eps_target) > 1e-12:
         eps_values = np.append(eps_values, eps_target)
-    defect = seed.defect
     for eps in eps_values:
         # secant predictor: extrapolate the last two solutions linearly in eps
         # (2 x_1 - x_0 on a uniform grid); the first stage starts from the seed
@@ -171,9 +160,12 @@ def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
         if x_prev is not None:
             guess = x + (x - x_prev).scaled((eps - eps_x) / (eps_x - eps_prev))
         x_prev, eps_prev = x, eps_x
-        x, defect, _ = _newton_polish(guess, V, float(eps), T, tol, max_newton)
+        x, _, _ = _newton_polish(guess, V, float(eps), T, tol, max_newton)
         eps_x = float(eps)
-    orbit = _sample_orbit_states(x, V, eps_target, T, n_phases)
+    orbit, defect = _tabulate(x, V, eps_target, T, n_phases)
+    if defect >= tol:
+        raise ContinuationError(f"full-period return defect {defect:.3e} at "
+                                f"eps={eps_target} is not below tol={tol:g}")
     beta_hat, resid = localization_rate(orbit)
     I_label = seed.I_label
     if chart is not None:

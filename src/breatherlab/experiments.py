@@ -15,15 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .breather import anti_continuum_seed, continue_breather
+from .breather import Breather, continue_breather
 from .csvio import write_table
 from .integrate import BlowupError, IntegratorConfig, step_arrays
 from .lattice import AdmissiblePair, LatticeState, hamiltonian
-from .potential import ActionAngleChart, PotentialSpec, max_action_gradient
+from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
 
 
 class FamilyWindowError(RuntimeError):
     """The modulation minimizer hit the edge of the tabulated family."""
+
+
+def _check_shape(shape: str):
+    if shape not in ("localized", "uniform"):
+        raise ValueError(f"unknown perturbation shape {shape!r}; use 'localized' or 'uniform'")
 
 
 @dataclass
@@ -50,9 +55,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.delta <= 0.5:
             raise ValueError("need delta > 1/2")
-        if self.perturbation_shape not in ("localized", "uniform"):
-            raise ValueError(f"unknown perturbation shape {self.perturbation_shape!r}; "
-                             "use 'localized' or 'uniform'")
+        _check_shape(self.perturbation_shape)
         if self.mu is None:
             self.mu = self.eps ** self.delta
         if self.mu >= self.eps ** 0.5:
@@ -86,35 +89,54 @@ class BreatherFamily:
 
 def _embed(state: LatticeState, N_big: int) -> LatticeState:
     out = LatticeState.zeros(N_big, True)
-    for k in state.sites():
-        i, j = state.index(int(k)), out.index(int(k))
-        out.p[j] = state.p[i]
-        out.q[j] = state.q[i]
+    sl = slice(N_big - state.N, N_big + state.N + 1)
+    out.p[sl], out.q[sl] = state.p, state.q
     return out
 
 
 def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherFamily:
-    """Continue the breather family over the action window and tabulate orbits."""
+    """Continue the breather family over the action window and tabulate orbits.
+
+    Member m is the breather of fixed period 2 pi / omega0(I_m).  Only the
+    member nearest I_label is continued in eps, from its anti-continuum seed.
+    The others are re-polished at eps in I order, outward on each side: the
+    first neighbour starts from the centre's section moved by the uncoupled
+    amplitude change q_max(E(I_m)) - q_max(E(I_centre)) on site 0, each later
+    one from the secant 2 x_{m-1} - x_{m-2}.  Arrays are in ascending-I order.
+    """
     c = config
     I_values = np.linspace(c.I_label - c.family_half_width,
                            c.I_label + c.family_half_width, c.family_members)
     window = np.arange(-c.family_window, c.family_window + 1)
     orbit_p = np.zeros((c.family_members, c.family_phases, window.size))
     orbit_q = np.zeros_like(orbit_p)
-    sections = []
+    sections = [None] * c.family_members
     omegas = np.zeros(c.family_members)
-    for m, I in enumerate(I_values):
-        seed = anti_continuum_seed(chart, float(I), N=c.N_family,
-                                   n_phases=c.family_phases)
-        b = continue_breather(seed, c.potential, c.eps, eps_step=0.01,
-                              n_phases=c.family_phases, chart=None)
+    centre = int(np.argmin(np.abs(I_values - c.I_label)))
+
+    def uncoupled(m):
+        x = LatticeState.zeros(c.N_family)
+        x.q[x.index(0)] = chart.q_max(h0_of_action(chart, float(I_values[m])))
+        return x
+
+    def solve(m, x, eps):
+        I = float(I_values[m])
+        seed = Breather(I, eps, 2.0 * np.pi / omega0(chart, I), x, [], np.nan, np.nan, np.nan)
+        b = continue_breather(seed, c.potential, c.eps, eps_step=0.01, n_phases=c.family_phases)
         omegas[m] = 2.0 * np.pi / b.period
-        sections.append(_embed(b.x0, c.N))
-        for j, (_, s) in enumerate(b.orbit):
-            for wi, k in enumerate(window):
-                i = s.index(int(k))
-                orbit_p[m, j, wi] = s.p[i]
-                orbit_q[m, j, wi] = s.q[i]
+        sections[m] = _embed(b.x0, c.N)
+        idx = [b.x0.index(int(k)) for k in window]
+        orbit_p[m] = [s.p[idx] for _, s in b.orbit]
+        orbit_q[m] = [s.q[idx] for _, s in b.orbit]
+        return b.x0
+
+    x_centre = solve(centre, uncoupled(centre), 0.0)
+    for side in (range(centre + 1, c.family_members), range(centre - 1, -1, -1)):
+        prev, x = None, x_centre
+        for m in side:
+            guess = (x + uncoupled(m) - uncoupled(centre) if prev is None
+                     else x + (x - prev))
+            prev, x = x, solve(m, guess, c.eps)
     phases = np.linspace(0.0, 2.0 * np.pi, c.family_phases, endpoint=False)
     norm2 = np.sum(orbit_p ** 2 + orbit_q ** 2, axis=2)
     return BreatherFamily(I_values, phases, window, orbit_p, orbit_q, norm2,
@@ -124,6 +146,7 @@ def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherF
 def perturb(point: LatticeState, mu: float, shape: str = "localized",
             seed: int = 1) -> LatticeState:
     """Add a perturbation of exact l^2 size mu to the state."""
+    _check_shape(shape)
     out = point.copy()
     if mu == 0.0:
         return out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from breatherlab import integrate as tint
 from breatherlab.breather import (anti_continuum_seed, continue_breather,
                                   distance_to_unperturbed, floquet_spectrum,
                                   localization_rate, monodromy, orbit_defect)
-from breatherlab.lattice import norm
+from breatherlab.lattice import LatticeState, norm, vector_field
 from breatherlab.potential import h0_of_action, nonresonance_margin, omega0, period_of_energy
 
 
@@ -190,6 +192,71 @@ def test_monodromy_matches_two_block_oracle(breather16, V8):
     M_ref = _oracle_monodromy(b.x0, V8, b.eps, b.period)
     assert M.shape == M_ref.shape == (66, 66)
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+
+
+def _oracle_newton_polish(x, V, eps, T, tol, max_newton):
+    """Full-period Newton for Phi_T(x) - x = 0 on the section p_0 = 0, bordered by the flow."""
+    N = x.N
+    n = 2 * N + 1
+    d = 2 * n
+    cur = x.copy()
+    cur.p[cur.index(0)] = 0.0
+    for it in range(max_newton + 1):
+        y = np.concatenate([cur.p, cur.q])
+        F = br.flow_map(cur, V, eps, T).y[:, -1] - y
+        defect = float(np.linalg.norm(F))
+        if defect < tol:
+            return cur, defect, it
+        M = br.monodromy(cur, V, eps, T)
+        v = vector_field(y, V, eps, N)
+        # border with the energy gradient (v_q, -v_p): the left kernel of
+        # (M - I) is J v, which is orthogonal to v itself (Hamiltonian Jordan
+        # block at 1) but not to grad H, so this keeps the system regular
+        A = np.zeros((d + 1, d + 1))
+        A[:d, :d] = M - np.eye(d)
+        A[:d, d] = np.concatenate([v[n:], -v[:n]])
+        A[d, N] = 1.0
+        delta = np.linalg.solve(A, np.concatenate([-F, [0.0]]))[:d]
+        cur = LatticeState(N, *np.split(y + delta, 2))
+        cur.p[cur.index(0)] = 0.0
+    raise AssertionError(f"oracle Newton stalled: defect {defect:.3e}")
+
+
+@pytest.fixture(scope="module")
+def kicked_guess(breather16):
+    """The continued section with every p and q moved off the orbit by about 1e-5."""
+    rng = np.random.default_rng(7)
+    x = breather16.x0
+    return LatticeState(x.N, x.p + 1e-5 * rng.standard_normal(x.p.size),
+                        x.q + 1e-5 * rng.standard_normal(x.q.size))
+
+
+def test_half_period_solve_matches_the_bordered_oracle(breather16, kicked_guess, V8):
+    b = breather16
+    x, defect, _ = br._newton_polish(kicked_guess, V8, b.eps, b.period, 1e-11, 10)
+    x_ref, _, _ = _oracle_newton_polish(kicked_guess, V8, b.eps, b.period, 1e-11, 10)
+    assert defect < 1e-11
+    assert np.max(np.abs(x.q - x_ref.q)) < 1e-12
+    assert np.max(np.abs(x.p - x_ref.p)) < 1e-12
+
+
+def test_half_period_solve_puts_every_p_at_zero(breather16, kicked_guess, V8):
+    x, _, _ = br._newton_polish(kicked_guess, V8, breather16.eps, breather16.period, 1e-11, 10)
+    assert np.all(x.p == 0.0)
+    assert np.all(breather16.x0.p == 0.0)
+
+
+def test_defect_is_the_full_period_return_defect(breather16, V8):
+    b = breather16
+    assert abs(b.defect - orbit_defect(b.x0, V8, b.eps, b.period)) < 1e-13
+    assert b.defect < 1e-11
+
+
+def test_unclosed_orbit_is_rejected(breather16, kicked_guess, V8, monkeypatch):
+    # a Newton that reports success on a point off the orbit
+    monkeypatch.setattr(br, "_newton_polish", lambda x, *args: (x, 0.0, 0))
+    with pytest.raises(br.ContinuationError, match="full-period return defect"):
+        continue_breather(replace(breather16, x0=kicked_guess), V8, 0.05)
 
 
 def test_secant_predictor_needs_two_newton_steps(chart8, V8, monkeypatch):

@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from breatherlab import breather as br
 from breatherlab import experiments
-from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, emit_report,
-                                     parabola_vertex, run_stability)
+from breatherlab.breather import anti_continuum_seed, continue_breather
+from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
+                                     emit_report, parabola_vertex, perturb, run_stability)
+from breatherlab.lattice import LatticeState
 
 
 def test_parabola_vertex_exact_on_a_parabola():
@@ -63,6 +66,42 @@ def test_unknown_perturbation_shape_is_rejected(V8):
     with pytest.raises(ValueError, match="unknown perturbation shape 'localised'"):
         ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, perturbation_shape="localised")
     ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, perturbation_shape="uniform")
+
+
+def test_perturb_rejects_an_unknown_shape():
+    x = LatticeState.zeros(4)
+    with pytest.raises(ValueError, match="unknown perturbation shape 'localised'"):
+        perturb(x, 0.01, "localised")
+
+
+def test_family_is_continued_member_to_member_in_I(chart8, V8, monkeypatch):
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=20,
+                              family_half_width=0.06, family_members=3, family_phases=16,
+                              family_window=8, N_family=16)
+    I_values = np.linspace(0.4 - 0.06, 0.4 + 0.06, 3)
+    scratch = [continue_breather(anti_continuum_seed(chart8, float(I), N=16), V8, 0.05,
+                                 eps_step=0.01) for I in I_values]
+    calls = []
+    polish = br._newton_polish
+
+    def counting(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        calls.append((args[2], out[2]))
+        return out
+
+    monkeypatch.setattr(br, "_newton_polish", counting)
+    family = build_family(chart8, config)
+    # the centre's five eps stages, then one re-polish per neighbour
+    assert [eps for eps, _ in calls] == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05, 0.05, 0.05])
+    # from the centre's section moved by the uncoupled amplitude change, a
+    # neighbour converges in three steps (five without the move)
+    assert max(it for _, it in calls[5:]) <= 3, calls
+    assert np.array_equal(family.I_values, I_values)
+    for m, b in enumerate(scratch):
+        expected = experiments._embed(b.x0, config.N)
+        assert np.max(np.abs(family.sections[m].q - expected.q)) < 1e-12
+        assert np.max(np.abs(family.sections[m].p - expected.p)) < 1e-12
+        assert family.omega[m] == 2.0 * np.pi / b.period
 
 
 def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V8,

@@ -1,6 +1,8 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and every
+function the benchmark's tracer wraps is still where the tracer looks it up."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,14 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_benchmark_trace_targets_exist():
+    """Every (owner, attribute) the benchmark's tracer wraps is still there."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    # exec, not import: loading the file must leave nothing behind in perfbench/
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for _, owner, attr, _ in tracing.TARGETS if attr not in vars(owner)]
+    assert tracing.TARGETS and missing == []
