@@ -59,8 +59,9 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     Each rotation substep rotates (dp, dq) blocks; each kick adds
     tau (eps Delta - V''(q(t))) dq to dp with q(t) co-evolved, so the product
     is symplectic to round-off.  The state rides along as column 0 of the
-    blocks P = [p | Dp] and Q = [q | Dq], so a substep is one rotation and one
-    Laplacian of the stacked blocks, all in preallocated buffers.
+    blocks P = [p | Dp] and Q = [q | Dq], so a substep is one BLAS rotation
+    of the stacked blocks and two BLAS updates of P, by the Laplacian and by
+    the force derivative, all in preallocated buffers.
     """
     n = 2 * x.N + 1
     P = np.zeros((n, 2 * n + 1))
@@ -68,23 +69,20 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     P[:, 0], Q[:, 0] = x.p, x.q
     P[:, 1:n + 1] = np.eye(n)
     Q[:, n + 1:] = np.eye(n)
-    scratch = np.empty((2,) + P.shape)
+    lap = np.empty_like(Q)
     dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
     steps = max(1, int(np.ceil(T / dt)))
     h = T / steps
     rots, kicks = tint._SCHEMES["yoshida4"]
     for _ in range(steps):
         for i, ck in enumerate(kicks):
-            tint._rotate(P, Q, rots[i] * h, scratch)
+            tint._rotate(P, Q, rots[i] * h)
             q = Q[:, 0]
             np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
             dV[:, 0] = V.derivative(q)
-            kick = coupling_force(Q, False, x.N, out=scratch[0])
-            kick *= eps
-            kick -= dV
-            kick *= ck * h
-            P += kick
-        tint._rotate(P, Q, rots[-1] * h, scratch)
+            tint._axpy(P, ck * h * eps, coupling_force(Q, False, x.N, out=lap))
+            tint._axpy(P, -ck * h, dV)
+        tint._rotate(P, Q, rots[-1] * h)
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 

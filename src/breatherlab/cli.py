@@ -30,7 +30,7 @@ from . import normalform as nf
 from . import propagator as pr
 from .csvio import write_table
 from .lattice import LatticeState, PolynomialWeight, norm
-from .potential import PotentialSpec, build_chart
+from .potential import PotentialSpec, action_of_point, build_chart
 
 
 def _coerce(text: str):
@@ -113,10 +113,13 @@ def cmd_breather_find(cfg, out_dir, seed) -> bool:
     tol = float(cfg.get("tol", 1e-10))
     seed_b = br.anti_continuum_seed(chart, I, N=N)
     b = br.continue_breather(seed_b, V, eps, eps_step=float(cfg.get("eps_step", 0.01)),
-                             tol=min(tol, 1e-11), chart=chart)
+                             tol=min(tol, 1e-11))
+    # the label fixes the period 2 pi / omega0(I_label); the central site's
+    # own action at the section sits below it once the coupling is on
+    I_site0 = action_of_point(chart, 0.0, float(b.x0.q[b.x0.index(0)]))
     path = os.path.join(out_dir, "breather.csv")
-    _write_state(path, b.x0, comment=f"I_label={b.I_label!r} eps={b.eps!r} T={b.period!r} "
-                 f"beta_hat={b.beta_hat!r} defect={b.defect!r}")
+    _write_state(path, b.x0, comment=f"I_label={b.I_label!r} I_site0={I_site0!r} "
+                 f"eps={b.eps!r} T={b.period!r} beta_hat={b.beta_hat!r} defect={b.defect!r}")
     print(f"breather: defect={b.defect:.3e} beta_hat={b.beta_hat:.3f} "
           f"R2={b.fit_residual:.4f} -> {path}")
     return b.defect < tol and b.fit_residual > float(cfg.get("min_r2", 0.99))

@@ -18,7 +18,7 @@ import numpy as np
 from .breather import Breather, continue_breather
 from .csvio import write_table
 from .integrate import BlowupError, IntegratorConfig, step_arrays
-from .lattice import AdmissiblePair, LatticeState, hamiltonian
+from .lattice import AdmissiblePair, LatticeState, hamiltonian, norm
 from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
 
 
@@ -286,8 +286,7 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         tr = track_modulation(p, q, family, c.N)
         res2_site = tr.residual_p ** 2 + tr.residual_q ** 2
         rl2 = float(np.sqrt(np.sum(res2_site)))
-        rlr = float((np.sum(np.abs(tr.residual_p) ** r_exp)
-                     + np.sum(np.abs(tr.residual_q) ** r_exp)) ** (1.0 / r_exp))
+        rlr = norm(LatticeState(c.N, tr.residual_p, tr.residual_q), r_exp)
         dt_meas = c.eps * (t - last_t)
         if times:
             per_site_acc[:] += dt_meas * res2_site

@@ -4,6 +4,21 @@ The splitting rotates every site exactly under its unit-frequency harmonic
 part and applies the coupling + anharmonic force as a kick, so the step size
 is limited only by the O(eps) and anharmonic terms.  strang2 is the symmetric
 second-order composition; yoshida4 the standard triple composition of it.
+
+The kernel updates p and q in place through BLAS.  A rotation is one
+``drot``; a kick adds tau eps (Delta q) to p by one ``daxpy`` and subtracts
+tau V'(q) by another.  f2py hands BLAS a copy of any array that is not
+C-contiguous float64, and the update to that copy is lost, so the kernel
+raises ValueError on such arrays (and on read-only or mismatched ones)
+instead of stepping them.
+
+The anharmonic force is evaluated only on the smallest slice of sites that
+holds every |q| >= ``V.q_cut``.  Outside it |V'(q)| is below the smallest
+normal double (see ``PotentialSpec``), so leaving it out moves p by less
+than tau times that double per kick, while evaluating the power chain there
+would run through subnormal numbers at many times the normal cost.  A
+localized state, such as a breather and its spreading perturbation, keeps
+the slice to a small part of the chain.
 """
 
 from __future__ import annotations
@@ -12,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy, drot
 
 from .lattice import LatticeState, coupling_force
 from .potential import PotentialSpec
@@ -52,36 +68,57 @@ class IntegratorConfig:
             )
 
 
-def _rotate(p: np.ndarray, q: np.ndarray, tau: float, scratch: np.ndarray):
-    """(p, q) <- (c p - s q, s p + c q) in place; ``scratch`` is (2,) + p.shape."""
-    c, s = math.cos(tau), math.sin(tau)
-    sp, sq = scratch
-    np.multiply(p, s, out=sp)
-    np.multiply(q, s, out=sq)
-    p *= c
-    p -= sq
-    q *= c
-    q += sp
+def _check_inplace(p: np.ndarray, q: np.ndarray):
+    """Raise ValueError unless BLAS can update both arrays in place."""
+    if not (p.flags.carray and q.flags.carray and p.dtype == q.dtype == np.float64
+            and p.shape == q.shape):
+        raise ValueError(
+            "the splitting kernel updates p and q in place and needs writeable, aligned, "
+            f"C-contiguous float64 arrays of one shape; got {p.dtype} {p.shape} "
+            f"(C-contiguous {p.flags.c_contiguous}, writeable {p.flags.writeable}) and "
+            f"{q.dtype} {q.shape} (C-contiguous {q.flags.c_contiguous}, "
+            f"writeable {q.flags.writeable})")
+
+
+def _rotate(p: np.ndarray, q: np.ndarray, tau: float):
+    """(p, q) <- (c p - s q, s p + c q) in place, as one BLAS drot."""
+    _check_inplace(p, q)
+    # n, offx, incx, offy, incy, overwrite_x, overwrite_y passed by position:
+    # f2py parses keywords at about a microsecond per call
+    drot(q.ravel(), p.ravel(), math.cos(tau), math.sin(tau), p.size, 0, 1, 0, 1, 1, 1)
+
+
+def _axpy(y: np.ndarray, a: float, x: np.ndarray):
+    """y += a x in place, as one BLAS daxpy; y is C-contiguous float64."""
+    daxpy(x.ravel(), y.ravel(), a=a)
+
+
+def _live_window(q: np.ndarray, q_cut: float, out: np.ndarray) -> slice | None:
+    """Smallest slice holding every site with |q| >= q_cut, or None when none is.
+
+    |q| goes to ``out``, the kick's own buffer, so no array is allocated for it.
+    """
+    live = (np.abs(q, out=out) >= q_cut).nonzero()[0]
+    return slice(live[0], live[-1] + 1) if live.size else None
 
 
 def _kick(p: np.ndarray, q: np.ndarray, tau: float, V: PotentialSpec,
           eps: float, pinned: bool, N: int, scratch: np.ndarray):
-    force = coupling_force(q, pinned, N, out=scratch)
-    force *= eps
-    force -= V.derivative(q)
-    force *= tau
-    p += force
+    _axpy(p, tau * eps, coupling_force(q, pinned, N, out=scratch))
+    w = _live_window(q, V.q_cut, scratch)
+    if w is not None:
+        _axpy(p[w], -tau, V.derivative(q[w]))
 
 
 def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float,
                 dt: float, scheme: str, pinned: bool, N: int):
-    """One splitting step in place on raw arrays."""
+    """One splitting step in place on raw arrays (C-contiguous float64, else ValueError)."""
     rots, kicks = _SCHEMES[scheme]
-    scratch = np.empty((2,) + p.shape)
+    scratch = np.empty(p.shape)
     for i, ck in enumerate(kicks):
-        _rotate(p, q, rots[i] * dt, scratch)
-        _kick(p, q, ck * dt, V, eps, pinned, N, scratch[0])
-    _rotate(p, q, rots[-1] * dt, scratch)
+        _rotate(p, q, rots[i] * dt)
+        _kick(p, q, ck * dt, V, eps, pinned, N, scratch)
+    _rotate(p, q, rots[-1] * dt)
 
 
 def step(state: LatticeState, V: PotentialSpec, eps: float, dt: float,

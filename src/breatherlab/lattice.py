@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, _power
 
 
 @dataclass
@@ -181,7 +181,8 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
     """Norm of the pair (p, q): l^r with polynomial weight, or the exponential l^2 form.
 
     The direct sum convention is (|p|_r^r + |q|_r^r)^(1/r); exponential weights
-    always use the squared form (sum over both components).
+    always use the squared form (sum over both components).  An integral r is
+    raised by a chain of multiplications, a fractional one by ``**``.
     """
     ks = state.sites()
     if isinstance(weight, ExponentialWeight):
@@ -193,7 +194,11 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
     if np.isinf(r_exp):
         return float(max(np.max(np.abs(state.p) * wf, initial=0.0),
                          np.max(np.abs(state.q) * wf, initial=0.0)))
-    s = np.sum((np.abs(state.p) * wf) ** r_exp) + np.sum((np.abs(state.q) * wf) ** r_exp)
+    xs = (np.abs(state.p) * wf, np.abs(state.q) * wf)
+    if float(r_exp).is_integer():
+        s = sum(np.sum(_power(x, int(r_exp))) for x in xs)
+    else:
+        s = sum(np.sum(x ** r_exp) for x in xs)
     return float(s ** (1.0 / r_exp))
 
 

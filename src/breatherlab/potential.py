@@ -41,6 +41,12 @@ class PotentialSpec:
     ``coefficients`` is a sequence of (degree, coefficient) pairs; every degree
     must be >= ``min_degree``.  ``min_degree`` is 8 for the stability
     experiments and may be relaxed to 4 for normal-form-only runs.
+
+    ``q_cut`` is (tiny / sum |m a_m|)^(1 / (m0 - 1)), capped at 1, where tiny
+    is the smallest normal double and m0 the lowest degree (inf for V = 0).
+    For |q| < q_cut every power q^(m-1) is at most q^(m0-1), so
+    |V'(q)| < tiny: about 8e-45 for q^8.  The splitting kernel skips V' on
+    such sites.
     """
 
     coefficients: tuple[tuple[int, float], ...]
@@ -69,6 +75,11 @@ class PotentialSpec:
         object.__setattr__(self, "_poly", c)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_dterms", tuple((m - 1, m * a) for m, a in terms))
+        q_cut = np.inf
+        if terms:
+            weight = sum(abs(m * a) for m, a in terms)
+            q_cut = min(1.0, (np.finfo(float).tiny / weight) ** (1.0 / (terms[0][0] - 1)))
+        object.__setattr__(self, "q_cut", q_cut)
         object.__setattr__(self, "_ddterms",
                            tuple((m - 2, m * (m - 1) * a) for m, a in terms))
 

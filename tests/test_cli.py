@@ -91,6 +91,19 @@ def test_breather_csv_reads_back_the_section_bit_for_bit(tmp_path, monkeypatch):
     assert np.array_equal(state.p, x0.p) and np.array_equal(state.q, x0.q)
 
 
+def test_breather_csv_header_keeps_the_requested_label(tmp_path):
+    # the label fixes the period; the central site's own action at the
+    # section is a separate, smaller number once the coupling is on
+    cfg = tmp_path / "find.cfg"
+    cfg.write_text("N = 12\n")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "breather", "find", "-c", str(cfg)]) == 0
+    header = (out / "breather.csv").read_text().splitlines()[0]
+    fields = dict(item.split("=") for item in header.lstrip("# ").split())
+    assert float(fields["I_label"]) == 0.4
+    assert 0.3 < float(fields["I_site0"]) < 0.4
+
+
 def test_datum_string_is_split_into_pairs():
     state = cli._skew_datum({"datum": "1:1.0,2:0.6,3:0.25"}, 8, seed=1)
     assert [state.q[state.index(k)] for k in (1, 2, 3)] == [1.0, 0.6, 0.25]

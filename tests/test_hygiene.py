@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports, and every
-function the benchmark's tracer wraps is still where the tracer looks it up."""
+"""Source hygiene: every module of the package uses each name it imports and holds
+no assert statement, and every function the benchmark's tracer wraps is still where
+the tracer looks it up."""
 
 import ast
 import types
@@ -34,6 +35,14 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_has_no_assert_statement(path):
+    # python -O strips asserts, so a check the program relies on must raise
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def test_benchmark_trace_targets_exist():

@@ -160,6 +160,19 @@ def _oracle_step_arrays(p, q, V, eps, dt, scheme, pinned, N):
     rotate(rots[-1] * dt)
 
 
+def _localized(rng, N, pinned):
+    """Random sites under the envelope 0.3 exp(-|k|/2), down to 8e-57 at |k| = 256.
+
+    Sites beyond |k| of about 200 lie below q_cut (8e-45 for q^8), so the
+    kernel's live window ends inside the chain.
+    """
+    ks = np.arange(-N, N + 1)
+    if pinned:
+        ks = ks[ks != 0]
+    env = 0.3 * np.exp(-np.abs(ks) / 2.0)
+    return env * rng.standard_normal(ks.size), env * rng.standard_normal(ks.size)
+
+
 @pytest.mark.parametrize("pinned", [False, True], ids=["full", "pinned"])
 def test_step_arrays_matches_oracle(rng, pinned):
     V = PotentialSpec(((8, 1.0), (10, -0.3)))
@@ -172,6 +185,51 @@ def test_step_arrays_matches_oracle(rng, pinned):
         _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", pinned, N)
     assert np.max(np.abs(p - p_ref)) < 1e-14
     assert np.max(np.abs(q - q_ref)) < 1e-14
+    # localized states with sites on both sides of q_cut
+    N = 256
+    for V in (PotentialSpec.monomial(8), PotentialSpec(((8, 1.0), (10, -0.3)))):
+        p, q = _localized(rng, N, pinned)
+        p_ref, q_ref = p.copy(), q.copy()
+        for _ in range(100):
+            step_arrays(p, q, V, 0.1, 0.05, "yoshida4", pinned, N)
+            _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", pinned, N)
+        live = np.abs(q) >= V.q_cut
+        assert live.any() and not live.all()
+        bound = 1e-14 * np.max(np.abs(q_ref))
+        assert np.max(np.abs(p - p_ref)) < bound
+        assert np.max(np.abs(q - q_ref)) < bound
+
+
+def test_state_below_q_cut_steps_like_the_harmonic_chain(rng, monkeypatch):
+    V = PotentialSpec(((8, 1.0), (10, -0.3)))
+    N = 16
+    p, q = 1e-50 * rng.standard_normal(2 * N + 1), 1e-50 * rng.standard_normal(2 * N + 1)
+    p_lin, q_lin = p.copy(), q.copy()
+    p_ref, q_ref = p.copy(), q.copy()
+
+    def no_force(self, q):
+        raise AssertionError("V' evaluated below q_cut")
+
+    for _ in range(100):
+        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", False, N)
+    monkeypatch.setattr(PotentialSpec, "derivative", no_force)
+    for _ in range(100):
+        step_arrays(p, q, V, 0.1, 0.05, "yoshida4", False, N)
+        step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05, "yoshida4", False, N)
+    assert np.max(np.abs(q)) < V.q_cut
+    assert np.array_equal(p, p_lin) and np.array_equal(q, q_lin)
+    bound = 1e-14 * np.max(np.abs(q_ref))
+    assert np.max(np.abs(p - p_ref)) < bound
+    assert np.max(np.abs(q - q_ref)) < bound
+
+
+def test_step_arrays_refuses_a_strided_view(rng, V8):
+    # BLAS would update a contiguous copy of the view and the step would be lost
+    p, q = rng.standard_normal(34), rng.standard_normal(34)
+    p0, q0 = p.copy(), q.copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        step_arrays(p[::2], q[::2], V8, 0.1, 0.05, "yoshida4", False, 8)
+    assert np.array_equal(p, p0) and np.array_equal(q, q0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8])

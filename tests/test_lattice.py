@@ -106,6 +106,29 @@ def test_norm_matches_direct_sum(rng):
     assert norm(s, 2, PolynomialWeight(3.0)) == pytest.approx(expected, rel=1e-12)
 
 
+def _pow_formula_norm(s, r, wf):
+    """The l^r norm summed with numpy's float power, as it was written before."""
+    if np.isinf(r):
+        return float(max(np.max(np.abs(s.p) * wf), np.max(np.abs(s.q) * wf)))
+    return float((np.sum((np.abs(s.p) * wf) ** r) + np.sum((np.abs(s.q) * wf) ** r)) ** (1 / r))
+
+
+def test_integral_r_by_multiplication_matches_float_power(rng):
+    # a localized state whose far field runs down to 1e-200: its 14th powers
+    # underflow, and the sum must still agree with pow() to rounding
+    N = 128
+    ks = np.arange(-N, N + 1)
+    env = 10.0 ** (-200.0 * np.abs(ks) / N)
+    s = LatticeState(N, env * rng.standard_normal(ks.size), env * rng.standard_normal(ks.size))
+    ones = np.ones(ks.size)
+    assert norm(s, 14) == pytest.approx(_pow_formula_norm(s, 14.0, ones), rel=1e-14)
+    wf = (1.0 + ks.astype(float) ** 2) ** 1.5
+    for r in (1, 2, np.inf):
+        assert norm(s, r) == _pow_formula_norm(s, r, ones)
+        assert norm(s, r, PolynomialWeight(3.0)) == _pow_formula_norm(s, r, wf)
+    assert norm(s, 2.5) == _pow_formula_norm(s, 2.5, ones)
+
+
 def test_lr_monotonicity(rng):
     s = random_state(rng, N=16)
     assert norm(s, np.inf) <= norm(s, 2.0) + 1e-12
