@@ -250,14 +250,13 @@ _STABILITY_KEYS = {
 
 def cmd_stability(cfg, out_dir, seed) -> bool:
     V = parse_potential(cfg)
-    chart = _chart_for(cfg, V)
     config = ex.ExperimentConfig(
         eps=float(cfg.get("eps", 0.05)), potential=V,
         I_label=float(cfg.get("I_label", 0.4)), seed=seed,
         **{name: cast(cfg[key]) for key, (name, cast) in _STABILITY_KEYS.items()
            if key in cfg})
     try:
-        record = ex.run_stability(config, chart)
+        record = ex.run_stability(config, _chart_for(cfg, V))
     except ex.FamilyWindowError as exc:
         print(f"stability: {exc}")
         return False

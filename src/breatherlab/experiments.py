@@ -18,7 +18,7 @@ import numpy as np
 from .breather import Breather, continue_breather
 from .csvio import write_table
 from .integrate import BlowupError, IntegratorConfig, step_arrays
-from .lattice import AdmissiblePair, LatticeState, hamiltonian, norm
+from .lattice import AdmissiblePair, LatticeState, SpaceTimeNorm, hamiltonian, norm
 from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
 
 
@@ -49,7 +49,7 @@ class ExperimentConfig:
     family_phases: int = 256
     family_window: int = 32
     N_family: int = 64
-    weight_s: float = 3.0
+    weight_s: float = 3.0              # weighted_mixed's weight <k>^(-s); see SpaceTimeNorm
     pair: AdmissiblePair = field(default_factory=lambda: AdmissiblePair(7, 14))
 
     def __post_init__(self):
@@ -62,6 +62,13 @@ class ExperimentConfig:
             raise ValueError("mu must be below sqrt(eps) (mu < eps^delta, delta > 1/2)")
         if self.T is None:
             self.T = 100.0 / self.eps
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride}")
+        if self.T < self.dt:
+            raise ValueError(f"T = {self.T:g} is shorter than one step dt = {self.dt:g}")
+        if not self.family_window <= self.N_family <= self.N:
+            raise ValueError("need family_window <= N_family <= N, got "
+                             f"{self.family_window}, {self.N_family}, {self.N}")
 
 
 @dataclass
@@ -239,8 +246,9 @@ class StabilityRecord:
     energy: np.ndarray
     mu: float
     eps: float
-    spacetime_lq_lr: float        # L^q_{eps t} l^r of the family distance
-    weighted_mixed: float         # l^inf_{-s} L^2_{eps t} of the residual
+    # SpaceTimeNorm of the residual, trapezoid rule in eps dt over the samples:
+    spacetime_lq_lr: float        # L^q_{eps t} l^r, (q, r) = config.pair
+    weighted_mixed: float         # l^inf_{-s} L^2_{eps t}, weight <k>^(-s), s = weight_s
     I_drift: float
     cauchy_tails: list[tuple[float, float]]
     summary: dict
@@ -270,28 +278,18 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     x0 = perturb(family.sections[center], c.mu, c.perturbation_shape, c.seed)
     p, q = x0.p.copy(), x0.q.copy()
     n_steps = int(round(c.T / c.dt))
-    ks = x0.sites().astype(float)
-    w_minus_s = (1.0 + ks ** 2) ** (-c.weight_s)
-
     times, Ibars, phases_rec, res_l2, d_l2, d_lr, energies = [], [], [], [], [], [], []
-    per_site_acc = np.zeros(ks.size)
-    lq_acc = 0.0
     q_exp, r_exp = c.pair.q_exp, c.pair.r_exp
-    last_t = 0.0
+    spacetime = SpaceTimeNorm(c.eps, q_exp)
 
     def sample(t):
-        nonlocal lq_acc, last_t
         if not np.all(np.isfinite(p)):
             raise BlowupError(f"non-finite state at t={t}")
         tr = track_modulation(p, q, family, c.N)
         res2_site = tr.residual_p ** 2 + tr.residual_q ** 2
         rl2 = float(np.sqrt(np.sum(res2_site)))
         rlr = norm(LatticeState(c.N, tr.residual_p, tr.residual_q), r_exp)
-        dt_meas = c.eps * (t - last_t)
-        if times:
-            per_site_acc[:] += dt_meas * res2_site
-            lq_acc += dt_meas * rlr ** q_exp
-        last_t = t
+        spacetime.add(t, rlr, res2_site)
         times.append(t)
         Ibars.append(tr.I_bar)
         phases_rec.append(tr.phase)
@@ -322,8 +320,8 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         times=times_arr, I_bar=Ibar_arr, phase=np.asarray(phases_rec),
         residual_l2=np.asarray(res_l2), dist_l2=np.asarray(d_l2),
         dist_lr=np.asarray(d_lr), energy=energies_arr, mu=c.mu, eps=c.eps,
-        spacetime_lq_lr=float(lq_acc ** (1.0 / q_exp)),
-        weighted_mixed=float(np.max(w_minus_s * np.sqrt(per_site_acc))),
+        spacetime_lq_lr=spacetime.lq(),
+        weighted_mixed=spacetime.weighted_mixed(x0.sites(), c.weight_s),
         I_drift=float(abs(Ibar_arr[-1] - Ibar_arr[0])),
         cauchy_tails=tails,
         summary={},

@@ -1127,28 +1127,6 @@ def invariant_manifold_check(result: NormalFormResult, n_alpha: int = 64) -> flo
     return float(np.max(np.sqrt(np.sum(np.abs(X_z) ** 2 + np.abs(X_w) ** 2, axis=-1))))
 
 
-def reconstruct_breather_from_nf(result: NormalFormResult, I: float,
-                                 n_phases: int = 16, rk_steps: int = 32,
-                                 phase: float = 0.0):
-    """Push the xi = 0 circle back through the inverse transformation.
-
-    The normalizing map is T = Phi^1_{chi_1} o ... o Phi^1_{chi_r} (new to
-    old), so each circle point flows through the generators in reverse order.
-    Returns (lattice states on the orbit, period 2 pi / omega_r(I)).
-    """
-    ctx = result.ctx
-    chart = ctx.chart
-    states = []
-    alphas = phase + np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    for a in alphas:
-        cur = (float(I), float(a), np.zeros(ctx.n_sites, dtype=complex))
-        for chi in reversed(result.generators):
-            cur = flow_generator(chi, *cur, time=1.0, steps=rk_steps)
-        states.append(nf_point_to_state(ctx, chart, *cur))
-    period = 2.0 * np.pi / result.omega(I)
-    return states, period
-
-
 def nf_point_to_state(ctx: NormalFormContext, chart: ActionAngleChart,
                       I: float, alpha: float, z: np.ndarray) -> LatticeState:
     """(I, alpha, z) with w = conj(z) mapped to a real lattice state."""

@@ -9,7 +9,9 @@ no boundary mismatch, only wrap-around once a front crosses the ghost sites).
 Also here: the dispersion relation nu(theta) = sqrt(1 + 4 eps sin^2(theta/2)),
 stationary-phase interval splitting and slope measurement, the lattice
 resolvent kernel with its limiting boundary values, the Puiseux leading-term
-check, and discrete space-time (Strichartz-type) norms.
+check, and the space-time inequality check ``sp_temp_check``.  The space-time
+(Strichartz-type) norms themselves are ``lattice.SpaceTimeNorm``, which states
+their one convention.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import AdmissiblePair, LatticeState, WeightSpec, check_skew, norm
+from .lattice import (LatticeState, PolynomialWeight, SpaceTimeNorm, WeightSpec,
+                      _site_factors, check_skew, norm)
 from .potential import QuadratureError, gauss_legendre
 
 
@@ -427,49 +430,24 @@ def puiseux_leading_check(ks, vals, nu_grid, s: float = 2.0,
 # ---------------------------------------------------------------------------
 # space-time norms
 
-def spacetime_norm(times: np.ndarray, states: list[LatticeState], eps: float,
-                   spec) -> float:
-    """Discrete space-time norm of a sampled trajectory.
-
-    spec = AdmissiblePair(q, r) gives the L^q_{eps t} l^r norm (trapezoid rule
-    with the eps-weighted time measure); spec = ("weighted", s) gives the
-    mixed l^inf_{-s} L^2_{eps t} norm (sup over sites of weighted per-site
-    time-L^2 norms).
-    """
-    times = np.asarray(times, dtype=float)
-    if isinstance(spec, AdmissiblePair):
-        vals = np.array([norm(s, spec.r_exp) for s in states])
-        if np.isinf(spec.q_exp):
-            return float(np.max(vals))
-        power = np.trapezoid(vals ** spec.q_exp, eps * times)
-        return float(power ** (1.0 / spec.q_exp))
-    kind, s = spec
-    if kind != "weighted":
-        raise ValueError(f"unknown spacetime norm spec {spec!r}")
-    ks = states[0].sites()
-    density = np.stack([st.p ** 2 + st.q ** 2 for st in states])  # (nt, nsites)
-    per_site = np.trapezoid(density, eps * times, axis=0)
-    weights = (1.0 + ks.astype(float) ** 2) ** (-s)
-    return float(np.max(weights * np.sqrt(per_site)))
-
-
 def sp_temp_check(times: np.ndarray, states: list[LatticeState], s: float,
                   s_prime: float, eps: float = 1.0) -> tuple[bool, float, float]:
-    """Check ||x||_{L^2_t l^inf_{-s}} <= sqrt(C) ||x||_{l^inf_{-s'} L^2_t}.
+    """Check ||x||_{L^2_{eps t} l^inf_{-s}} <= sqrt(C) ||x||_{l^inf_{-s'} L^2_{eps t}}.
 
     C = sum_n <n>^{-2(s-s')} over the lattice sites; applied to the per-site
-    modulus sqrt(p^2 + q^2).  Returns (holds, lhs/rhs ratio, C).
+    modulus sqrt(p^2 + q^2).  Both sides are SpaceTimeNorm integrals with its
+    weight <k>^{-s}.  Returns (holds, lhs/rhs ratio, C).
     """
     if s <= s_prime + 0.5:
         raise ValueError("need s > s' + 1/2")
-    times = np.asarray(times, dtype=float)
-    ks = states[0].sites().astype(float)
-    mod = np.stack([np.sqrt(st.p ** 2 + st.q ** 2) for st in states])
-    w_s = (1.0 + ks ** 2) ** (-s / 2.0)
-    w_sp = (1.0 + ks ** 2) ** (-s_prime / 2.0)
-    lhs = np.sqrt(np.trapezoid(np.max(mod * w_s, axis=1) ** 2, eps * times))
-    rhs = np.max(w_sp * np.sqrt(np.trapezoid(mod ** 2, eps * times, axis=0)))
-    const = float(np.sum((1.0 + ks ** 2) ** (-(s - s_prime))))
+    ks = states[0].sites()
+    w_s = _site_factors(PolynomialWeight(-s), ks)
+    acc = SpaceTimeNorm(eps, 2.0)
+    for t, st in zip(times, states):
+        density = st.p ** 2 + st.q ** 2
+        acc.add(float(t), float(np.max(w_s * np.sqrt(density))), density)
+    lhs, rhs = acc.lq(), acc.weighted_mixed(ks, s_prime)
+    const = float(np.sum(_site_factors(PolynomialWeight(-2.0 * (s - s_prime)), ks)))
     if rhs == 0.0:
         return lhs == 0.0, 0.0, const
     return bool(lhs <= np.sqrt(const) * rhs + 1e-12), float(lhs / rhs), const

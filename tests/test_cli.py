@@ -57,6 +57,19 @@ def test_stability_config_keeps_the_experiment_defaults(tmp_path, monkeypatch):
     assert config.sample_stride == 50
 
 
+def test_stability_rejects_a_zero_stride_before_any_build(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("family built before the config check")
+
+    monkeypatch.setattr(ex, "build_family", no_build)
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text("mu = 0.001\nsample_stride = 0\nT = 1.0\nN = 64\n")
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "stability", "-c", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == ["error: sample_stride must be at least 1, got 0"]
+
+
 @pytest.mark.parametrize("command, text, message", [
     (["propagate"], None, "No such file"),
     (["propagate"], "N 64\n", "bad config line"),

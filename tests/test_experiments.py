@@ -111,7 +111,25 @@ def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V
         raise AssertionError("family built before the window check")
 
     monkeypatch.setattr(experiments, "build_family", no_build)
-    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=32, mu=0.05, T=1.0,
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=64, mu=0.05, T=1.0,
                               family_half_width=0.06)
     with pytest.raises(FamilyWindowError, match="mu max\\|grad I\\| = 0.08"):
         run_stability(config, chart8)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(sample_stride=0), "sample_stride must be at least 1, got 0"),
+    (dict(sample_stride=-5), "sample_stride must be at least 1, got -5"),
+    (dict(T=0.0), "T = 0 is shorter than one step dt = 0.02"),
+    (dict(T=0.01), "T = 0.01 is shorter than one step dt = 0.02"),
+    (dict(N=32, N_family=64), "need family_window <= N_family <= N, got 32, 64, 32"),
+    (dict(family_window=32, N_family=16), "need family_window <= N_family <= N, got 32, 16"),
+], ids=["stride-zero", "stride-negative", "T-zero", "T-below-dt", "N-below-N_family",
+        "window-beyond-N_family"])
+def test_config_rejects_a_run_that_would_crash_late(V8, fields, message):
+    # each of these used to pass the constructor and fail after the family build:
+    # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error
+    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+        ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, **fields)
+    ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, N=64, T=0.02,
+                     sample_stride=1, family_window=64, N_family=64)

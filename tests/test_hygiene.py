@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports and holds
-no assert statement, and every function the benchmark's tracer wraps is still where
-the tracer looks it up."""
+no assert statement, every top-level function and class of the package is used
+somewhere, and every function the benchmark's tracer wraps is still where the tracer
+looks it up."""
 
 import ast
 import types
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "breatherlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "breatherlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,6 +39,50 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """Every Name id and Attribute attr in the source, and its string constants if asked."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unused_definitions(package: dict[str, str], readers: list[str],
+                       string_readers: list[str]) -> list[str]:
+    """Top-level functions and classes of the package (module name -> source) whose
+    name no package module or reader of either kind reads, and no string constant of
+    a string reader spells."""
+    used = set().union(*(names_read(src) for src in [*package.values(), *readers]),
+                       *(names_read(src, strings=True) for src in string_readers))
+    return [f"{module}.{node.name}" for module, src in package.items()
+            for node in ast.parse(src).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_checker_flags_an_unused_definition():
+    package = {"a": "def helper():\n    pass\n\ndef dead():\n    helper()\n\nclass Gone:\n"
+                    "    pass\n\nclass Kept:\n    pass\n",
+               "b": "def by_test():\n    pass\n\ndef by_name():\n    pass\n"}
+    readers = ["from a import Kept\nKept()\n", "import b\nb.by_test()\n"]
+    assert unused_definitions(package, readers, ["TARGETS = ['by_name']\n"]) == [
+        "a.dead", "a.Gone"]
+    assert unused_definitions(package, readers, []) == ["a.dead", "a.Gone", "b.by_name"]
+
+
+def test_package_defines_nothing_unused():
+    # a top-level function or class that nothing outside its definition names is dead
+    package = {p.stem: p.read_text() for p in MODULES}
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unused_definitions(package, tests, bench) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_module_has_no_assert_statement(path):
     # python -O strips asserts, so a check the program relies on must raise
@@ -47,7 +93,7 @@ def test_module_has_no_assert_statement(path):
 
 def test_benchmark_trace_targets_exist():
     """Every (owner, attribute) the benchmark's tracer wraps is still there."""
-    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     tracing = types.ModuleType("tracing")
     # exec, not import: loading the file must leave nothing behind in perfbench/
     exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)

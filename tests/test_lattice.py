@@ -123,6 +123,8 @@ def test_integral_r_by_multiplication_matches_float_power(rng):
     ones = np.ones(ks.size)
     assert norm(s, 14) == pytest.approx(_pow_formula_norm(s, 14.0, ones), rel=1e-14)
     wf = (1.0 + ks.astype(float) ** 2) ** 1.5
+    for r in (1, 2, np.inf, 14):
+        assert norm(s, r, PolynomialWeight(0.0)) == norm(s, r)
     for r in (1, 2, np.inf):
         assert norm(s, r) == _pow_formula_norm(s, r, ones)
         assert norm(s, r, PolynomialWeight(3.0)) == _pow_formula_norm(s, r, wf)

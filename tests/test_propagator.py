@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from breatherlab.integrate import flow
-from breatherlab.lattice import AdmissiblePair, LatticeState, PolynomialWeight, norm
+from breatherlab.lattice import LatticeState, PolynomialWeight, SpaceTimeNorm, norm
 from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     _osc_on_rho_grid, dispersion_frequency,
                                     forced_evolution, measure_decay, modified_energy,
@@ -11,8 +11,8 @@ from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     propagate_pinned, propagate_whole_chain,
                                     puiseux_leading_check, resolvent_B_apply,
                                     resolvent_apply, resolvent_kernel,
-                                    sp_temp_check, spacetime_norm,
-                                    state_to_ring, van_der_corput_check)
+                                    sp_temp_check, state_to_ring,
+                                    van_der_corput_check)
 
 
 def skew_state(rng, N, n_active=3, scale=1.0):
@@ -307,38 +307,71 @@ def test_puiseux_rejects_even_input():
         puiseux_leading_check([-1, 1], [1.0, 1.0], np.geomspace(1e-3, 1e-1, 4))
 
 
+def accumulate(times, states, eps, q_exp, r_exp=2.0):
+    """A SpaceTimeNorm fed every sample: its l^r norm and its site densities."""
+    acc = SpaceTimeNorm(eps, q_exp)
+    for t, st in zip(times, states):
+        acc.add(t, norm(st, r_exp), st.p ** 2 + st.q ** 2)
+    return acc
+
+
 def test_spacetime_norm_trivial_and_separable(rng):
     N = 16
     zero = [LatticeState.zeros(N) for _ in range(5)]
     times = np.linspace(0, 2, 5)
-    assert spacetime_norm(times, zero, 0.1, AdmissiblePair(7, 14)) == 0.0
+    assert accumulate(times, zero, 0.1, 7, 14).lq() == 0.0
     s = skew_state(rng, N, 2)
     const = [s.copy() for _ in range(41)]
     times = np.linspace(0, 10.0, 41)
     eps = 0.2
-    val = spacetime_norm(times, const, eps, AdmissiblePair(8, 4))
+    val = accumulate(times, const, eps, 8, 4).lq()
     assert val == pytest.approx(norm(s, 4) * (eps * 10.0) ** (1 / 8), rel=1e-12)
+
+
+@pytest.mark.parametrize("q_exp", [7.0, np.inf])
+def test_spacetime_norm_streams_the_trapezoid_rule(rng, q_exp):
+    # a non-uniform grid: a right Riemann sum, or a uniform-step rule, misses by far;
+    # amplitudes growing like <k>^s keep the weighted max off site 0, where every
+    # weight is 1
+    eps, s_exp = 0.3, 3.0
+    times = np.sort(rng.uniform(0.0, 5.0, 23))
+    grow = (1.0 + np.arange(-6, 7) ** 2) ** (s_exp / 2)
+    states = [LatticeState(6, grow * rng.standard_normal(13), grow * rng.standard_normal(13))
+              for _ in times]
+    acc = accumulate(times, states, eps, q_exp, 14)
+    vals = np.array([norm(st, 14) for st in states])
+    lq = (np.max(vals) if np.isinf(q_exp)
+          else np.trapezoid(vals ** q_exp, eps * times) ** (1 / q_exp))
+    assert acc.lq() == pytest.approx(lq, rel=1e-13)
+    ks = states[0].sites().astype(float)
+    density = np.stack([st.p ** 2 + st.q ** 2 for st in states])
+    l2t = np.sqrt(np.trapezoid(density, eps * times, axis=0))
+    mixed = np.max((1.0 + ks ** 2) ** (-s_exp / 2) * l2t)
+    assert acc.weighted_mixed(states[0].sites(), s_exp) == pytest.approx(mixed, rel=1e-13)
+
+
+def test_spacetime_norm_of_a_single_sample_is_zero(rng):
+    acc = accumulate([2.0], [skew_state(rng, 8)], 0.1, 7)
+    assert acc.lq() == 0.0 and acc.weighted_mixed(np.arange(-8, 9), 3.0) == 0.0
 
 
 def test_homogeneous_strichartz_quotient_bounded(rng):
     # || S(.) xi ||_{L^q_{eps t} l^r} / || xi ||_{l^2} stable over an ensemble
     eps = 0.1
     N = 512
-    pair = AdmissiblePair(7, 14)
     quotients = []
     for _ in range(4):
         s = skew_state(rng, N, 3)
         T = N / 2.0
         times = np.linspace(0, T, 160)
         states = [propagate_whole_chain(s, t, eps) for t in times]
-        quotients.append(spacetime_norm(times, states, eps, pair) / norm(s, 2))
+        quotients.append(accumulate(times, states, eps, 7, 14).lq() / norm(s, 2))
     assert max(quotients) < 10.0
     assert max(quotients) / min(quotients) < 5.0
 
 
 def test_retarded_strichartz_eps_scaling(rng):
     # || int S(t - tau) F dtau || <= (C / eps) ||F||_{dual}; C stable under halving
-    pair = AdmissiblePair(np.inf, 2)
     Cs = []
     for eps in (0.2, 0.1):
         N = 256
@@ -347,7 +380,7 @@ def test_retarded_strichartz_eps_scaling(rng):
         base = skew_state(rng, N, 2)
         forcing = [base.scaled(np.exp(-0.05 * t)) for t in times]
         u = forced_evolution(times, forcing, eps)
-        out = spacetime_norm(times, u, eps, pair)
+        out = accumulate(times, u, eps, np.inf, 2).lq()
         # dual of (inf, 2) is (1, 2)
         fvals = np.array([norm(F, 2) for F in forcing])
         dual = np.trapezoid(fvals, eps * times)
@@ -407,7 +440,7 @@ def test_weighted_retarded_bound_quotient(rng):
         base = skew_state(np.random.default_rng(7), N, 2)
         forcing = [base.scaled(np.cos(0.9 * t)) for t in times]
         u = forced_evolution(times, forcing, eps)
-        lhs = spacetime_norm(times, u, eps, ("weighted", s_exp))
+        lhs = accumulate(times, u, eps, 2).weighted_mixed(base.sites(), s_exp)
         ks = base.sites().astype(float)
         w = (1 + ks ** 2) ** (s_exp / 2)
         per_site = np.stack([np.sqrt(F.p ** 2 + F.q ** 2) for F in forcing])
