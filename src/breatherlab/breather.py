@@ -47,7 +47,7 @@ class Breather:
 
 def flow_map(x: LatticeState, V: PotentialSpec, eps: float, T: float,
              rtol: float = 1e-13, t_eval=None):
-    return solve_ivp(lambda _, y: vector_field(y, V, eps, x.N), (0.0, T),
+    return solve_ivp(lambda _, y: vector_field(y, V, eps), (0.0, T),
                      np.concatenate([x.p, x.q]), method="DOP853", rtol=rtol, atol=1e-14,
                      t_eval=t_eval, dense_output=False)
 
@@ -73,16 +73,15 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
     steps = max(1, int(np.ceil(T / dt)))
     h = T / steps
-    rots, kicks = tint._SCHEMES["yoshida4"]
     for _ in range(steps):
-        for i, ck in enumerate(kicks):
-            tint._rotate(P, Q, rots[i] * h)
+        for i, ck in enumerate(tint._KICKS):
+            tint._rotate(P, Q, tint._ROTATIONS[i] * h)
             q = Q[:, 0]
             np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
             dV[:, 0] = V.derivative(q)
-            tint._axpy(P, ck * h * eps, coupling_force(Q, False, x.N, out=lap))
+            tint._axpy(P, ck * h * eps, coupling_force(Q, out=lap))
             tint._axpy(P, -ck * h, dV)
-        tint._rotate(P, Q, rots[-1] * h)
+        tint._rotate(P, Q, tint._ROTATIONS[-1] * h)
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 
@@ -208,17 +207,17 @@ def distance_to_unperturbed(b: Breather, chart: ActionAngleChart,
     """d_+ distance from the breather orbit to the uncoupled family at the same label.
 
     Each orbit point is converted to (I, alpha, xi) via the central-site
-    chart; the unperturbed family at the same label covers every phase with
-    xi = 0, so the pointwise distance is max(|I - I_label|, ||xi||_+), and the
-    orbit-to-family distance is the minimum over the sampled phases.
+    chart, xi being the point with its central site zeroed; the unperturbed
+    family at the same label covers every phase with xi = 0, so the pointwise
+    distance is max(|I - I_label|, ||xi||_+), and the orbit-to-family distance
+    is the minimum over the sampled phases.
     """
     w = ExponentialWeight(beta, +1)
     per_point = []
     for _, s in b.orbit:
         i0 = s.index(0)
         I = action_of_point(chart, float(s.p[i0]), float(s.q[i0]))
-        xi = s.drop_site0()
-        per_point.append(max(abs(I - b.I_label), norm(xi, 2, w)))
+        per_point.append(max(abs(I - b.I_label), norm(s.transverse(), 2, w)))
     return min(per_point)
 
 

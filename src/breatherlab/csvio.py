@@ -30,14 +30,15 @@ def write_table(path, header, rows, comment: str | None = None):
 def read_state(path) -> LatticeState:
     """The state in a ``k, p_k, q_k`` table; ``#`` lines are skipped.
 
-    The state holds site 0 exactly when the table has a row for it.
+    A site without a row is zero, so a table of the transverse part xi,
+    without a row for site 0, reads back as xi with its central site zero.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     if rows[0][:3] != ["k", "p_k", "q_k"]:
         raise ValueError(f"unexpected CSV header {rows[0]}")
     ks = [int(row[0]) for row in rows[1:]]
-    state = LatticeState.zeros(max(abs(k) for k in ks), include_site0=0 in ks)
+    state = LatticeState.zeros(max(abs(k) for k in ks))
     idx = [state.index(k) for k in ks]
     state.p[idx] = [float(row[1]) for row in rows[1:]]
     state.q[idx] = [float(row[2]) for row in rows[1:]]

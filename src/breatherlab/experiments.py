@@ -66,9 +66,13 @@ class ExperimentConfig:
             raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride}")
         if self.T < self.dt:
             raise ValueError(f"T = {self.T:g} is shorter than one step dt = {self.dt:g}")
+        IntegratorConfig(t_final=self.T, dt=self.dt).check_stability(self.eps)
         if not self.family_window <= self.N_family <= self.N:
             raise ValueError("need family_window <= N_family <= N, got "
                              f"{self.family_window}, {self.N_family}, {self.N}")
+        # track_modulation needs a member on each side of its argmin
+        if self.family_members < 3:
+            raise ValueError(f"family_members must be at least 3, got {self.family_members}")
 
 
 @dataclass
@@ -95,7 +99,7 @@ class BreatherFamily:
 
 
 def _embed(state: LatticeState, N_big: int) -> LatticeState:
-    out = LatticeState.zeros(N_big, True)
+    out = LatticeState.zeros(N_big)
     sl = slice(N_big - state.N, N_big + state.N + 1)
     out.p[sl], out.q[sl] = state.p, state.q
     return out
@@ -264,7 +268,6 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     I_label orbit.
     """
     c = config
-    IntegratorConfig(t_final=c.T, dt=c.dt).check_stability(c.eps)
     shift = c.mu * max_action_gradient(chart, c.I_label)
     if shift >= c.family_half_width:
         raise FamilyWindowError(
@@ -296,12 +299,12 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         res_l2.append(rl2)
         d_l2.append(np.sqrt(tr.dist2))
         d_lr.append(rlr)
-        st = LatticeState(c.N, p, q, True)
+        st = LatticeState(c.N, p, q)
         energies.append(hamiltonian(st, c.potential, c.eps))
 
     sample(0.0)
     for i in range(1, n_steps + 1):
-        step_arrays(p, q, c.potential, c.eps, c.dt, "yoshida4", False, c.N)
+        step_arrays(p, q, c.potential, c.eps, c.dt)
         if i % c.sample_stride == 0 or i == n_steps:
             sample(i * c.dt)
 

@@ -2,8 +2,10 @@
 
 The splitting rotates every site exactly under its unit-frequency harmonic
 part and applies the coupling + anharmonic force as a kick, so the step size
-is limited only by the O(eps) and anharmonic terms.  strang2 is the symmetric
-second-order composition; yoshida4 the standard triple composition of it.
+is limited only by the O(eps) and anharmonic terms.  There is one scheme,
+yoshida4: the standard triple composition of the symmetric second-order
+(Strang) step, fourth order.  It steps the one lattice layout, sites -N..N,
+with the central site free, as in the real dynamics.
 
 The kernel updates p and q in place through BLAS.  A rotation is one
 ``drot``; a kick adds tau eps (Delta q) to p by one ``daxpy`` and subtracts
@@ -35,13 +37,10 @@ from .potential import PotentialSpec
 _Y_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _Y_W0 = 1.0 - 2.0 * _Y_W1
 
-# per-step (rotation angles, kick sizes) as fractions of dt, fused so that
-# adjacent rotations merge
-_SCHEMES = {
-    "strang2": ([0.5, 0.5], [1.0]),
-    "yoshida4": ([0.5 * _Y_W1, 0.5 * (_Y_W1 + _Y_W0), 0.5 * (_Y_W0 + _Y_W1), 0.5 * _Y_W1],
-                 [_Y_W1, _Y_W0, _Y_W1]),
-}
+# yoshida4's rotation angles and kick sizes per step, as fractions of dt,
+# fused so that adjacent rotations merge
+_ROTATIONS = [0.5 * _Y_W1, 0.5 * (_Y_W1 + _Y_W0), 0.5 * (_Y_W0 + _Y_W1), 0.5 * _Y_W1]
+_KICKS = [_Y_W1, _Y_W0, _Y_W1]
 
 
 class BlowupError(RuntimeError):
@@ -52,13 +51,10 @@ class BlowupError(RuntimeError):
 class IntegratorConfig:
     t_final: float
     dt: float = 0.05
-    scheme: str = "yoshida4"
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final < 0:
             raise ValueError("need dt > 0 and t_final >= 0")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def check_stability(self, eps: float):
         """Guard dt * max frequency <= 0.5, max frequency sqrt(1 + 4 eps)."""
@@ -103,43 +99,39 @@ def _live_window(q: np.ndarray, q_cut: float, out: np.ndarray) -> slice | None:
 
 
 def _kick(p: np.ndarray, q: np.ndarray, tau: float, V: PotentialSpec,
-          eps: float, pinned: bool, N: int, scratch: np.ndarray):
-    _axpy(p, tau * eps, coupling_force(q, pinned, N, out=scratch))
+          eps: float, scratch: np.ndarray):
+    _axpy(p, tau * eps, coupling_force(q, out=scratch))
     w = _live_window(q, V.q_cut, scratch)
     if w is not None:
         _axpy(p[w], -tau, V.derivative(q[w]))
 
 
-def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float,
-                dt: float, scheme: str, pinned: bool, N: int):
+def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: float):
     """One splitting step in place on raw arrays (C-contiguous float64, else ValueError)."""
-    rots, kicks = _SCHEMES[scheme]
     scratch = np.empty(p.shape)
-    for i, ck in enumerate(kicks):
-        _rotate(p, q, rots[i] * dt)
-        _kick(p, q, ck * dt, V, eps, pinned, N, scratch)
-    _rotate(p, q, rots[-1] * dt)
+    for i, ck in enumerate(_KICKS):
+        _rotate(p, q, _ROTATIONS[i] * dt)
+        _kick(p, q, ck * dt, V, eps, scratch)
+    _rotate(p, q, _ROTATIONS[-1] * dt)
 
 
-def step(state: LatticeState, V: PotentialSpec, eps: float, dt: float,
-         scheme: str = "strang2") -> LatticeState:
-    """One splitting step of the lattice flow (site 0 pinned if absent)."""
+def step(state: LatticeState, V: PotentialSpec, eps: float, dt: float) -> LatticeState:
+    """One splitting step of the lattice flow."""
     out = state.copy()
-    step_arrays(out.p, out.q, V, eps, dt, scheme, not state.include_site0, state.N)
+    step_arrays(out.p, out.q, V, eps, dt)
     return out
 
 
 def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
-         dt: float = 0.05, scheme: str = "yoshida4") -> LatticeState:
+         dt: float = 0.05) -> LatticeState:
     """Evolve for time t with a whole number of steps of size <= dt."""
     if t == 0:
         return state.copy()
     n = max(1, int(np.ceil(abs(t) / dt)))
     h = t / n
     out = state.copy()
-    pinned = not state.include_site0
     for _ in range(n):
-        step_arrays(out.p, out.q, V, eps, h, scheme, pinned, state.N)
+        step_arrays(out.p, out.q, V, eps, h)
     return out
 
 
@@ -162,7 +154,6 @@ def evolve(state: LatticeState, V: PotentialSpec, eps: float,
     observers = observers or {}
     n_steps = int(round(config.t_final / config.dt))
     cur = state.copy()
-    pinned = not state.include_site0
     times = []
     obs = {name: [] for name in observers}
 
@@ -175,7 +166,7 @@ def evolve(state: LatticeState, V: PotentialSpec, eps: float,
 
     sample(0.0)
     for i in range(1, n_steps + 1):
-        step_arrays(cur.p, cur.q, V, eps, config.dt, config.scheme, pinned, state.N)
+        step_arrays(cur.p, cur.q, V, eps, config.dt)
         if i % sample_stride == 0 or i == n_steps:
             sample(i * config.dt)
     return TrajectoryRecord(np.asarray(times), {k: np.asarray(v) for k, v in obs.items()})

@@ -1,9 +1,10 @@
 """Lattice state, the chain Hamiltonian and its vector field, weighted norms.
 
-Sites are indexed k = -N..N.  The coupling uses Dirichlet closure: the ghost
-sites +-(N+1) are held at zero, which preserves the half-chain decoupling of
-the pinned linear system.  States may exclude the central site (k = 0), in
-which case the arrays hold the sites -N..-1, 1..N in ascending order.
+Every state holds the sites k = -N..N in ascending order, in one layout.  The
+coupling uses Dirichlet closure: the ghost sites +-(N+1) are held at zero,
+which preserves the half-chain decoupling of the pinned linear system.  The
+paper's transverse variable xi lives on the sites k != 0; here it is a state
+whose central site is zero (``LatticeState.transverse``).
 """
 
 from __future__ import annotations
@@ -20,52 +21,36 @@ class LatticeState:
     N: int
     p: np.ndarray
     q: np.ndarray
-    include_site0: bool = True
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        n_expected = 2 * self.N + 1 if self.include_site0 else 2 * self.N
+        n_expected = 2 * self.N + 1
         if self.p.shape != (n_expected,) or self.q.shape != (n_expected,):
             raise ValueError(
                 f"expected arrays of length {n_expected}, got p {self.p.shape}, q {self.q.shape}"
             )
 
     @classmethod
-    def zeros(cls, N: int, include_site0: bool = True):
-        n = 2 * N + 1 if include_site0 else 2 * N
-        return cls(N, np.zeros(n), np.zeros(n), include_site0)
+    def zeros(cls, N: int):
+        return cls(N, np.zeros(2 * N + 1), np.zeros(2 * N + 1))
 
     def sites(self) -> np.ndarray:
-        ks = np.arange(-self.N, self.N + 1)
-        return ks if self.include_site0 else ks[ks != 0]
+        return np.arange(-self.N, self.N + 1)
 
     def index(self, k: int) -> int:
-        if abs(k) > self.N or (k == 0 and not self.include_site0):
+        if abs(k) > self.N:
             raise IndexError(f"site {k} not present")
-        if self.include_site0:
-            return k + self.N
-        return k + self.N if k < 0 else k + self.N - 1
+        return k + self.N
 
     def copy(self):
-        return LatticeState(self.N, self.p.copy(), self.q.copy(), self.include_site0)
+        return LatticeState(self.N, self.p.copy(), self.q.copy())
 
-    def drop_site0(self):
-        """Transverse part: the state with the central site removed."""
-        if not self.include_site0:
-            return self.copy()
-        keep = np.ones(2 * self.N + 1, dtype=bool)
-        keep[self.N] = False
-        return LatticeState(self.N, self.p[keep], self.q[keep], include_site0=False)
-
-    def with_site0(self, p0: float = 0.0, q0: float = 0.0):
-        if self.include_site0:
-            out = self.copy()
-            out.p[self.N], out.q[self.N] = p0, q0
-            return out
-        p = np.insert(self.p, self.N, p0)
-        q = np.insert(self.q, self.N, q0)
-        return LatticeState(self.N, p, q, include_site0=True)
+    def transverse(self):
+        """xi, the transverse part: a copy with the central site set to zero."""
+        out = self.copy()
+        out.p[self.N] = out.q[self.N] = 0.0
+        return out
 
     def __add__(self, other):
         self._compat(other)
@@ -79,7 +64,7 @@ class LatticeState:
         return replace(self.copy(), p=a * self.p, q=a * self.q)
 
     def _compat(self, other):
-        if self.N != other.N or self.include_site0 != other.include_site0:
+        if self.N != other.N:
             raise ValueError("incompatible lattice states")
 
 
@@ -123,45 +108,33 @@ def is_admissible(pair: AdmissiblePair) -> bool:
 
 def hamiltonian(state: LatticeState, V: PotentialSpec, eps: float) -> float:
     """Full chain energy: on-site oscillators + V + (eps/2) sum (q_{k+1}-q_k)^2."""
-    if not state.include_site0:
-        raise ValueError("hamiltonian needs the full state including site 0")
     onsite = 0.5 * np.sum(state.p ** 2 + state.q ** 2) + np.sum(V(state.q))
     qp = np.concatenate(([0.0], state.q, [0.0]))  # Dirichlet ghosts
     coupling = 0.5 * eps * np.sum(np.diff(qp) ** 2)
     return float(onsite + coupling)
 
 
-def coupling_force(q: np.ndarray, pinned_center: bool, N: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Discrete Laplacian with Dirichlet ghosts; optionally with site 0 pinned.
+def coupling_force(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Discrete Laplacian with Dirichlet ghosts.
 
-    Without site 0 the arrays hold -N..-1, 1..N, so pinning q_0 = 0 amounts to
-    cutting the bond between the array neighbours N - 1 and N.  Sites run
-    along axis 0, so ``q`` may carry trailing columns (tangent vectors); the
-    result goes to ``out`` when given.
+    Sites run along axis 0, so ``q`` may carry trailing columns (tangent
+    vectors); the result goes to ``out`` when given.
     """
     lap = np.multiply(q, -2.0, out=out)
-    if pinned_center:
-        lap[:N - 1] += q[1:N]
-        lap[1:N] += q[:N - 1]
-        lap[N:-1] += q[N + 1:]
-        lap[N + 1:] += q[N:-1]
-    else:
-        lap[:-1] += q[1:]
-        lap[1:] += q[:-1]
+    lap[:-1] += q[1:]
+    lap[1:] += q[:-1]
     return lap
 
 
-def vector_field(y: np.ndarray, V: PotentialSpec, eps: float, N: int) -> np.ndarray:
+def vector_field(y: np.ndarray, V: PotentialSpec, eps: float) -> np.ndarray:
     """Hamiltonian vector field on the packed vector y = (p, q).
 
-    dp_k = eps (Delta q)_k - q_k - V'(q_k) and dq_k = p_k.  When each half of
-    y holds the 2N sites without the central one, site 0 is pinned to zero.
+    dp_k = eps (Delta q)_k - q_k - V'(q_k) and dq_k = p_k.
     """
     n = y.size // 2
     p, q = y[:n], y[n:]
     out = np.empty_like(y)
-    dp = coupling_force(q, n == 2 * N, N, out=out[:n])
+    dp = coupling_force(q, out=out[:n])
     dp *= eps
     dp -= q
     dp -= V.derivative(q)
@@ -263,16 +236,12 @@ def distance(zeta: tuple[float, float, LatticeState],
 
 def skew_symmetrize(state: LatticeState) -> LatticeState:
     """Antisymmetric part x_k -> (x_k - x_{-k})/2 (site 0 goes to zero)."""
-    if not state.include_site0:
-        raise ValueError("skew operations need the full state including site 0")
     p = 0.5 * (state.p - state.p[::-1])
     q = 0.5 * (state.q - state.q[::-1])
-    return LatticeState(state.N, p, q, include_site0=True)
+    return LatticeState(state.N, p, q)
 
 
 def check_skew(state: LatticeState, tol: float = 0.0) -> bool:
     """True iff p_k = -p_{-k} and q_k = -q_{-k} within tol (exactly by default)."""
-    if not state.include_site0:
-        raise ValueError("skew operations need the full state including site 0")
     return bool(np.all(np.abs(state.p + state.p[::-1]) <= tol)
                 and np.all(np.abs(state.q + state.q[::-1]) <= tol))

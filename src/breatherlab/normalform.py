@@ -1130,7 +1130,7 @@ def invariant_manifold_check(result: NormalFormResult, n_alpha: int = 64) -> flo
 def nf_point_to_state(ctx: NormalFormContext, chart: ActionAngleChart,
                       I: float, alpha: float, z: np.ndarray) -> LatticeState:
     """(I, alpha, z) with w = conj(z) mapped to a real lattice state."""
-    state = LatticeState.zeros(ctx.N, include_site0=True)
+    state = LatticeState.zeros(ctx.N)
     p0, q0 = to_cartesian(chart, I, alpha % (2.0 * np.pi))
     state.p[state.index(0)] = p0
     state.q[state.index(0)] = q0

@@ -5,6 +5,9 @@ extension of size 2N+2; skew-symmetric data make that extension odd, which is
 identical to the Dirichlet-closed finite chain, so the propagator agrees with
 direct time integration to machine precision until nothing at all (there is
 no boundary mismatch, only wrap-around once a front crosses the ghost sites).
+Every state is the one lattice layout, sites -N..N.  The transverse variable
+xi of the pinned linear system is a state whose central site is zero;
+``propagate_pinned`` and ``modified_energy`` reject any other datum.
 
 Also here: the dispersion relation nu(theta) = sqrt(1 + 4 eps sin^2(theta/2)),
 stationary-phase interval splitting and slope measurement, the lattice
@@ -58,15 +61,12 @@ def state_to_ring(state: LatticeState) -> tuple[np.ndarray, np.ndarray]:
     return pr, qr
 
 
-def ring_to_state(pr: np.ndarray, qr: np.ndarray, include_site0: bool = True) -> LatticeState:
+def ring_to_state(pr: np.ndarray, qr: np.ndarray) -> LatticeState:
     P = pr.size
     N = P // 2 - 1
-    state = LatticeState.zeros(N, True)
-    ks = state.sites()
+    ks = np.arange(-N, N + 1)
     idx = np.where(ks >= 0, ks, ks + P)
-    state.p = pr[idx].copy()
-    state.q = qr[idx].copy()
-    return state if include_site0 else state.drop_site0()
+    return LatticeState(N, pr[idx], qr[idx])
 
 
 def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeState:
@@ -75,8 +75,6 @@ def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeS
     q_hat(t) = q_hat0 cos(nu t) + p_hat0 sin(nu t)/nu and
     p_hat(t) = p_hat0 cos(nu t) - q_hat0 nu sin(nu t).
     """
-    if not state.include_site0:
-        raise ValueError("whole-chain propagation needs the full state")
     if not check_skew(state, tol=1e-12 * max(1.0, norm(state, 2))):
         raise ValueError("datum is not skew-symmetric")
     pr, qr = state_to_ring(state)
@@ -90,18 +88,12 @@ def _rotate(ph, qh, nu, c, s):
     return ph * c - qh * (nu * s), qh * c + ph * (s / nu)
 
 
-def _odd_extension_halfside(xi: LatticeState, side: int) -> LatticeState:
-    """Skew whole-chain state carrying the chosen half of a site-0-free state."""
-    full = LatticeState.zeros(xi.N, True)
-    ks = xi.sites()
-    sel = ks * side > 0
-    for k in ks[sel]:
-        i = xi.index(int(k))
-        full.p[full.index(int(k))] = xi.p[i]
-        full.q[full.index(int(k))] = xi.q[i]
-        full.p[full.index(int(-k))] = -xi.p[i]
-        full.q[full.index(int(-k))] = -xi.q[i]
-    return full
+def _check_site0_zero(xi: LatticeState):
+    """ValueError unless xi holds site 0 at zero, as the pinned system does."""
+    p0, q0 = xi.p[xi.N], xi.q[xi.N]
+    if p0 != 0.0 or q0 != 0.0:
+        raise ValueError(f"the pinned system holds site 0 at zero; got p_0 = {p0:g}, "
+                         f"q_0 = {q0:g}")
 
 
 def propagate_pinned(xi: LatticeState, t: float, eps: float) -> LatticeState:
@@ -111,17 +103,13 @@ def propagate_pinned(xi: LatticeState, t: float, eps: float) -> LatticeState:
     propagated by the closed-form flow, and restricted back; the halves are
     decoupled, so this realizes the pinned evolution exactly.
     """
-    if xi.include_site0:
-        raise ValueError("pinned propagation expects a state without site 0")
-    out = LatticeState.zeros(xi.N, False)
-    for side in (-1, +1):
-        moved = propagate_whole_chain(_odd_extension_halfside(xi, side), t, eps)
-        ks = xi.sites()
-        for k in ks[ks * side > 0]:
-            j = xi.index(int(k))
-            i = moved.index(int(k))
-            out.p[j] += moved.p[i]
-            out.q[j] += moved.q[i]
+    _check_site0_zero(xi)
+    out = LatticeState.zeros(xi.N)
+    ks = xi.sites()
+    for half in (ks < 0, ks > 0):
+        p, q = np.where(half, xi.p, 0.0), np.where(half, xi.q, 0.0)
+        moved = propagate_whole_chain(LatticeState(xi.N, p - p[::-1], q - q[::-1]), t, eps)
+        out.p[half], out.q[half] = moved.p[half], moved.q[half]
     return out
 
 
@@ -129,20 +117,12 @@ def modified_energy(xi: LatticeState, eps: float) -> float:
     """<p;p> + <q;Bq> with B = 1 - eps*Delta and the central site held at zero.
 
     An exact invariant of the pinned flow; used by the conservation tests.
+    With q_0 = 0 the row of B at site 0 drops out of <q;Bq>.
     """
-    if xi.include_site0:
-        full = xi
-    else:
-        full = xi.with_site0()
-    qp = np.concatenate(([0.0], full.q, [0.0]))
+    _check_site0_zero(xi)
+    qp = np.concatenate(([0.0], xi.q, [0.0]))
     lap = qp[2:] + qp[:-2] - 2.0 * qp[1:-1]
-    q = full.q.copy()
-    p = full.p.copy()
-    if not xi.include_site0:
-        q[full.N] = 0.0
-        p[full.N] = 0.0
-        lap[full.N] = 0.0  # row of the pinned operator
-    return float(np.dot(p, p) + np.dot(q, q - eps * lap))
+    return float(np.dot(xi.p, xi.p) + np.dot(xi.q, xi.q - eps * lap))
 
 
 # ---------------------------------------------------------------------------

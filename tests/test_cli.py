@@ -70,6 +70,20 @@ def test_stability_rejects_a_zero_stride_before_any_build(tmp_path, capsys, monk
     assert err == ["error: sample_stride must be at least 1, got 0"]
 
 
+def test_stability_rejects_an_unstable_dt_before_the_chart_build(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_chart(*args, **kwargs):
+        raise AssertionError("chart built before the config check")
+
+    monkeypatch.setattr(cli, "build_chart", no_chart)
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text("dt = 0.6\n")
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "stability", "-c", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == ["error: dt=0.6 violates the stability guard for eps=0.05"]
+
+
 @pytest.mark.parametrize("command, text, message", [
     (["propagate"], None, "No such file"),
     (["propagate"], "N 64\n", "bad config line"),
@@ -100,7 +114,7 @@ def test_breather_csv_reads_back_the_section_bit_for_bit(tmp_path, monkeypatch):
     assert cli.main(["--out-dir", str(out), "breather", "find", "-c", str(cfg)]) == 0
     state = read_state(out / "breather.csv")
     x0 = found[0].x0
-    assert state.N == 12 and state.include_site0
+    assert state.N == 12
     assert np.array_equal(state.p, x0.p) and np.array_equal(state.q, x0.q)
 
 

@@ -124,11 +124,14 @@ def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V
     (dict(T=0.01), "T = 0.01 is shorter than one step dt = 0.02"),
     (dict(N=32, N_family=64), "need family_window <= N_family <= N, got 32, 64, 32"),
     (dict(family_window=32, N_family=16), "need family_window <= N_family <= N, got 32, 16"),
+    (dict(family_members=2), "family_members must be at least 3, got 2"),
+    (dict(family_members=1), "family_members must be at least 3, got 1"),
 ], ids=["stride-zero", "stride-negative", "T-zero", "T-below-dt", "N-below-N_family",
-        "window-beyond-N_family"])
+        "window-beyond-N_family", "members-two", "members-one"])
 def test_config_rejects_a_run_that_would_crash_late(V8, fields, message):
     # each of these used to pass the constructor and fail after the family build:
-    # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error
+    # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error,
+    # and FamilyWindowError, as fewer than 3 members put every argmin at an end
     with pytest.raises(ValueError, match=message.replace("(", r"\(")):
         ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, **fields)
     ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, N=64, T=0.02,

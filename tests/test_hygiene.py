@@ -1,7 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports and holds
-no assert statement, every top-level function and class of the package is used
-somewhere, and every function the benchmark's tracer wraps is still where the tracer
-looks it up."""
+no assert statement, every top-level function and class of the package and every
+method of its classes is used somewhere, and every function the benchmark's tracer
+wraps is still where the tracer looks it up."""
 
 import ast
 import types
@@ -52,31 +52,44 @@ def names_read(source: str, strings: bool = False) -> set[str]:
     return out
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function and class, and of each
+    method of a top-level class other than a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def unused_definitions(package: dict[str, str], readers: list[str],
                        string_readers: list[str]) -> list[str]:
-    """Top-level functions and classes of the package (module name -> source) whose
-    name no package module or reader of either kind reads, and no string constant of
-    a string reader spells."""
+    """Definitions of the package (module name -> source) whose name no package module
+    or reader of either kind reads, and no string constant of a string reader spells."""
     used = set().union(*(names_read(src) for src in [*package.values(), *readers]),
                        *(names_read(src, strings=True) for src in string_readers))
-    return [f"{module}.{node.name}" for module, src in package.items()
-            for node in ast.parse(src).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in used]
+    return [f"{module}.{qualified}" for module, src in package.items()
+            for qualified, name in definitions(ast.parse(src)) if name not in used]
 
 
 def test_checker_flags_an_unused_definition():
     package = {"a": "def helper():\n    pass\n\ndef dead():\n    helper()\n\nclass Gone:\n"
-                    "    pass\n\nclass Kept:\n    pass\n",
+                    "    pass\n\nclass Kept:\n    def __init__(self):\n        self.run()\n\n"
+                    "    def run(self):\n        pass\n\n    def stale(self):\n        pass\n",
                "b": "def by_test():\n    pass\n\ndef by_name():\n    pass\n"}
     readers = ["from a import Kept\nKept()\n", "import b\nb.by_test()\n"]
     assert unused_definitions(package, readers, ["TARGETS = ['by_name']\n"]) == [
-        "a.dead", "a.Gone"]
-    assert unused_definitions(package, readers, []) == ["a.dead", "a.Gone", "b.by_name"]
+        "a.dead", "a.Gone", "a.Kept.stale"]
+    assert unused_definitions(package, readers, []) == [
+        "a.dead", "a.Gone", "a.Kept.stale", "b.by_name"]
 
 
 def test_package_defines_nothing_unused():
-    # a top-level function or class that nothing outside its definition names is dead
+    # a function, class or method that nothing outside its definition names is dead
     package = {p.stem: p.read_text() for p in MODULES}
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]

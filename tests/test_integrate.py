@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from breatherlab.integrate import (_SCHEMES, BlowupError, IntegratorConfig, evolve, flow,
-                                   step, step_arrays)
+from breatherlab.integrate import (_KICKS, _ROTATIONS, BlowupError, IntegratorConfig, evolve,
+                                   flow, step, step_arrays)
 from breatherlab.lattice import LatticeState, coupling_force, hamiltonian, norm, vector_field
 from breatherlab.potential import PotentialSpec
 
@@ -14,16 +14,16 @@ def random_state(rng, N=16, scale=0.3):
 
 
 def reference_flow(state, V, eps, t, rtol=1e-13):
-    sol = solve_ivp(lambda _, y: vector_field(y, V, eps, state.N), (0, t),
+    sol = solve_ivp(lambda _, y: vector_field(y, V, eps), (0, t),
                     np.concatenate([state.p, state.q]), method="DOP853", rtol=rtol,
                     atol=1e-14)
-    return LatticeState(state.N, *np.split(sol.y[:, -1], 2), state.include_site0)
+    return LatticeState(state.N, *np.split(sol.y[:, -1], 2))
 
 
 def test_exact_rotation_when_uncoupled(rng, V0):
     s = random_state(rng, N=4)
     dt = 0.3
-    out = step(s, V0, 0.0, dt, "strang2")
+    out = step(s, V0, 0.0, dt)
     c, si = np.cos(dt), np.sin(dt)
     assert np.allclose(out.p, c * s.p - si * s.q, atol=1e-15)
     assert np.allclose(out.q, si * s.p + c * s.q, atol=1e-15)
@@ -31,17 +31,16 @@ def test_exact_rotation_when_uncoupled(rng, V0):
 
 def test_reversibility(rng, V8):
     s = random_state(rng, N=8, scale=0.4)
-    for scheme in ("strang2", "yoshida4"):
-        out = step(step(s, V8, 0.1, 0.05, scheme), V8, 0.1, -0.05, scheme)
-        assert np.allclose(out.p, s.p, atol=1e-14)
-        assert np.allclose(out.q, s.q, atol=1e-14)
+    out = step(step(s, V8, 0.1, 0.05), V8, 0.1, -0.05)
+    assert np.allclose(out.p, s.p, atol=1e-14)
+    assert np.allclose(out.q, s.q, atol=1e-14)
 
 
 def test_matches_reference_integration(rng, V8):
     s = random_state(rng, N=64, scale=0.3)
     eps, t = 0.1, 10.0
     ref = reference_flow(s, V8, eps, t)
-    out = flow(s, V8, eps, t, dt=0.0025, scheme="yoshida4")
+    out = flow(s, V8, eps, t, dt=0.0025)
     assert norm(out - ref, 2) < 1e-8
 
 
@@ -49,12 +48,10 @@ def test_convergence_orders(rng, V8):
     s = random_state(rng, N=8, scale=0.3)
     eps, t = 0.1, 5.0
     ref = reference_flow(s, V8, eps, t)
-    for scheme, order in (("strang2", 2.0), ("yoshida4", 4.0)):
-        dts = np.array([0.1, 0.05, 0.025, 0.0125])
-        errs = np.array([norm(flow(s, V8, eps, t, dt=dt, scheme=scheme) - ref, 2)
-                         for dt in dts])
-        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-        assert slope == pytest.approx(order, rel=0.10)
+    dts = np.array([0.1, 0.05, 0.025, 0.0125])
+    errs = np.array([norm(flow(s, V8, eps, t, dt=dt) - ref, 2) for dt in dts])
+    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+    assert slope == pytest.approx(4.0, rel=0.10)
 
 
 def test_symplecticity_full_jacobian_small_lattice(rng, V8):
@@ -71,7 +68,7 @@ def test_symplecticity_full_jacobian_small_lattice(rng, V8):
         outs = []
         for y in (yp, ym):
             st = LatticeState(1, y[:3], y[3:])
-            out = step(st, V8, eps, dt, "yoshida4")
+            out = step(st, V8, eps, dt)
             outs.append(np.concatenate([out.p, out.q]))
         J[:, j] = (outs[0] - outs[1]) / (2 * h)
     assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-6)
@@ -86,7 +83,7 @@ def test_energy_conservation_long_run(V8):
     s.q[s.index(1)] = 0.07
     s.q[s.index(-1)] = 0.07
     eps = 0.05
-    config = IntegratorConfig(t_final=2000.0, dt=0.05, scheme="yoshida4")
+    config = IntegratorConfig(t_final=2000.0, dt=0.05)
     rec = evolve(s, V8, eps, config, {"H": lambda st: hamiltonian(st, V8, eps)},
                  sample_stride=400)
     H = rec.observables["H"]
@@ -110,7 +107,7 @@ def test_evolve_matches_linear_propagator_small_amplitude(V8):
         s.q[s.index(-k)] = -v
     eps, t = 0.1, 20.0
     lin = propagate_whole_chain(s, t, eps)
-    non = flow(s, V8, eps, t, dt=0.005, scheme="yoshida4")
+    non = flow(s, V8, eps, t, dt=0.005)
     assert norm(non - lin, 2) < 10 * a ** 7 + 1e-12
 
 
@@ -124,27 +121,21 @@ def test_blowup_detection(V0):
     V = PotentialSpec(((4, -1.0),), min_degree=4)
     s = LatticeState.zeros(2)
     s.q[s.index(0)] = 3.0
-    with pytest.raises(BlowupError):
+    # the overflow on the way to infinity is the point of the test
+    with pytest.raises(BlowupError), np.errstate(over="ignore", invalid="ignore"):
         evolve(s, V, 0.0, IntegratorConfig(t_final=50.0, dt=0.05), {}, sample_stride=1)
 
 
-def _oracle_coupling_force(q, pinned_center, N):
-    """The Laplacian built by inserting the pinned site and padding the ghosts."""
-    full = np.insert(q, N, 0.0) if pinned_center else q
-    padded = np.concatenate(([0.0], full, [0.0]))
-    lap = padded[2:] + padded[:-2] - 2.0 * padded[1:-1]
-    if pinned_center:
-        keep = np.ones(full.size, dtype=bool)
-        keep[N] = False
-        return lap[keep]
-    return lap
+def _oracle_coupling_force(q):
+    """The Laplacian built by padding the ghosts."""
+    padded = np.concatenate(([0.0], q, [0.0]))
+    return padded[2:] + padded[:-2] - 2.0 * padded[1:-1]
 
 
-def _oracle_step_arrays(p, q, V, eps, dt, scheme, pinned, N):
+def _oracle_step_arrays(p, q, V, eps, dt):
     """The splitting step with fresh arrays per substep and a dense polyval force."""
     dV = np.polynomial.polynomial.polyder(
         np.bincount([m for m, _ in V.coefficients], [a for _, a in V.coefficients]))
-    rots, kicks = _SCHEMES[scheme]
 
     def rotate(tau):
         c, s = np.cos(tau), np.sin(tau)
@@ -152,47 +143,42 @@ def _oracle_step_arrays(p, q, V, eps, dt, scheme, pinned, N):
         q[:] = s * p + c * q
         p[:] = p_new
 
-    for i, ck in enumerate(kicks):
-        rotate(rots[i] * dt)
+    for i, ck in enumerate(_KICKS):
+        rotate(_ROTATIONS[i] * dt)
         tau = ck * dt
-        p += tau * (eps * _oracle_coupling_force(q, pinned, N)
-                    - np.polynomial.polynomial.polyval(q, dV))
-    rotate(rots[-1] * dt)
+        p += tau * (eps * _oracle_coupling_force(q) - np.polynomial.polynomial.polyval(q, dV))
+    rotate(_ROTATIONS[-1] * dt)
 
 
-def _localized(rng, N, pinned):
+def _localized(rng, N):
     """Random sites under the envelope 0.3 exp(-|k|/2), down to 8e-57 at |k| = 256.
 
     Sites beyond |k| of about 200 lie below q_cut (8e-45 for q^8), so the
     kernel's live window ends inside the chain.
     """
     ks = np.arange(-N, N + 1)
-    if pinned:
-        ks = ks[ks != 0]
     env = 0.3 * np.exp(-np.abs(ks) / 2.0)
     return env * rng.standard_normal(ks.size), env * rng.standard_normal(ks.size)
 
 
-@pytest.mark.parametrize("pinned", [False, True], ids=["full", "pinned"])
-def test_step_arrays_matches_oracle(rng, pinned):
+def test_step_arrays_matches_oracle(rng):
     V = PotentialSpec(((8, 1.0), (10, -0.3)))
     N = 8
-    n = 2 * N if pinned else 2 * N + 1
-    p, q = 0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(n)
+    p, q = 0.3 * rng.standard_normal(2 * N + 1), 0.3 * rng.standard_normal(2 * N + 1)
     p_ref, q_ref = p.copy(), q.copy()
     for _ in range(100):
-        step_arrays(p, q, V, 0.1, 0.05, "yoshida4", pinned, N)
-        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", pinned, N)
+        step_arrays(p, q, V, 0.1, 0.05)
+        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
     assert np.max(np.abs(p - p_ref)) < 1e-14
     assert np.max(np.abs(q - q_ref)) < 1e-14
     # localized states with sites on both sides of q_cut
     N = 256
     for V in (PotentialSpec.monomial(8), PotentialSpec(((8, 1.0), (10, -0.3)))):
-        p, q = _localized(rng, N, pinned)
+        p, q = _localized(rng, N)
         p_ref, q_ref = p.copy(), q.copy()
         for _ in range(100):
-            step_arrays(p, q, V, 0.1, 0.05, "yoshida4", pinned, N)
-            _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", pinned, N)
+            step_arrays(p, q, V, 0.1, 0.05)
+            _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
         live = np.abs(q) >= V.q_cut
         assert live.any() and not live.all()
         bound = 1e-14 * np.max(np.abs(q_ref))
@@ -211,11 +197,11 @@ def test_state_below_q_cut_steps_like_the_harmonic_chain(rng, monkeypatch):
         raise AssertionError("V' evaluated below q_cut")
 
     for _ in range(100):
-        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05, "yoshida4", False, N)
+        _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
     monkeypatch.setattr(PotentialSpec, "derivative", no_force)
     for _ in range(100):
-        step_arrays(p, q, V, 0.1, 0.05, "yoshida4", False, N)
-        step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05, "yoshida4", False, N)
+        step_arrays(p, q, V, 0.1, 0.05)
+        step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05)
     assert np.max(np.abs(q)) < V.q_cut
     assert np.array_equal(p, p_lin) and np.array_equal(q, q_lin)
     bound = 1e-14 * np.max(np.abs(q_ref))
@@ -228,17 +214,11 @@ def test_step_arrays_refuses_a_strided_view(rng, V8):
     p, q = rng.standard_normal(34), rng.standard_normal(34)
     p0, q0 = p.copy(), q.copy()
     with pytest.raises(ValueError, match="C-contiguous"):
-        step_arrays(p[::2], q[::2], V8, 0.1, 0.05, "yoshida4", False, 8)
+        step_arrays(p[::2], q[::2], V8, 0.1, 0.05)
     assert np.array_equal(p, p0) and np.array_equal(q, q0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8])
 def test_coupling_force_matches_oracle(rng, N):
-    for pinned in (False, True):
-        q = rng.standard_normal(2 * N if pinned else 2 * N + 1)
-        assert np.allclose(coupling_force(q, pinned, N),
-                           _oracle_coupling_force(q, pinned, N), rtol=0.0, atol=1e-15)
-    # the pinned site exerts no force at all: the two half-chains decouple
-    q = np.zeros(2 * N)
-    q[:N] = rng.standard_normal(N)
-    assert np.all(coupling_force(q, True, N)[N:] == 0.0)
+    q = rng.standard_normal(2 * N + 1)
+    assert np.allclose(coupling_force(q), _oracle_coupling_force(q), rtol=0.0, atol=1e-15)

@@ -8,10 +8,9 @@ from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState
                                  skew_symmetrize, vector_field)
 
 
-def random_state(rng, N=32, scale=0.3, include_site0=True):
-    n = 2 * N + 1 if include_site0 else 2 * N
-    return LatticeState(N, scale * rng.standard_normal(n),
-                        scale * rng.standard_normal(n), include_site0)
+def random_state(rng, N=32, scale=0.3):
+    n = 2 * N + 1
+    return LatticeState(N, scale * rng.standard_normal(n), scale * rng.standard_normal(n))
 
 
 def test_hamiltonian_zero_state(V0):
@@ -45,10 +44,10 @@ def packed(state):
 
 
 def test_vector_field_zero_and_harmonic(rng, V0):
-    f = vector_field(np.zeros(18), V0, 0.2, 4)
+    f = vector_field(np.zeros(18), V0, 0.2)
     assert np.all(f == 0)
     s = random_state(rng, N=4)
-    f = vector_field(packed(s), V0, 0.0, 4)
+    f = vector_field(packed(s), V0, 0.0)
     assert np.allclose(f[:9], -s.q) and np.allclose(f[9:], s.p)
 
 
@@ -57,7 +56,7 @@ def test_vector_field_is_symplectic_gradient(rng, V8):
     h = 1e-6
     for _ in range(5):
         s = random_state(rng, N=8, scale=0.2)
-        f = vector_field(packed(s), V8, eps, s.N)
+        f = vector_field(packed(s), V8, eps)
         n = 2 * s.N + 1
         i = rng.integers(0, n)
         sp, sm = s.copy(), s.copy()
@@ -70,18 +69,6 @@ def test_vector_field_is_symplectic_gradient(rng, V8):
         sm.p[i] -= h
         dHdp = (hamiltonian(sp, V8, eps) - hamiltonian(sm, V8, eps)) / (2 * h)
         assert f[n + i] == pytest.approx(dHdp, rel=1e-5, abs=1e-8)
-
-
-def test_vector_field_pins_site0_when_absent(rng, V8):
-    # without site 0 the field is the full one with q_0 = p_0 = 0, site 0 left out
-    s = random_state(rng, N=6, include_site0=False)
-    full = s.with_site0()
-    f = vector_field(packed(s), V8, 0.3, s.N)
-    f_full = vector_field(packed(full), V8, 0.3, s.N)
-    keep = np.ones(2 * s.N + 1, dtype=bool)
-    keep[s.N] = False
-    assert np.allclose(f, np.concatenate([f_full[:13][keep], f_full[13:][keep]]),
-                       rtol=0.0, atol=1e-15)
 
 
 def test_norm_unit_impulse_polynomial():
@@ -156,7 +143,7 @@ def test_embedding_chain(rng):
 
 
 def test_distance(rng):
-    s = random_state(rng, N=6, include_site0=False)
+    s = random_state(rng, N=6).transverse()
     z = (0.4, 1.0, s)
     assert distance(z, z) == 0.0
     z2 = (0.6, 1.0, s)
@@ -164,7 +151,7 @@ def test_distance(rng):
     # angle distance is modulo 2 pi
     z3 = (0.4, 1.0 + 2 * np.pi - 0.05, s)
     assert distance(z, z3) == pytest.approx(0.05)
-    s2 = random_state(rng, N=6, include_site0=False)
+    s2 = random_state(rng, N=6).transverse()
     d = distance((0.4, 1.0, s), (0.45, 1.2, s2))
     assert d == pytest.approx(max(0.05, 0.2, norm(s - s2, 2)), rel=1e-12)
 
@@ -207,18 +194,19 @@ def test_skew_symmetrize(rng):
 def test_csv_round_trip(tmp_path, rng):
     path = tmp_path / "state.csv"
 
-    def write(state, comment=None):
-        write_table(path, ["k", "p_k", "q_k"], zip(state.sites(), state.p, state.q),
-                    comment)
+    def write(ks, state, comment=None):
+        sel = np.isin(state.sites(), ks)
+        write_table(path, ["k", "p_k", "q_k"], zip(ks, state.p[sel], state.q[sel]), comment)
 
     s = random_state(rng, N=5)
-    write(s)
+    write(s.sites(), s)
     s2 = read_state(path)
-    assert s2.N == s.N and s2.include_site0
+    assert s2.N == s.N
     assert np.array_equal(s2.p, s.p) and np.array_equal(s2.q, s.q)
-    t = random_state(rng, N=4, include_site0=False)
-    write(t, comment="transverse part")
+    # a table without a row for site 0 reads back as xi, its central site zero
+    t = random_state(rng, N=4)
+    write(t.sites()[t.sites() != 0], t, comment="transverse part")
     assert path.read_text().startswith("# transverse part\nk,p_k,q_k\n")
-    t2 = read_state(path)
-    assert not t2.include_site0
-    assert np.array_equal(t2.p, t.p) and np.array_equal(t2.q, t.q)
+    t2, xi = read_state(path), t.transverse()
+    assert t2.N == t.N and t2.p[t.N] == t2.q[t.N] == 0.0
+    assert np.array_equal(t2.p, xi.p) and np.array_equal(t2.q, xi.q)

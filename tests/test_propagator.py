@@ -74,36 +74,66 @@ def test_matches_time_integrator(rng, V0):
     s = skew_state(rng, 64, 4)
     eps, t = 0.1, 50.0
     exact = propagate_whole_chain(s, t, eps)
-    stepped = flow(s, V0, eps, t, dt=0.002, scheme="yoshida4")
+    stepped = flow(s, V0, eps, t, dt=0.002)
     assert norm(exact - stepped, 2) < 1e-8
 
 
 def test_pinned_identity_and_decoupling(rng, V0):
-    xi = LatticeState.zeros(16, include_site0=False)
+    xi = LatticeState.zeros(16)
     xi.q[xi.index(-3)] = 1.0
     xi.p[xi.index(-2)] = -0.4
     out0 = propagate_pinned(xi, 0.0, 0.1)
     assert np.allclose(out0.p, xi.p) and np.allclose(out0.q, xi.q)
     out = propagate_pinned(xi, 25.0, 0.1)
     ks = out.sites()
-    right = ks > 0
+    right = ks >= 0
     assert np.max(np.abs(out.q[right])) == 0.0  # left datum stays left
     assert np.max(np.abs(out.p[right])) == 0.0
 
 
-def test_pinned_matches_direct_integration(rng, V0):
-    xi = LatticeState.zeros(48, include_site0=False)
+def _pinned_chain_flow(xi, t, eps):
+    """Exact flow of q'' = -B q on the sites k != 0, B = 1 - eps Delta with q_0 = 0.
+
+    B is the tridiagonal matrix of the chain with its site-0 row and column
+    struck out; with B = U diag(w^2) U^T, q(t) = U (cos(wt) a + sin(wt) b / w)
+    and p(t) = U (cos(wt) b - w sin(wt) a) for a = U^T q(0), b = U^T p(0).
+    """
+    n = 2 * xi.N + 1
+    B = (1.0 + 2.0 * eps) * np.eye(n) - eps * (np.eye(n, k=1) + np.eye(n, k=-1))
+    keep = xi.sites() != 0
+    w2, U = np.linalg.eigh(B[np.ix_(keep, keep)])
+    w = np.sqrt(w2)
+    a, b = U.T @ xi.q[keep], U.T @ xi.p[keep]
+    c, s = np.cos(w * t), np.sin(w * t)
+    out = LatticeState.zeros(xi.N)
+    out.q[keep] = U @ (c * a + s * b / w)
+    out.p[keep] = U @ (c * b - w * s * a)
+    return out
+
+
+def test_pinned_matches_direct_integration(rng):
+    xi = LatticeState.zeros(48)
     for k in (-3, -1, 2, 5):
         xi.q[xi.index(k)] = rng.standard_normal()
         xi.p[xi.index(k)] = rng.standard_normal()
     eps, t = 0.1, 30.0
     exact = propagate_pinned(xi, t, eps)
-    stepped = flow(xi, V0, eps, t, dt=0.002, scheme="yoshida4")  # pinned field
-    assert norm(exact - stepped, 2) < 1e-8
+    assert exact.p[xi.N] == exact.q[xi.N] == 0.0
+    assert norm(exact - _pinned_chain_flow(xi, t, eps), 2) < 1e-12
+
+
+@pytest.mark.parametrize("component", ["p", "q"])
+def test_pinned_system_rejects_a_moving_central_site(component):
+    xi = LatticeState.zeros(8)
+    getattr(xi, component)[xi.N] = 0.5
+    with pytest.raises(ValueError, match="holds site 0 at zero; got p_0"):
+        propagate_pinned(xi, 1.0, 0.1)
+    with pytest.raises(ValueError, match=f"{component}_0 = 0.5"):
+        modified_energy(xi, 0.1)
 
 
 def test_modified_energy_conserved(rng):
-    xi = LatticeState.zeros(32, include_site0=False)
+    xi = LatticeState.zeros(32)
     for k in (-5, -2, 1, 4):
         xi.q[xi.index(k)] = rng.standard_normal()
         xi.p[xi.index(k)] = rng.standard_normal()
