@@ -1,11 +1,12 @@
 """Modulated-stability experiments around a continued breather.
 
 A perturbed breather is evolved with the splitting integrator while the
-modulated action Ibar(t) is tracked by l^2-minimization over a tabulated
-breather family (parameter x orbit phase, coarse grid plus local quadratic
-refinement).  The run records the residual norms, the distance to the moving
-family point in the configured norms, and the space-time accumulations the
-dispersive theory bounds.
+modulated action Ibar(t) is tracked by l^2-minimization over a smooth
+interpolant x(I, phi) of the breather family: Gauss-Newton in (I, phi) from
+the nearest tabulated (member, phase), so that the residual is orthogonal to
+the family's tangent plane.  The run records the residual norms, the distance
+to the moving family point in the configured norms, and the space-time
+accumulations the dispersive theory bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action
 
 
 class FamilyWindowError(RuntimeError):
-    """The modulation minimizer hit the edge of the tabulated family."""
+    """The modulation fit left the tabulated family or did not converge."""
 
 
 def _check_shape(shape: str):
@@ -70,32 +71,36 @@ class ExperimentConfig:
         if not self.family_window <= self.N_family <= self.N:
             raise ValueError("need family_window <= N_family <= N, got "
                              f"{self.family_window}, {self.N_family}, {self.N}")
-        # track_modulation needs a member on each side of its argmin
+        # a run starts on the member nearest I_label; with fewer than 3 members
+        # that is an end member, and any kick that lowers I leaves the family
         if self.family_members < 3:
             raise ValueError(f"family_members must be at least 3, got {self.family_members}")
 
 
 @dataclass
 class BreatherFamily:
-    I_values: np.ndarray
-    phases: np.ndarray
+    """Tabulated family orbits and their smooth interpolant x(I, phi) on the window.
+
+    x stacks (p, q) over window_sites.  In phi it is each member's
+    trigonometric interpolant, cut to the Fourier modes above 1e-13 of the
+    largest; in I it is the polynomial through the members.
+    """
+    I_values: np.ndarray               # ascending, equispaced
     window_sites: np.ndarray           # site indices |k| <= window
-    orbit_p: np.ndarray                # (members, phases, window)
-    orbit_q: np.ndarray
-    point_norm2: np.ndarray            # (members, phases)
+    orbits: np.ndarray                 # (members, phases, 2 window): x at phi = 2 pi j / phases
+    orbit_norm2: np.ndarray            # (members, phases)
+    modes: np.ndarray                  # kept Fourier modes k
+    coeffs: np.ndarray                 # (degree d, modes, 3 x 2 window): x, dx/dI, dx/dphi
+                                       # = Re sum_{d,k} coeffs s^d e^(i k phi)
     sections: list[LatticeState]       # embedded at the experiment lattice size
     omega: np.ndarray
     N_big: int
 
-    def member_point(self, m: int, phase_idx: float) -> tuple[np.ndarray, np.ndarray]:
-        """Orbit point of member m at a fractional phase index (periodic linear)."""
-        P = self.phases.size
-        j0 = int(np.floor(phase_idx)) % P
-        frac = phase_idx - np.floor(phase_idx)
-        j1 = (j0 + 1) % P
-        p = (1 - frac) * self.orbit_p[m, j0] + frac * self.orbit_p[m, j1]
-        q = (1 - frac) * self.orbit_q[m, j0] + frac * self.orbit_q[m, j1]
-        return p, q
+    def point(self, I: float, phi: float) -> np.ndarray:
+        """Rows x(I, phi), dx/dI and dx/dphi; s in [-1, 1] maps the I_values' span."""
+        s = 2.0 * (I - self.I_values[0]) / (self.I_values[-1] - self.I_values[0]) - 1.0
+        wave = np.exp(1j * phi * self.modes)
+        return (s ** np.arange(self.I_values.size) @ (wave @ self.coeffs)).real.reshape(3, -1)
 
 
 def _embed(state: LatticeState, N_big: int) -> LatticeState:
@@ -114,13 +119,14 @@ def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherF
     first neighbour starts from the centre's section moved by the uncoupled
     amplitude change q_max(E(I_m)) - q_max(E(I_centre)) on site 0, each later
     one from the secant 2 x_{m-1} - x_{m-2}.  Arrays are in ascending-I order.
+    The interpolant's coefficients in powers of s solve the Vandermonde
+    system of the members' rfft over the phases.
     """
     c = config
     I_values = np.linspace(c.I_label - c.family_half_width,
                            c.I_label + c.family_half_width, c.family_members)
     window = np.arange(-c.family_window, c.family_window + 1)
-    orbit_p = np.zeros((c.family_members, c.family_phases, window.size))
-    orbit_q = np.zeros_like(orbit_p)
+    orbits = np.zeros((c.family_members, c.family_phases, 2 * window.size))
     sections = [None] * c.family_members
     omegas = np.zeros(c.family_members)
     centre = int(np.argmin(np.abs(I_values - c.I_label)))
@@ -137,8 +143,7 @@ def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherF
         omegas[m] = 2.0 * np.pi / b.period
         sections[m] = _embed(b.x0, c.N)
         idx = [b.x0.index(int(k)) for k in window]
-        orbit_p[m] = [s.p[idx] for _, s in b.orbit]
-        orbit_q[m] = [s.q[idx] for _, s in b.orbit]
+        orbits[m] = [np.concatenate([s.p[idx], s.q[idx]]) for _, s in b.orbit]
         return b.x0
 
     x_centre = solve(centre, uncoupled(centre), 0.0)
@@ -148,10 +153,17 @@ def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherF
             guess = (x + uncoupled(m) - uncoupled(centre) if prev is None
                      else x + (x - prev))
             prev, x = x, solve(m, guess, c.eps)
-    phases = np.linspace(0.0, 2.0 * np.pi, c.family_phases, endpoint=False)
-    norm2 = np.sum(orbit_p ** 2 + orbit_q ** 2, axis=2)
-    return BreatherFamily(I_values, phases, window, orbit_p, orbit_q, norm2,
-                          sections, omegas, c.N)
+    spectrum = np.fft.rfft(orbits, axis=1) / c.family_phases
+    spectrum[:, 1:(c.family_phases + 1) // 2] *= 2.0          # +-k fold onto k
+    size = np.max(np.abs(spectrum), axis=(0, 2))
+    modes = np.flatnonzero(size > 1e-13 * size.max())
+    nodes = np.vander(np.linspace(-1.0, 1.0, c.family_members), increasing=True)
+    poly = np.tensordot(np.linalg.inv(nodes), spectrum[:, modes], 1)   # by powers of s
+    poly_I = np.zeros_like(poly)
+    poly_I[:-1] = np.arange(1, c.family_members)[:, None, None] * poly[1:] / c.family_half_width
+    coeffs = np.concatenate([poly, poly_I, 1j * modes[:, None] * poly], axis=2)
+    return BreatherFamily(I_values, window, orbits, np.sum(orbits ** 2, axis=2), modes,
+                          coeffs, sections, omegas, c.N)
 
 
 def perturb(point: LatticeState, mu: float, shape: str = "localized",
@@ -181,61 +193,43 @@ class TrackResult:
     residual_q: np.ndarray
 
 
-def parabola_vertex(ym: float, y0: float, yp: float) -> tuple[float, float]:
-    """Offset and value of the vertex of the parabola through (-1, ym), (0, y0), (1, yp).
-
-    Returns (0, y0) unless the parabola opens upwards.
-    """
-    denom = ym - 2 * y0 + yp
-    if denom <= 0:
-        return 0.0, y0
-    off = 0.5 * (ym - yp) / denom
-    return off, y0 - 0.25 * (ym - yp) * off
-
-
 def track_modulation(p: np.ndarray, q: np.ndarray, family: BreatherFamily,
                      N_big: int) -> TrackResult:
-    """argmin over (family member, phase) of the l^2 distance, refined quadratically."""
-    c0 = N_big + family.window_sites[0]
-    sl = slice(c0, c0 + family.window_sites.size)
-    pw, qw = p[sl], q[sl]
-    out2 = np.sum(p ** 2) + np.sum(q ** 2) - np.sum(pw ** 2) - np.sum(qw ** 2)
-    cross = np.einsum("mjw,w->mj", family.orbit_p, pw) \
-        + np.einsum("mjw,w->mj", family.orbit_q, qw)
-    win2 = np.sum(pw ** 2) + np.sum(qw ** 2)
-    d2 = win2 - 2.0 * cross + family.point_norm2   # distance^2 within the window
-    m0, j0 = np.unravel_index(np.argmin(d2), d2.shape)
-    if m0 in (0, family.I_values.size - 1):
-        raise FamilyWindowError(
-            f"modulation minimizer at the family edge (I={family.I_values[m0]})")
-    P = family.phases.size
+    """The family point x(I, phi) nearest the state on the window, in l^2.
 
-    def refine_phase(m):
-        j = int(np.argmin(d2[m]))
-        off, val = parabola_vertex(d2[m, (j - 1) % P], d2[m, j], d2[m, (j + 1) % P])
-        return j + off, val
-
-    js, vals = zip(*(refine_phase(m) for m in (m0 - 1, m0, m0 + 1)))
-    moff = float(np.clip(parabola_vertex(*vals)[0], -1.0, 1.0))
-    dI = family.I_values[1] - family.I_values[0]
-    I_bar = family.I_values[m0] + moff * dI
-    # interpolate the family point linearly in the member direction
-    if moff >= 0:
-        ma, mb, frac = m0, m0 + 1, moff
-        ja, jb = js[1], js[2]
+    Gauss-Newton in (I, phi) from the nearest tabulated (member, phase), with
+    Jacobian columns dx/dI and dx/dphi, until the next step, at the rate of
+    the last two, would be below 1e-12; at the fit the residual is orthogonal
+    to both.  Raises FamilyWindowError when the fit does not converge or ends
+    outside [I_0, I_last].
+    """
+    W = family.window_sites.size
+    sl = slice(N_big + family.window_sites[0], N_big + family.window_sites[-1] + 1)
+    y = np.concatenate([p[sl], q[sl]])
+    m, j = np.unravel_index(np.argmin(family.orbit_norm2 - 2.0 * (family.orbits @ y)),
+                            family.orbit_norm2.shape)
+    fit = np.array([family.I_values[m], 2.0 * np.pi * j / family.orbits.shape[1]])
+    last = 0.0
+    for _ in range(50):
+        x, *J = family.point(*fit)
+        (a, b), (_, c) = np.inner(J, J).tolist()        # the 2 x 2 normal equations
+        g, h = np.inner(J, y - x).tolist()
+        step = np.array([c * g - b * h, a * h - b * g]) / (a * c - b * b)
+        fit += step
+        size = abs(step).max()
+        if size * size <= 1e-12 * last:
+            break
+        last = size
     else:
-        ma, mb, frac = m0 - 1, m0, 1.0 + moff
-        ja, jb = js[0], js[1]
-    pa, qa = family.member_point(ma, ja)
-    pb, qb = family.member_point(mb, jb)
-    fp = (1 - frac) * pa + frac * pb
-    fq = (1 - frac) * qa + frac * qb
-    rp = p.copy()
-    rq = q.copy()
-    rp[sl] -= fp
-    rq[sl] -= fq
-    dist2 = out2 + np.sum((pw - fp) ** 2) + np.sum((qw - fq) ** 2)
-    phase = (2.0 * np.pi / P) * ((1 - frac) * ja + frac * jb)
+        raise FamilyWindowError(f"modulation fit did not converge (last step {step})")
+    I_bar, phase = fit
+    if not family.I_values[0] <= I_bar <= family.I_values[-1]:
+        raise FamilyWindowError(f"modulation fit left the family (I={I_bar:.6g})")
+    x += step @ J
+    rp, rq = p.copy(), q.copy()
+    rp[sl] -= x[:W]
+    rq[sl] -= x[W:]
+    dist2 = rp @ rp + rq @ rq
     return TrackResult(float(I_bar), float(phase % (2 * np.pi)), float(dist2), rp, rq)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,20 +9,52 @@ from breatherlab import breather as br
 from breatherlab import experiments
 from breatherlab.breather import anti_continuum_seed, continue_breather
 from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
-                                     emit_report, parabola_vertex, perturb, run_stability)
+                                     emit_report, perturb, run_stability, track_modulation)
 from breatherlab.lattice import LatticeState
 
 
-def test_parabola_vertex_exact_on_a_parabola():
-    f = lambda x: 2.0 * (x - 0.3) ** 2 + 1.0
-    off, val = parabola_vertex(f(-1.0), f(0.0), f(1.0))
-    assert off == pytest.approx(0.3, abs=1e-14)
-    assert val == pytest.approx(1.0, abs=1e-14)
+@pytest.fixture(scope="module")
+def tracker_family(chart8, V8):
+    """9 members over I = 0.4 +- 0.02 (spacing 0.005), continued on |k| <= 16."""
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=32, mu=0.0, T=4.0,
+                              sample_stride=1, family_window=16, N_family=16)
+    return config, build_family(chart8, config)
 
 
-def test_parabola_vertex_flat_or_concave_keeps_centre():
-    assert parabola_vertex(1.0, 1.0, 1.0) == (0.0, 1.0)
-    assert parabola_vertex(0.0, 1.0, 0.5) == (0.0, 1.0)
+def orbit_points(chart, V, I, n_phases):
+    """Breather at label I, flowed by DOP853 to the phases 2 pi j / n_phases."""
+    seed = anti_continuum_seed(chart, I, N=16)
+    b = continue_breather(seed, V, 0.05, eps_step=0.01, n_phases=n_phases)
+    return [experiments._embed(s, 32) for _, s in b.orbit]
+
+
+def test_tracker_error_falls_with_the_integrator_step(chart8, tracker_family):
+    # at mu = 0 the state leaves the family only by yoshida4's O(dt^4) error, so
+    # a tracker that adds none of its own reads 16 times less at half the step
+    config, family = tracker_family
+    errors = []
+    for dt in (0.02, 0.01):
+        record = run_stability(dataclasses.replace(config, dt=dt), chart8, family)
+        errors.append(np.max(np.abs(record.I_bar - 0.4)))
+    assert errors[0] < 3e-7 and errors[0] >= 12.0 * errors[1], errors
+
+
+def test_tracker_recovers_orbit_points_between_the_nodes(chart8, V8, tracker_family):
+    # I = 0.4025 lies midway between two members, and the phases 2 pi j / 7 lie
+    # between the family's 256 phase nodes
+    config, family = tracker_family
+    for j, x in enumerate(orbit_points(chart8, V8, 0.4025, 7)):
+        tr = track_modulation(x.p, x.q, family, config.N)
+        assert abs(tr.I_bar - 0.4025) <= 1e-9
+        assert abs(np.angle(np.exp(1j * (tr.phase - 2.0 * np.pi * j / 7)))) <= 1e-8
+        assert np.sqrt(tr.dist2) <= 1e-9
+
+
+def test_state_beyond_the_last_member_is_rejected(chart8, V8, tracker_family):
+    config, family = tracker_family
+    x = orbit_points(chart8, V8, 0.43, 2)[1]
+    with pytest.raises(FamilyWindowError, match="left the family"):
+        track_modulation(x.p, x.q, family, config.N)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +164,7 @@ def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V
 def test_config_rejects_a_run_that_would_crash_late(V8, fields, message):
     # each of these used to pass the constructor and fail after the family build:
     # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error,
-    # and FamilyWindowError, as fewer than 3 members put every argmin at an end
+    # and FamilyWindowError, as fewer than 3 members start the run on an end member
     with pytest.raises(ValueError, match=message.replace("(", r"\(")):
         ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, **fields)
     ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, N=64, T=0.02,
