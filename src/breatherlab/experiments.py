@@ -71,10 +71,14 @@ class ExperimentConfig:
         if not self.family_window <= self.N_family <= self.N:
             raise ValueError("need family_window <= N_family <= N, got "
                              f"{self.family_window}, {self.N_family}, {self.N}")
-        # a run starts on the member nearest I_label; with fewer than 3 members
-        # that is an end member, and any kick that lowers I leaves the family
+        # a run starts on the member at I_label: with an even count there is
+        # none, and with fewer than 3 it is an end member, so that any kick
+        # that lowers I leaves the family
         if self.family_members < 3:
             raise ValueError(f"family_members must be at least 3, got {self.family_members}")
+        if self.family_members % 2 == 0:
+            raise ValueError("family_members must be odd, so that a member sits at "
+                             f"I_label; got {self.family_members}")
 
 
 @dataclass
@@ -239,7 +243,6 @@ class StabilityRecord:
     I_bar: np.ndarray
     phase: np.ndarray
     residual_l2: np.ndarray
-    dist_l2: np.ndarray
     dist_lr: np.ndarray
     energy: np.ndarray
     mu: float
@@ -259,7 +262,8 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     Raises FamilyWindowError up front, before any family is built, when the
     kick alone can carry the central action past the family's edge: to first
     order an l^2 kick of size mu moves I by up to mu max |grad I| on the
-    I_label orbit.
+    I_label orbit.  Raises ValueError when the family was built for another
+    lattice size than config.N.
     """
     c = config
     shift = c.mu * max_action_gradient(chart, c.I_label)
@@ -271,11 +275,14 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
             "lower mu or widen the family")
     if family is None:
         family = build_family(chart, c)
+    if family.N_big != c.N:
+        raise ValueError(f"the family was built for N = {family.N_big}, "
+                         f"but the run has N = {c.N}")
     center = int(np.argmin(np.abs(family.I_values - c.I_label)))
     x0 = perturb(family.sections[center], c.mu, c.perturbation_shape, c.seed)
     p, q = x0.p.copy(), x0.q.copy()
     n_steps = int(round(c.T / c.dt))
-    times, Ibars, phases_rec, res_l2, d_l2, d_lr, energies = [], [], [], [], [], [], []
+    times, Ibars, phases_rec, res_l2, d_lr, energies = [], [], [], [], [], []
     q_exp, r_exp = c.pair.q_exp, c.pair.r_exp
     spacetime = SpaceTimeNorm(c.eps, q_exp)
 
@@ -291,7 +298,6 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         Ibars.append(tr.I_bar)
         phases_rec.append(tr.phase)
         res_l2.append(rl2)
-        d_l2.append(np.sqrt(tr.dist2))
         d_lr.append(rlr)
         st = LatticeState(c.N, p, q)
         energies.append(hamiltonian(st, c.potential, c.eps))
@@ -315,8 +321,8 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     energies_arr = np.asarray(energies)
     record = StabilityRecord(
         times=times_arr, I_bar=Ibar_arr, phase=np.asarray(phases_rec),
-        residual_l2=np.asarray(res_l2), dist_l2=np.asarray(d_l2),
-        dist_lr=np.asarray(d_lr), energy=energies_arr, mu=c.mu, eps=c.eps,
+        residual_l2=np.asarray(res_l2), dist_lr=np.asarray(d_lr), energy=energies_arr,
+        mu=c.mu, eps=c.eps,
         spacetime_lq_lr=spacetime.lq(),
         weighted_mixed=spacetime.weighted_mixed(x0.sites(), c.weight_s),
         I_drift=float(abs(Ibar_arr[-1] - Ibar_arr[0])),
@@ -342,10 +348,10 @@ def emit_report(record: StabilityRecord, out_dir, tolerances: dict | None = None
                 basename: str = "stability"):
     """CSV time series + summary with pass/fail against configured tolerances."""
     series_path = os.path.join(out_dir, f"{basename}_series.csv")
-    write_table(series_path, ["t", "eps_t", "I_bar", "phase", "residual_l2",
-                              "dist_l2", "dist_lr", "energy"],
+    write_table(series_path, ["t", "eps_t", "I_bar", "phase", "residual_l2", "dist_lr",
+                              "energy"],
                 zip(record.times, record.eps * record.times, record.I_bar, record.phase,
-                    record.residual_l2, record.dist_l2, record.dist_lr, record.energy))
+                    record.residual_l2, record.dist_lr, record.energy))
     summary_path = os.path.join(out_dir, f"{basename}_summary.csv")
     checks = {}
     if tolerances:

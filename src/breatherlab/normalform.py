@@ -46,12 +46,14 @@ sorted by key, and equal keys are summed by a sort and ``np.add.reduceat``.
 ``terms`` is a read-only (mono tuple, n) -> values mapping, decoded from the
 arrays on first lookup; its length needs no decoding.
 
-The bracket pairs monomials first, then expands each monomial pair over the
-Fourier modes of both operands in blocks of about ``_FLUSH_FLOOR`` pairs of
-terms.  Pending pair-parts are reduced into the accumulated result once they
-outnumber max(``_FLUSH_FLOOR``, accumulated keys).  So memory stays within a
-small multiple of the block and the output, and each pair-part is sorted
-about twice.
+The bracket pairs monomials first and orders the pairs by the key of their
+output monomial.  It expands them over the Fourier modes of both operands in
+blocks of about ``_BLOCK_PARTS`` pairs of terms, cut only between output
+monomials, so that no key reaches two blocks.  Each block sorts its keys,
+gathers the coefficient rows in that order and sums them by one
+``np.add.reduceat`` per kind of part; its sums are final, and the blocks,
+concatenated, are the result in key order.  So each pair-part is sorted and
+summed once, and memory stays within the output and one block.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
 # ---------------------------------------------------------------------------
 # monomial index and keyed sums
 
-# pair-parts a bracket expands per block, and holds at least before reducing
-_FLUSH_FLOOR = 1 << 14
+# pair-parts a bracket expands per block, beyond that only to finish a monomial
+_BLOCK_PARTS = 1 << 12
 
 
 @functools.cache
@@ -252,10 +254,10 @@ def _keys(ctx: NormalFormContext, E: np.ndarray, n: np.ndarray | None = None):
     return np.stack(words)
 
 
-def _group(keys: np.ndarray, kind: str = "stable"):
+def _group(keys: np.ndarray):
     """(order sorting the key columns, mask of the first of each run of equals)."""
     if keys.shape[0] == 1:
-        order = np.argsort(keys[0], kind=kind)
+        order = np.argsort(keys[0], kind="stable")
     else:
         order = np.lexsort(keys[::-1])
     sk = keys[:, order]
@@ -264,11 +266,11 @@ def _group(keys: np.ndarray, kind: str = "stable"):
     return order, first
 
 
-def _sort_reduce(keys: np.ndarray, C: np.ndarray, kind: str = "stable"):
+def _sort_reduce(keys: np.ndarray, C: np.ndarray):
     """(row of each distinct key, in key order; sum of the rows of C with that key)."""
     if not C.shape[0]:
         return np.zeros(0, dtype=np.int64), C
-    order, first = _group(keys, kind)
+    order, first = _group(keys)
     starts = np.flatnonzero(first)
     return order[starts], np.add.reduceat(C[order], starts, axis=0)
 
@@ -284,31 +286,10 @@ def _ranges(count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
 
 
-class _KeySum:
-    """Values summed by int64 key, with the pending blocks reduced in bulk."""
-
-    def __init__(self, width: int):
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.values = np.zeros((0, width), dtype=complex)
-        self._pending = []
-        self._count = 0
-
-    def add(self, keys: np.ndarray, values: np.ndarray):
-        self._pending.append((keys, values))
-        self._count += keys.size
-        if self._count > max(_FLUSH_FLOOR, self.keys.size):
-            self.flush()
-
-    def flush(self):
-        if not self._pending:
-            return
-        keys = np.concatenate([self.keys] + [k for k, _ in self._pending])
-        values = np.concatenate([self.values] + [v for _, v in self._pending])
-        self.values = None        # released before the sort gathers a copy
-        self._pending = []
-        self._count = 0
-        first, self.values = _sort_reduce(keys[None], values, kind="quicksort")
-        self.keys = keys[first]
+def _add_runs(out: np.ndarray, slot: np.ndarray, values: np.ndarray):
+    """out[s] += the sum of the rows of values at slot s, for nondecreasing slots."""
+    runs = np.flatnonzero(np.diff(slot, prepend=-1))
+    out[slot[runs]] += np.add.reduceat(values, runs)
 
 
 def _monomial_runs(E: np.ndarray):
@@ -546,9 +527,10 @@ class GradedHamiltonian:
 
         Each part of a pair of terms (action-angle, transverse) that lands
         beyond the Fourier cutoff or the degree cap adds max|c1| * max|c2| to
-        the ``dropped`` tally.  Pairs are formed per pair of monomials,
-        expanded over the Fourier modes in blocks and summed by key (see the
-        module docstring).
+        the ``dropped`` tally.  Pairs are formed per pair of monomials, ordered
+        by output monomial and expanded over the Fourier modes in blocks of
+        whole output monomials, each summed in key order (see the module
+        docstring).
         """
         ctx = self.ctx
         D, M = ctx.D, ctx.M
@@ -569,54 +551,61 @@ class GradedHamiltonian:
         tr_rows[k, tr_v] -= 1
         tr_rows[k, tr_v ^ 1] -= 1
         factor = np.where(tr_v & 1, -1j, 1j) * Uf[tr_a, tr_v] * Ug[tr_b, tr_v ^ 1]
-        # one id per distinct output monomial, numbered in key order
+        # the pairs (action-angle, then transverse) ordered by output monomial,
+        # numbered in key order
         rows = np.concatenate([Uf[aa_a] + Ug[aa_b], tr_rows])
         order, first = _group(_keys(ctx, rows))
-        ids = np.empty(rows.shape[0], dtype=np.int64)
-        ids[order] = np.cumsum(first) - 1
         monomials = rows[order[first]]
+        pid = np.cumsum(first) - 1
+        pa, pb = np.concatenate([aa_a, tr_a])[order], np.concatenate([aa_b, tr_b])[order]
+        transverse = order >= aa_a.size
+        factor = np.concatenate([np.zeros(aa_a.size), factor])[order]
+        # blocks of whole output monomials: one starts at each monomial that
+        # starts past another _BLOCK_PARTS pair-parts
+        size = cf[pa] * cg[pb]
+        start = np.flatnonzero(first)
+        stretch = (np.cumsum(size) - size)[start] // _BLOCK_PARTS
+        bounds = np.append(start[np.diff(stretch, prepend=-1) > 0], pa.size)
 
         Cf, Cg, nf, ng = self.C, other.C, self.n, other.n
         dCf, dCg = Cf @ ctx.Dmat.T, Cg @ ctx.Dmat.T
         nCf, nCg = 1j * nf[:, None] * Cf, 1j * ng[:, None] * Cg
-        acc = _KeySum(Cf.shape[1])
-
-        def expand(pa, pb, pid, transverse):
-            size = cf[pa] * cg[pb]
-            ends = np.cumsum(size)
-            lo = 0
-            while lo < pa.size:
-                hi = max(int(np.searchsorted(ends, ends[lo] - size[lo] + _FLUSH_FLOOR,
-                                             side="right")), lo + 1)
-                part = np.repeat(np.arange(lo, hi), size[lo:hi])
-                offset = _ranges(size[lo:hi])
-                span = cg[pb[part]]
-                i = sf[pa[part]] + offset // span
-                j = sg[pb[part]] + offset % span
-                n_out = nf[i] + ng[j]
-                keep = np.abs(n_out) <= M
-                if not transverse:
-                    keep &= (nf[i] != 0) | (ng[j] != 0)
-                i, j, part = i[keep], j[keep], part[keep]
-                if transverse:
-                    values = Cf[i]
-                    values *= Cg[j]
-                    values *= factor[part][:, None]
-                else:
-                    values = dCf[i]
-                    values *= nCg[j]
-                    other_half = nCf[i]
-                    other_half *= dCg[j]
-                    values -= other_half
-                acc.add(ids[pid[part]] * K + n_out[keep] + M, values)
-                lo = hi
-
-        n_aa = aa_a.size
-        expand(aa_a, aa_b, np.arange(n_aa), False)
-        expand(tr_a, tr_b, n_aa + k, True)
-        acc.flush()
-        mono_id, mode = np.divmod(acc.keys, K)
-        return GradedHamiltonian._of(ctx, monomials[mono_id], mode - M, acc.values, dropped)
+        keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((0, Cf.shape[1]), dtype=complex)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = np.repeat(np.arange(lo, hi), size[lo:hi])
+            offset = _ranges(size[lo:hi])
+            span = cg[pb[part]]
+            i = sf[pa[part]] + offset // span
+            j = sg[pb[part]] + offset % span
+            n_out = nf[i] + ng[j]
+            key = pid[part] * K + n_out + M
+            sel = np.flatnonzero((np.abs(n_out) <= M)
+                                 & (transverse[part] | (nf[i] != 0) | (ng[j] != 0)))
+            sel = sel[np.argsort(key[sel])]
+            i, j, part, key = i[sel], j[sel], part[sel], key[sel]
+            new = np.ones(key.size, dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            slot = np.cumsum(new) - 1
+            block = np.zeros((int(new.sum()), Cf.shape[1]), dtype=complex)
+            # each kind of part is summed in key order into the block's slots
+            tr = transverse[part]
+            r = np.flatnonzero(~tr)
+            values = dCf[i[r]]
+            values *= nCg[j[r]]
+            other_half = nCf[i[r]]
+            other_half *= dCg[j[r]]
+            values -= other_half
+            _add_runs(block, slot[r], values)
+            r = np.flatnonzero(tr)
+            values = Cf[i[r]]
+            values *= Cg[j[r]]
+            values *= factor[part[r], None]
+            _add_runs(block, slot[r], values)
+            keys.append(key[new])
+            sums.append(block)
+        mono_id, mode = np.divmod(np.concatenate(keys), K)
+        return GradedHamiltonian._of(ctx, monomials[mono_id], mode - M,
+                                     np.concatenate(sums), dropped)
 
     # -- evaluation ---------------------------------------------------------
 

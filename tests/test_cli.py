@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_stability_rejects_an_unstable_dt_before_the_chart_build(tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert err == ["error: dt=0.6 violates the stability guard for eps=0.05"]
+
+
+def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(ex, "build_family", lambda chart, config: SimpleNamespace(N_big=32))
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text("mu = 0.001\nT = 1.0\nN = 64\n")
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "stability", "-c", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == ["error: the family was built for N = 32, but the run has N = 64"]
 
 
 @pytest.mark.parametrize("command, text, message", [

@@ -57,6 +57,20 @@ def test_state_beyond_the_last_member_is_rejected(chart8, V8, tracker_family):
         track_modulation(x.p, x.q, family, config.N)
 
 
+def test_family_built_for_another_lattice_size_is_rejected(chart8, tracker_family,
+                                                          monkeypatch):
+    # the sections and the tracker's window are placed by N, so a family built
+    # at N = 32 must not be run at N = 16
+    config, family = tracker_family
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled before the lattice size check")
+
+    monkeypatch.setattr(experiments, "track_modulation", no_sample)
+    with pytest.raises(ValueError, match="built for N = 32, but the run has N = 16"):
+        run_stability(dataclasses.replace(config, N=16), chart8, family)
+
+
 @pytest.fixture(scope="module")
 def zero_mu_record(chart8, V8):
     """A short mu = 0 run; any RuntimeWarning in it is an error."""
@@ -81,8 +95,7 @@ def test_emit_report_writes_the_series_and_each_check(zero_mu_record, tmp_path):
     assert not ok
     with open(series, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "eps_t", "I_bar", "phase", "residual_l2", "dist_l2",
-                       "dist_lr", "energy"]
+    assert rows[0] == ["t", "eps_t", "I_bar", "phase", "residual_l2", "dist_lr", "energy"]
     assert len(rows) - 1 == len(record.times)
     assert [float(v) for v in rows[-1][:3]] == [record.times[-1],
                                                 0.02 * record.times[-1], record.I_bar[-1]]
@@ -159,12 +172,15 @@ def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V
     (dict(family_window=32, N_family=16), "need family_window <= N_family <= N, got 32, 16"),
     (dict(family_members=2), "family_members must be at least 3, got 2"),
     (dict(family_members=1), "family_members must be at least 3, got 1"),
+    (dict(family_members=4), "family_members must be odd, so that a member sits at "
+                             "I_label; got 4"),
 ], ids=["stride-zero", "stride-negative", "T-zero", "T-below-dt", "N-below-N_family",
-        "window-beyond-N_family", "members-two", "members-one"])
+        "window-beyond-N_family", "members-two", "members-one", "members-even"])
 def test_config_rejects_a_run_that_would_crash_late(V8, fields, message):
     # each of these used to pass the constructor and fail after the family build:
     # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error,
-    # and FamilyWindowError, as fewer than 3 members start the run on an end member
+    # and FamilyWindowError, as fewer than 3 members start the run on an end
+    # member; an even count started it silently off I_label
     with pytest.raises(ValueError, match=message.replace("(", r"\(")):
         ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, **fields)
     ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, N=64, T=0.02,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breatherlab import normalform
 from breatherlab.lattice import hamiltonian as lattice_hamiltonian
 from breatherlab.normalform import (GradedHamiltonian, ResonanceError, bary_eval,
                                     build_initial, cheb_diff_matrix, cheb_nodes,
@@ -231,6 +232,23 @@ def test_poisson_matches_reference_beyond_62_sites(chart4, V4, rng):
     large = _random_operand(ctx, rng, 25, variables)
     _assert_matches_reference(small, large)
     _assert_matches_reference(large, small)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_poisson_blocks_hold_whole_output_monomials(ctx4, rng, monkeypatch, block):
+    # blocks of 1 or 7 pair-parts end after nearly every output monomial; the
+    # sums of each block must be final, so no key may come out twice
+    monkeypatch.setattr(normalform, "_BLOCK_PARTS", block)
+    ctx = ctx4.with_truncation(4, 16)
+    variables = np.arange(8)
+    small = _random_operand(ctx, rng, 4, variables)
+    large = _random_operand(ctx, rng, 25, variables)
+    for f, g in ((small, large), (large, small)):
+        _assert_matches_reference(f, g)
+        br = f.poisson(g)
+        keys = normalform._keys(ctx, br.E, br.n)
+        assert np.array_equal(np.lexsort(keys[::-1]), np.arange(br.n.size))
+        assert np.unique(keys, axis=1).shape[1] == br.n.size
 
 
 def test_bracket_convention_action_angle(ctx4):
