@@ -190,19 +190,20 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
     a, b = I_span
     nodes = cheb_nodes(n_nodes, a, b)
     Dmat = cheb_diff_matrix(n_nodes, a, b)
-    hs0 = np.array([chart._E_spline(I) for I in nodes], dtype=float)
+    hs0 = chart._E_spline(nodes)
     S = n_orbit_samples
-    q0hat = np.zeros((2 * M + 1, n_nodes), dtype=complex)
-    for g, I in enumerate(nodes):
-        _, _, qs = sample_orbit(chart, float(I), S, rtol=1e-13)
-        coeffs = np.fft.fft(qs) / S       # q(alpha) = sum_n coeffs[n] e^{i n alpha}
-        freqs = np.fft.fftfreq(S, d=1.0 / S).astype(int)
-        tail = np.max(np.abs(coeffs[np.abs(freqs) > M]), initial=0.0)
-        if tail > tail_tol:
-            raise FourierTailError(
-                f"central orbit Fourier tail {tail:.2e} beyond |n|={M} at I={I}")
-        for n in range(-M, M + 1):
-            q0hat[n + M, g] = coeffs[freqs == n][0]
+    if 2 * M >= S:
+        raise ValueError(f"n_orbit_samples = {S} resolves the modes |n| <= {(S - 1) // 2}, "
+                         f"not the cutoff M = {M}")
+    _, _, qs = sample_orbit(chart, nodes, S, rtol=1e-13)
+    coeffs = np.fft.fft(qs) / S       # q(alpha) at node g = sum_n coeffs[g, n] e^{i n alpha}
+    freqs = np.fft.fftfreq(S, d=1.0 / S).astype(int)
+    tail = np.max(np.abs(coeffs[:, np.abs(freqs) > M]), axis=1, initial=0.0)
+    if np.any(tail > tail_tol):
+        g = int(np.argmax(tail > tail_tol))
+        raise FourierTailError(
+            f"central orbit Fourier tail {tail[g]:.2e} beyond |n|={M} at I={nodes[g]}")
+    q0hat = coeffs[:, np.arange(-M, M + 1) % S].T.copy()
     sites = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     return NormalFormContext(chart, V, N, D, M, nodes, Dmat, sites, hs0, q0hat,
                              beta=beta)

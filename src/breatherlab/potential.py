@@ -6,6 +6,12 @@ origin.  This module provides the potential itself, the action-angle chart
 on an action grid), the cartesian <-> action-angle conversions, and the
 nonresonance margin used by the continuation and normal-form machinery.
 
+The chart layer works on arrays: ``_turning_points``, ``_orbit_quadrature``
+and ``sample_orbit`` take an array of energies or actions and treat them all
+in one pass, and ``build_chart`` runs each of its sweeps as one such pass.
+``action_of_energy``, ``period_of_energy``, ``ActionAngleChart.q_max`` and
+``max_action_gradient`` are views of the same routines for one value.
+
 Conventions: the angle origin is alpha = 0 at the point of maximal elongation
 (p = 0, q = q_max(E)), and alpha advances at rate omega0(I) along the flow.
 """
@@ -16,7 +22,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -147,30 +152,56 @@ def _effective_potential(V: PotentialSpec, q):
     return 0.5 * np.asarray(q) ** 2 + V(q)
 
 
-def _turning_point(V: PotentialSpec, E: float, side: int) -> float:
-    """Root of q^2/2 + V(q) = E on the given side (+1 right, -1 left).
+def _turning_points(V: PotentialSpec, E, side: int) -> np.ndarray:
+    """Roots of q^2/2 + V(q) = E on the given side (+1 right, -1 left), one per energy.
 
-    Raises LevelSetError when the level set fails to close or the effective
+    ``E`` is a scalar or an array, and the roots have its shape.  Each root is
+    bracketed by doubling out from sqrt(2E) (exact for V = 0, a lower bound for
+    V >= 0), then found to a few ulps by safeguarded Newton.
+
+    Raises LevelSetError when a level set fails to close or the effective
     potential is not monotone out to the turning point (non-convex level set).
     """
-    U = lambda q: _effective_potential(V, q)
-    q = side * np.sqrt(2.0 * E)  # exact for V = 0, a lower bound for V >= 0
-    q0 = 0.0
+    E = np.asarray(E, dtype=float)
+    shape, E = E.shape, E.ravel()
+    # U(inner) < E <= U(outer), both on the side's half-line
+    outer = side * np.sqrt(2.0 * E)
+    inner = np.zeros_like(outer)
     for _ in range(200):
-        if U(q) >= E:
+        low = _effective_potential(V, outer) < E
+        if not low.any():
             break
-        q0, q = q, 2.0 * q if abs(q) > 1e-12 else side * 1e-6
+        inner = np.where(low, outer, inner)
+        outer = np.where(low, np.where(np.abs(outer) > 1e-12, 2.0 * outer, side * 1e-6), outer)
     else:
-        raise LevelSetError(f"level set at E={E} does not close on side {side}")
-    if U(q) == E:
-        qt = q
+        raise LevelSetError(f"level set at E={E[low][0]} does not close on side {side}")
+    # safeguarded Newton: a bisection step wherever Newton would leave the
+    # bracket or would not be shorter than the step before, as when rounding
+    # noise in U - E bounces it across the root; an energy stops once its step
+    # is within a few ulps
+    q, dx = outer, np.abs(outer - inner)
+    active = np.ones(E.shape, dtype=bool)
+    for _ in range(100):
+        f = _effective_potential(V, q) - E
+        inner = np.where(f < 0, q, inner)
+        outer = np.where(f < 0, outer, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = f / (q + V.derivative(q))
+            fast = ((q - newton - inner) * (q - newton - outer) <= 0) & (np.abs(newton) < np.abs(dx))
+        step = np.where(f == 0, 0.0, np.where(fast, newton, q - 0.5 * (inner + outer)))
+        dx = np.where(active, step, 0.0)
+        q = q - dx
+        active &= np.abs(dx) > 4.0 * np.finfo(float).eps * np.abs(q)
+        if not active.any():
+            break
     else:
-        qt = brentq(lambda x: U(x) - E, q0, q, xtol=1e-15, rtol=8.9e-16)
-    # monotonicity scan: U must increase from 0 out to the turning point
-    s = np.linspace(0.0, qt, 65)
-    if np.any(np.diff(U(s)) < -1e-13 * max(E, 1.0)):
-        raise LevelSetError(f"non-convex level set at E={E} on side {side}")
-    return qt
+        raise RuntimeError(f"turning point search did not converge on side {side}")
+    # monotonicity scan: U must increase from 0 out to each turning point
+    rises = np.diff(_effective_potential(V, np.linspace(0.0, q, 65)), axis=0)
+    bad = np.any(rises < -1e-13 * np.maximum(E, 1.0), axis=0)
+    if bad.any():
+        raise LevelSetError(f"non-convex level set at E={E[bad][0]} on side {side}")
+    return q.reshape(shape)
 
 
 @functools.cache
@@ -185,67 +216,99 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _orbit_quadrature(V: PotentialSpec, E: float, kind: str, rtol: float = 1e-12,
-                      n_nodes: int | None = None) -> float:
-    """Gauss-Legendre quadrature between turning points.
+# node counts of the adaptive rule: each energy takes the first that agrees
+# with the one before it
+_NODE_COUNTS = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
-    With q = c + h sin(phi) and the polynomial U - E deflated by its turning
-    point roots, E - U(q) = h^2 cos^2(phi) W(q) exactly, so both integrands
+
+def _orbit_quadrature(V: PotentialSpec, E, kind: str, rtol: float = 1e-12,
+                      n_nodes: int | None = None) -> np.ndarray:
+    """Gauss-Legendre quadrature between turning points, one value per energy.
+
+    ``E`` is a scalar or an array, and the values have its shape.  With
+    q = c + h sin(phi) and the polynomial U - E deflated by its turning point
+    roots, E - U(q) = h^2 cos^2(phi) W(q) exactly, so both integrands
     (sqrt(2(E-U)) dq for the action, dq/sqrt(2(E-U)) for the period) are
-    analytic in phi and free of endpoint cancellation.
+    analytic in phi and free of endpoint cancellation.  The integrands are
+    evaluated on one (nodes, energies) grid.  Without ``n_nodes``, each energy
+    keeps the value at the first node count of ``_NODE_COUNTS`` that agrees
+    with the count before it to ``rtol``; only the energies not yet converged
+    go on to the next count.
     """
-    qm = _turning_point(V, E, -1)
-    qp = _turning_point(V, E, +1)
+    E = np.asarray(E, dtype=float)
+    shape, E = E.shape, E.ravel()
+    qm = _turning_points(V, E, -1)
+    qp = _turning_points(V, E, +1)
     c, h = 0.5 * (qp + qm), 0.5 * (qp - qm)
-    # deflate P = U - E at the turning points: P = (q - qm)(q - qp) W, W > 0
-    # inside the well, and E - U = h^2 cos^2(phi) W(c + h sin phi) exactly
-    U_coeffs = npoly.polyadd(np.asarray(V._poly) if len(V._poly) else np.zeros(1),
-                             np.array([-E, 0.0, 0.5]))
-    W, _ = npoly.polydiv(U_coeffs, npoly.polyfromroots([qm, qp]))
+    # U - E = (q - qm)(q - qp) W with W > 0 inside the well: deflate the
+    # coefficients of U (highest first) by synthetic division at qm, then at
+    # qp, one column per energy.  The constant -E enters only the remainders,
+    # which vanish, and is left out.
+    U = np.zeros(max(len(V._poly), 3))
+    U[:len(V._poly)] = V._poly
+    U[2] += 0.5
+    W = list(U[::-1])
+    for root in (qm, qp):
+        quotient = [W[0]]
+        for a in W[1:-1]:
+            quotient.append(a + root * quotient[-1])
+        W = quotient
+    W = np.array([np.broadcast_to(a, E.shape) for a in W])
 
-    def evaluate(n):
+    def evaluate(n, idx):
         x, w = gauss_legendre(n)
-        phi = 0.5 * np.pi * x
-        q = c + h * np.sin(phi)
-        cos2 = np.cos(phi) ** 2
-        Wq = np.clip(npoly.polyval(q, W), 1e-300, None)
+        phi = 0.5 * np.pi * x[:, None]
+        q = c[idx] + h[idx] * np.sin(phi)
+        Wq = np.zeros_like(q)
+        for a in W[:, idx]:
+            Wq = Wq * q + a
+        Wq = np.clip(Wq, 1e-300, None)
         if kind == "action":
-            f = h * h * cos2 * np.sqrt(2.0 * Wq)
+            f = h[idx] ** 2 * np.cos(phi) ** 2 * np.sqrt(2.0 * Wq)
         else:
             f = 1.0 / np.sqrt(2.0 * Wq)
-        return 0.5 * np.pi * np.dot(w, f)
+        return 0.5 * np.pi * (w @ f)
 
     if n_nodes is not None:
-        return evaluate(n_nodes)
-    prev = evaluate(64)
-    for n in (96, 128, 192, 256, 384, 512, 768, 1024):
-        cur = evaluate(n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300) + 1e-15:
-            return cur
-        prev = cur
-    raise QuadratureError(f"orbit quadrature ({kind}) did not converge at E={E}")
+        return evaluate(n_nodes, slice(None)).reshape(shape)
+    out = np.empty_like(E)
+    todo = np.arange(E.size)
+    prev = evaluate(_NODE_COUNTS[0], todo)
+    for n in _NODE_COUNTS[1:]:
+        cur = evaluate(n, todo)
+        done = np.abs(cur - prev) <= rtol * np.maximum(np.abs(cur), 1e-300) + 1e-15
+        out[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+        if not todo.size:
+            return out.reshape(shape)
+    raise QuadratureError(f"orbit quadrature ({kind}) did not converge at E={E[todo[0]]}")
 
 
-def action_of_energy(V: PotentialSpec, E: float, rtol: float = 1e-12,
-                     n_nodes: int | None = None) -> float:
-    """Action I(E) = (1/2pi) * (area enclosed by the level set).
+def _positive_energy(E) -> np.ndarray:
+    E = np.asarray(E, dtype=float)
+    if not np.all(E > 0):
+        raise ChartRangeError(f"need E > 0, got {E[~(E > 0)][0]}")
+    return E
+
+
+def action_of_energy(V: PotentialSpec, E, rtol: float = 1e-12,
+                     n_nodes: int | None = None):
+    """Action I(E) = (1/2pi) * (area enclosed by the level set), for a scalar or an array of E.
 
     Computed as (1/pi) * integral of sqrt(2(E - U(q))) between turning points.
     """
-    if E <= 0:
-        raise ChartRangeError(f"need E > 0, got {E}")
-    return _orbit_quadrature(V, E, "action", rtol, n_nodes) / np.pi
+    return _orbit_quadrature(V, _positive_energy(E), "action", rtol, n_nodes)[()] / np.pi
 
 
-def period_of_energy(V: PotentialSpec, E: float, rtol: float = 1e-12,
-                     n_nodes: int | None = None) -> float:
-    """Orbit period T(E) = 2 * integral of dq / sqrt(2(E - U(q)))."""
-    if E <= 0:
-        raise ChartRangeError(f"need E > 0, got {E}")
-    return 2.0 * _orbit_quadrature(V, E, "period", rtol, n_nodes)
+def period_of_energy(V: PotentialSpec, E, rtol: float = 1e-12,
+                     n_nodes: int | None = None):
+    """Orbit period T(E) = 2 * integral of dq / sqrt(2(E - U(q))), for a scalar or an array of E."""
+    return 2.0 * _orbit_quadrature(V, _positive_energy(E), "period", rtol, n_nodes)[()]
 
 
 def _oscillator_rhs(V: PotentialSpec):
+    """Hamilton's equations (p', q') for y = (p, q) of one oscillator, or for a
+    (2, k) array y = [p; q] of k oscillators."""
     def rhs(t, y):
         p, q = y
         return (-q - V.derivative(q), p)
@@ -294,12 +357,17 @@ class ActionAngleChart:
             )
 
     def q_max(self, E: float) -> float:
-        return _turning_point(self.potential, E, +1)
+        return float(_turning_points(self.potential, E, +1))
 
 
 def build_chart(V: PotentialSpec, I_min: float, I_max: float,
                 n_grid: int = 512, quad_rtol: float = 1e-12) -> ActionAngleChart:
-    """Tabulate the chart on ``n_grid`` equally spaced actions in [I_min, I_max]."""
+    """Tabulate the chart on ``n_grid`` equally spaced actions in [I_min, I_max].
+
+    The coarse energy table, each of the three Newton sweeps E <- E - (I(E) - I)
+    / (T(E) / 2pi) and the final omega = 2pi / T(E) are each one array pass
+    over all the energies.
+    """
     if not (0 < I_min < I_max):
         raise ValueError("need 0 < I_min < I_max")
     # bracket the energies of the endpoint actions; I(E) <= E for V >= 0 but
@@ -309,21 +377,16 @@ def build_chart(V: PotentialSpec, I_min: float, I_max: float,
         if action_of_energy(V, E_hi, quad_rtol) >= I_max:
             break
         E_hi *= 2.0
-    # coarse energy table -> spline inverse -> one Newton polish per node
+    # coarse energy table -> spline inverse -> three Newton sweeps
     E_coarse = np.geomspace(min(I_min * 0.5, E_hi * 1e-6), E_hi, 160)
-    I_coarse = np.array([action_of_energy(V, e, quad_rtol) for e in E_coarse])
-    inv = CubicSpline(I_coarse, E_coarse)
+    inv = CubicSpline(action_of_energy(V, E_coarse, quad_rtol), E_coarse)
     I_grid = np.linspace(I_min, I_max, n_grid)
-    E_values = np.empty(n_grid)
-    omega_values = np.empty(n_grid)
-    for j, I in enumerate(I_grid):
-        E = float(inv(I))
-        for _ in range(3):
-            T = period_of_energy(V, E, quad_rtol)
-            E -= (action_of_energy(V, E, quad_rtol) - I) / (T / (2.0 * np.pi))
-        E_values[j] = E
-        omega_values[j] = 2.0 * np.pi / period_of_energy(V, E, quad_rtol)
-    return ActionAngleChart(V, I_grid, E_values, omega_values)
+    E = inv(I_grid)
+    for _ in range(3):
+        T = period_of_energy(V, E, quad_rtol)
+        E = E - (action_of_energy(V, E, quad_rtol) - I_grid) / (T / (2.0 * np.pi))
+    omega = 2.0 * np.pi / period_of_energy(V, E, quad_rtol)
+    return ActionAngleChart(V, I_grid, E, omega)
 
 
 def h0_of_action(chart: ActionAngleChart, I: float) -> float:
@@ -376,6 +439,7 @@ def from_cartesian(chart: ActionAngleChart, p: float, q: float,
     The angle is read off from the flight time back to the reference section
     p = 0 with q > 0; the section crossing with descending p identifies the
     maximal-elongation point uniquely for a single-well effective potential.
+    The flow stops at its second crossing, which measures the true period.
     """
     I = action_of_point(chart, p, q)
     E = float(oscillator_energy(chart.potential, p, q))
@@ -388,36 +452,50 @@ def from_cartesian(chart: ActionAngleChart, p: float, q: float,
     def section(t, y):
         return y[0]
     section.direction = -1
+    section.terminal = 2
 
     sol = solve_ivp(_oscillator_rhs(chart.potential), (0.0, 2.5 * T_est), [p, q],
                     method="DOP853", rtol=rtol, atol=1e-14, events=section,
                     dense_output=False)
     hits = sol.t_events[0]
-    hits = hits[hits > 1e-12 * T_est]
     if len(hits) < 2:
         raise RuntimeError("section crossings not found; integration window too short")
+    if hits[0] <= 1e-12 * T_est:
+        # the start lies on the section, as in the exact check above
+        return I, 0.0
     T_true = hits[1] - hits[0]
     alpha = (omega * (T_true - hits[0])) % (2.0 * np.pi)
     return I, float(alpha)
 
 
-def sample_orbit(chart: ActionAngleChart, I: float, n_samples: int,
+def sample_orbit(chart: ActionAngleChart, I, n_samples: int,
                  rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Samples (alpha_j, p_j, q_j) of the orbit at uniform angles 2pi j / n.
+    """Samples (alpha_j, p_j, q_j) of the orbit of action I at the angles alpha_j = 2pi j / n.
 
-    Equivalent to to_cartesian at each angle but integrates a single period
-    with dense sampling.
+    ``I`` is a scalar or a 1-D array of actions; p and q have the shape
+    I.shape + (n_samples,), and alpha is shared.  Equivalent to to_cartesian at
+    each angle, but every orbit is integrated in one DOP853 system over one
+    period in the angle time s = omega0(I) t, from (0, q_max(E(I))) over
+    [0, 2pi], sampled at s = alpha_j.
     """
-    chart._check_I(I)
-    E = h0_of_action(chart, I)
-    qm = chart.q_max(E)
-    omega = omega0(chart, I)
-    T = 2.0 * np.pi / omega
-    t_eval = np.arange(n_samples) * (T / n_samples)
-    sol = solve_ivp(_oscillator_rhs(chart.potential), (0.0, T), [0.0, qm],
-                    method="DOP853", rtol=rtol, atol=1e-14, t_eval=t_eval)
-    alphas = omega * t_eval
-    return alphas, sol.y[0], sol.y[1]
+    I = np.asarray(I, dtype=float)
+    chart._check_I(float(I.min()))
+    chart._check_I(float(I.max()))
+    qm = _turning_points(chart.potential, chart._E_spline(I.ravel()), +1)
+    omega = np.tile(chart._omega_spline(I.ravel()), 2)
+    field = _oscillator_rhs(chart.potential)
+
+    def rhs(s, y):     # d/ds = (1 / omega) d/dt on the state [p..., q...]
+        return np.concatenate(field(s, y.reshape(2, -1))) / omega
+
+    # the step control takes the RMS error over all 2k components: rtol / sqrt(k)
+    # holds each orbit to the error of a solve on its own (down to DOP853's floor)
+    rtol = max(rtol / np.sqrt(I.size), 100 * np.finfo(float).eps)
+    alphas = np.arange(n_samples) * (2.0 * np.pi / n_samples)
+    sol = solve_ivp(rhs, (0.0, 2.0 * np.pi), np.concatenate((np.zeros_like(qm), qm)),
+                    method="DOP853", rtol=rtol, atol=1e-14, t_eval=alphas)
+    p, q = sol.y.reshape(2, *I.shape, n_samples)
+    return alphas, p, q
 
 
 def max_action_gradient(chart: ActionAngleChart, I: float) -> float:
@@ -429,7 +507,7 @@ def max_action_gradient(chart: ActionAngleChart, I: float) -> float:
     """
     E = h0_of_action(chart, I)
     V = chart.potential
-    q = np.linspace(_turning_point(V, E, -1), _turning_point(V, E, +1), 2049)
+    q = np.linspace(_turning_points(V, E, -1), _turning_points(V, E, +1), 2049)
     grad2 = 2.0 * (E - _effective_potential(V, q)) + (q + V.derivative(q)) ** 2
     return float(np.sqrt(np.max(grad2))) / omega0(chart, I)
 

@@ -561,3 +561,14 @@ def test_higher_steps_keep_shrinking(ctx8):
     norms = [r.residual_norm for r in res.records]
     assert norms[2] < norms[1]
     assert norms[3] < 3 * norms[2]
+
+
+def test_make_context_rejects_a_cutoff_the_orbit_samples_cannot_resolve(chart4, V4):
+    with pytest.raises(ValueError, match="n_orbit_samples = 64"):
+        make_context(chart4, V4, N=2, D=2, M=32, n_nodes=4, n_orbit_samples=64)
+
+
+def test_make_context_names_the_first_action_with_a_long_fourier_tail(chart4, V4):
+    with pytest.raises(normalform.FourierTailError) as err:
+        make_context(chart4, V4, N=2, D=2, M=2, n_nodes=4, tail_tol=1e-300)
+    assert f"at I={cheb_nodes(4, 0.3, 0.5)[0]}" in str(err.value)

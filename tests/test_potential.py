@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
-                                   action_of_energy, build_chart, from_cartesian,
-                                   h0_of_action, max_action_gradient, nonresonance_margin,
-                                   omega0, period_of_energy, sample_orbit, to_cartesian)
+                                   _orbit_quadrature, _turning_points, action_of_energy,
+                                   build_chart, from_cartesian, h0_of_action,
+                                   max_action_gradient, nonresonance_margin, omega0,
+                                   period_of_energy, sample_orbit, to_cartesian)
 
 
 def test_eval_potential_zero_of_order_eight(V8):
@@ -206,3 +207,81 @@ def test_max_action_gradient_matches_orbit_samples(chart8, V8):
 def test_max_action_gradient_harmonic(chart0):
     # circles of radius sqrt(2I): |grad H0| = sqrt(2I) everywhere, omega0 = 1
     assert max_action_gradient(chart0, 0.3) == pytest.approx(np.sqrt(0.6), rel=1e-9)
+
+
+@pytest.mark.parametrize("V", [PotentialSpec.monomial(8),
+                               PotentialSpec(((6, 0.5), (8, 1.0)), min_degree=4)],
+                         ids=["q8", "q6+q8"])
+def test_array_chart_matches_one_energy_at_a_time(V):
+    # the chart's array passes against the scalar view at a fixed 2048-node
+    # rule, one energy at a time; q6 + q8 deflates more than one coefficient
+    chart = build_chart(V, 0.05, 0.8, 256)
+    for j in range(0, 256, 16):
+        E = chart.E_values[j]
+        assert abs(action_of_energy(V, E, n_nodes=2048) - chart.I_grid[j]) <= 1e-12
+        omega = 2 * np.pi / period_of_energy(V, E, n_nodes=2048)
+        assert abs(omega / chart.omega_values[j] - 1) <= 1e-12
+
+
+def test_turning_points_converge_where_u_is_nearly_flat():
+    # U = q^2/2 - q^4/4 + b q^6 rises everywhere, but U' nearly vanishes at
+    # q^2 = 1/(12 b); there rounding noise in U - E can bounce Newton across
+    # the root, and each energy must still settle at the rounding floor of U
+    b = 1 / (24 * 0.95)
+    V = PotentialSpec(((4, -0.25), (6, b)), min_degree=4)
+    q_flat = np.sqrt(1 / (12 * b))
+    E = (0.5 * q_flat**2 + V(q_flat)) * np.linspace(0.5, 2.0, 301)
+    for side in (-1, 1):
+        q = _turning_points(V, E, side)
+        assert np.all(np.sign(q) == side)
+        assert np.max(np.abs(0.5 * q * q + V(q) - E) / E) <= 1e-14
+
+
+def test_build_chart_rejects_a_level_set_that_does_not_close():
+    V = PotentialSpec(((4, -0.1),), min_degree=4)
+    with pytest.raises(LevelSetError, match="does not close"):
+        build_chart(V, 0.05, 0.8)
+
+
+@pytest.mark.parametrize("V, bad, message", [
+    (PotentialSpec(((4, -0.1),), min_degree=4), 0.7, "does not close"),
+    # U = q^2/2 - q^4/4 + q^6/50 falls from 0.275 at q = 1.08 and closes again
+    (PotentialSpec(((4, -0.25), (6, 0.02)), min_degree=4), 0.5, "non-convex"),
+], ids=["open", "non-convex"])
+def test_one_bad_energy_among_good_ones_raises(V, bad, message):
+    good = np.array([0.05, 0.1, 0.15])
+    for kind in ("action", "period"):
+        assert np.all(np.isfinite(_orbit_quadrature(V, good, kind)))
+        with pytest.raises(LevelSetError) as err:
+            _orbit_quadrature(V, np.insert(good, 2, bad), kind)
+        assert message in str(err.value) and f"E={bad} " in str(err.value)
+
+
+def test_action_of_energy_rejects_a_non_positive_energy(V8):
+    with pytest.raises(ChartRangeError, match="need E > 0, got 0.0"):
+        action_of_energy(V8, 0.0)
+    with pytest.raises(ChartRangeError, match="need E > 0, got -0.1"):
+        period_of_energy(V8, np.array([0.2, -0.1, 0.3]))
+
+
+def test_batched_orbit_samples_match_one_orbit_at_a_time(chart8):
+    Is = np.linspace(0.1, 0.7, 7)
+    alphas, p, q = sample_orbit(chart8, Is, 256, rtol=1e-13)
+    assert alphas.shape == (256,) and p.shape == q.shape == (7, 256)
+    for i, I in enumerate(Is):
+        a1, p1, q1 = sample_orbit(chart8, I, 256, rtol=1e-13)
+        assert a1.shape == p1.shape == q1.shape == (256,)
+        np.testing.assert_array_equal(a1, alphas)
+        assert np.max(np.abs(p1 - p[i])) <= 1e-12
+        assert np.max(np.abs(q1 - q[i])) <= 1e-12
+    with pytest.raises(ChartRangeError, match="I=0.9 "):
+        sample_orbit(chart8, np.array([0.4, 0.9]), 8)
+
+
+def test_from_cartesian_start_just_before_the_section(chart8):
+    # p a hair above 0 at maximal elongation: the first crossing of the section
+    # comes within 1e-12 of a period, so the start lies on it and reads angle 0
+    qm = chart8.q_max(h0_of_action(chart8, 0.4))
+    I, a = from_cartesian(chart8, 1e-15, qm)
+    assert I == pytest.approx(0.4, abs=1e-10)
+    assert a == 0.0
