@@ -156,8 +156,11 @@ def _turning_points(V: PotentialSpec, E, side: int) -> np.ndarray:
     """Roots of q^2/2 + V(q) = E on the given side (+1 right, -1 left), one per energy.
 
     ``E`` is a scalar or an array, and the roots have its shape.  Each root is
-    bracketed by doubling out from sqrt(2E) (exact for V = 0, a lower bound for
-    V >= 0), then found to a few ulps by safeguarded Newton.
+    the first crossing of U = E going out from 0.  It is bracketed by doubling
+    out from sqrt(2E) (exact for V = 0, a lower bound for V >= 0); a doubled
+    span whose far end has U < E is scanned on a 64-point grid, and cut at its
+    first point with U >= E, so that a hump of U is not jumped over.  The root
+    is then found to a few ulps by safeguarded Newton.
 
     Raises LevelSetError when a level set fails to close or the effective
     potential is not monotone out to the turning point (non-convex level set).
@@ -169,6 +172,13 @@ def _turning_points(V: PotentialSpec, E, side: int) -> np.ndarray:
     inner = np.zeros_like(outer)
     for _ in range(200):
         low = _effective_potential(V, outer) < E
+        if low.any():
+            i = np.flatnonzero(low)
+            grid = np.linspace(inner[i], outer[i], 65)[1:]
+            high = _effective_potential(V, grid) >= E[i]
+            first, hit = np.argmax(high, axis=0), high.any(axis=0)
+            outer[i[hit]] = grid[first[hit], hit]
+            low[i[hit]] = False
         if not low.any():
             break
         inner = np.where(low, outer, inner)

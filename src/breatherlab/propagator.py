@@ -1,13 +1,15 @@
 """Exact linear propagation, decay measurement, and oscillatory-integral tools.
 
-The linearized chain is solved exactly in Fourier space on the periodic
-extension of size 2N+2; skew-symmetric data make that extension odd, which is
-identical to the Dirichlet-closed finite chain, so the propagator agrees with
-direct time integration to machine precision until nothing at all (there is
-no boundary mismatch, only wrap-around once a front crosses the ghost sites).
-Every state is the one lattice layout, sites -N..N.  The transverse variable
-xi of the pinned linear system is a state whose central site is zero;
-``propagate_pinned`` and ``modified_energy`` reject any other datum.
+The linear chain is q'' = -B q with B = 1 - eps*Delta on the sites -N..N,
+closed by the ghosts q_{+-(N+1)} = 0.  Skew data (p_{-k} = -p_k, q_{-k} = -q_k)
+have q_0 = 0 and B keeps that symmetry, so their flow is exactly that of the
+half chain k = 1..N with q_0 = q_{N+1} = 0, the Dirichlet chain.  Its modes
+are sin(pi j k / (N+1)) with frequencies nu(pi j / (N+1)), j = 1..N, and the
+orthonormal type-1 DST, its own inverse, maps onto them: ``_sine_spectrum``
+and ``_from_spectrum`` are the one pair of transforms every propagation uses.
+The transverse variable xi of the pinned linear system is a state whose
+central site is zero, so two such half chains; ``propagate_pinned`` and
+``modified_energy`` reject any other datum.
 
 Also here: the dispersion relation nu(theta) = sqrt(1 + 4 eps sin^2(theta/2)),
 stationary-phase interval splitting and slope measurement, the lattice
@@ -23,6 +25,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst
 
 from .lattice import (LatticeState, PolynomialWeight, SpaceTimeNorm, WeightSpec,
                       _site_factors, check_skew, norm)
@@ -43,30 +46,37 @@ def dispersion_frequency(eps: float, theta):
 
 
 # ---------------------------------------------------------------------------
-# periodic ring embedding (size P = 2N+2; ghost at index N+1 stays zero)
+# the Dirichlet half chain's sine basis
 
-def _ring_thetas(P: int) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(P)
-
-
-def state_to_ring(state: LatticeState) -> tuple[np.ndarray, np.ndarray]:
-    N = state.N
-    P = 2 * N + 2
-    qr = np.zeros(P)
-    pr = np.zeros(P)
-    ks = state.sites()
-    idx = np.where(ks >= 0, ks, ks + P)
-    qr[idx] = state.q
-    pr[idx] = state.p
-    return pr, qr
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal type-1 DST along the last axis: the sine basis, its own inverse."""
+    return dst(x, type=1, norm="ortho", axis=-1)
 
 
-def ring_to_state(pr: np.ndarray, qr: np.ndarray) -> LatticeState:
-    P = pr.size
-    N = P // 2 - 1
-    ks = np.arange(-N, N + 1)
-    idx = np.where(ks >= 0, ks, ks + P)
-    return LatticeState(N, pr[idx], qr[idx])
+def _sine_frequencies(N: int, eps: float) -> np.ndarray:
+    """nu_j = nu(pi j / (N+1)) of the Dirichlet modes sin(pi j k / (N+1)), j = 1..N."""
+    return dispersion_frequency(eps, np.pi * np.arange(1, N + 1) / (N + 1))
+
+
+def _sine_spectrum(state: LatticeState) -> np.ndarray:
+    """(p_hat, q_hat), shape (2, N): the half chain k = 1..N of a skew state in the sine basis.
+
+    ValueError unless the state is skew-symmetric to 1e-12 of its l^2 norm.
+    """
+    if not check_skew(state, tol=1e-12 * max(1.0, norm(state, 2))):
+        raise ValueError("datum is not skew-symmetric")
+    return _dst1(np.stack((state.p[state.N + 1:], state.q[state.N + 1:])))
+
+
+def _from_spectrum(N: int, ph: np.ndarray, qh: np.ndarray) -> LatticeState:
+    """The skew whole-chain state whose half chain has the sine coefficients (ph, qh)."""
+    p, q = _dst1(np.stack((ph, qh)))
+    return LatticeState(N, *(np.concatenate((-x[::-1], [0.0], x)) for x in (p, q)))
+
+
+def _rotate(ph, qh, nu, c, s):
+    """S(t) on sine coefficients, given c = cos(nu t) and s = sin(nu t)."""
+    return ph * c - qh * (nu * s), qh * c + ph * (s / nu)
 
 
 def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeState:
@@ -75,17 +85,9 @@ def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeS
     q_hat(t) = q_hat0 cos(nu t) + p_hat0 sin(nu t)/nu and
     p_hat(t) = p_hat0 cos(nu t) - q_hat0 nu sin(nu t).
     """
-    if not check_skew(state, tol=1e-12 * max(1.0, norm(state, 2))):
-        raise ValueError("datum is not skew-symmetric")
-    pr, qr = state_to_ring(state)
-    nu = dispersion_frequency(eps, _ring_thetas(pr.size))
-    ph, qh = _rotate(np.fft.fft(pr), np.fft.fft(qr), nu, np.cos(nu * t), np.sin(nu * t))
-    return ring_to_state(np.fft.ifft(ph).real, np.fft.ifft(qh).real)
-
-
-def _rotate(ph, qh, nu, c, s):
-    """S(t) on Fourier coefficients, given c = cos(nu t) and s = sin(nu t)."""
-    return ph * c - qh * (nu * s), qh * c + ph * (s / nu)
+    nu = _sine_frequencies(state.N, eps)
+    ph, qh = _sine_spectrum(state)
+    return _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
 
 
 def _check_site0_zero(xi: LatticeState):
@@ -99,18 +101,16 @@ def _check_site0_zero(xi: LatticeState):
 def propagate_pinned(xi: LatticeState, t: float, eps: float) -> LatticeState:
     """Flow of the transverse linear system with the central site pinned to zero.
 
-    Each half chain is extended to a skew-symmetric whole-chain sequence,
-    propagated by the closed-form flow, and restricted back; the halves are
-    decoupled, so this realizes the pinned evolution exactly.
+    The halves k > 0 and k < 0 (read outward from site 0) are decoupled
+    Dirichlet chains on 1..N; both move in one batched sine transform.
     """
     _check_site0_zero(xi)
-    out = LatticeState.zeros(xi.N)
-    ks = xi.sites()
-    for half in (ks < 0, ks > 0):
-        p, q = np.where(half, xi.p, 0.0), np.where(half, xi.q, 0.0)
-        moved = propagate_whole_chain(LatticeState(xi.N, p - p[::-1], q - q[::-1]), t, eps)
-        out.p[half], out.q[half] = moved.p[half], moved.q[half]
-    return out
+    N = xi.N
+    # axes (p or q, right or left half, distance from site 0 minus 1)
+    ph, qh = _dst1(np.stack([(x[N + 1:], x[:N][::-1]) for x in (xi.p, xi.q)]))
+    nu = _sine_frequencies(N, eps)
+    p, q = _dst1(np.stack(_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t))))
+    return LatticeState(N, *(np.concatenate((x[1][::-1], [0.0], x[0])) for x in (p, q)))
 
 
 def modified_energy(xi: LatticeState, eps: float) -> float:
@@ -144,7 +144,8 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float,
     """Fit the slope of log ||S(t) xi|| against log(eps t) over the window.
 
     Rejects windows whose final time exceeds the boundary-safe horizon
-    t < N/2 (conservative group-velocity guard).
+    t < N/2 (conservative group-velocity guard).  The datum is transformed to
+    the sine basis once; each sample is one rotation and one inverse transform.
     """
     lo, hi = window
     t_max = hi / eps
@@ -154,8 +155,10 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float,
         )
     ets = np.geomspace(lo, hi, n_samples)
     vals = np.empty(n_samples)
-    for i, et in enumerate(ets):
-        moved = propagate_whole_chain(state, et / eps, eps)
+    nu = _sine_frequencies(state.N, eps)
+    ph, qh = _sine_spectrum(state)
+    for i, t in enumerate(ets / eps):
+        moved = _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
         vals[i] = norm(moved, r_exp, weight)
     slope, intercept = np.polyfit(np.log(ets), np.log(vals), 1)
     return DecayFit(float(slope), float(intercept), ets, vals, window)
@@ -437,31 +440,25 @@ def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
                      eps: float) -> list[LatticeState]:
     """u(t_i) = integral_{t_0}^{t_i} S(t_i - tau) F(tau) d tau by trapezoid in tau.
 
-    Uses S(t_i - tau) = S(t_i) S(-tau): the trapezoid integral of S(-tau) F(tau)
-    is carried forward in Fourier space and S(t_i) is applied once per sample,
-    so the cost is O(n) propagations for n samples and the working memory
-    O(P) beyond the returned states.  Forcing samples must be skew-symmetric
-    whole-chain states on a uniform time grid (ValueError otherwise); the
-    first sample's state is zero.
+    On the uniform grid of step h the trapezoid sum obeys
+    u_i = S(h) (u_{i-1} + (h/2) F_{i-1}) + (h/2) F_i, carried in the sine basis:
+    one forward and one inverse transform per sample, one rotation S(h) whose
+    cos and sin are computed once, and working memory O(N) beyond the returned
+    states.  Forcing samples must be skew-symmetric whole-chain states on a
+    uniform time grid (ValueError otherwise); the first sample's state is zero.
     """
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("forced_evolution needs a uniform time grid")
-    P = 2 * forcing[0].N + 2
-    nu = dispersion_frequency(eps, _ring_thetas(P))
-    acc_p = np.zeros(P, dtype=complex)
-    acc_q = np.zeros(P, dtype=complex)
-    prev = None
-    out = []
-    for t, F in zip(times, forcing):
-        pr, qr = state_to_ring(F)
-        c, s = np.cos(nu * t), np.sin(nu * t)
-        cur = _rotate(np.fft.fft(pr), np.fft.fft(qr), nu, c, -s)
+    N, h = forcing[0].N, (steps[0] if steps.size else 0.0)
+    nu = _sine_frequencies(N, eps)
+    c, s = np.cos(nu * h), np.sin(nu * h)
+    u, prev, out = np.zeros((2, N)), None, []
+    for F in forcing:
+        half = (0.5 * h) * _sine_spectrum(F)
         if prev is not None:
-            acc_p += (0.5 * steps[0]) * (prev[0] + cur[0])
-            acc_q += (0.5 * steps[0]) * (prev[1] + cur[1])
-        prev = cur
-        up, uq = _rotate(acc_p, acc_q, nu, c, s)
-        out.append(ring_to_state(np.fft.ifft(up).real, np.fft.ifft(uq).real))
+            u = np.stack(_rotate(*(u + prev), nu, c, s)) + half
+        prev = half
+        out.append(_from_spectrum(N, *u))
     return out

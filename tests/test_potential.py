@@ -237,6 +237,19 @@ def test_turning_points_converge_where_u_is_nearly_flat():
         assert np.max(np.abs(0.5 * q * q + V(q) - E) / E) <= 1e-14
 
 
+def test_turning_points_stop_at_the_first_crossing_before_a_hump():
+    # U = q^2/2 - q^4/10 rises from 0 to its hump U = 0.625 at q^2 = 5/2 and
+    # then falls for good; doubling out from sqrt(2E) lands past the hump, where
+    # U < E again, so the span must be searched for the crossing it jumped over
+    V = PotentialSpec(((4, -0.1),), min_degree=4)
+    exact = {0.5: np.sqrt((5 - np.sqrt(5)) / 2), 0.6: np.sqrt(2.0)}
+    for side in (-1, 1):
+        assert np.allclose(_turning_points(V, np.array(list(exact)), side),
+                           side * np.array(list(exact.values())), rtol=0, atol=1e-14)
+        with pytest.raises(LevelSetError, match="does not close"):
+            _turning_points(V, 0.7, side)
+
+
 def test_build_chart_rejects_a_level_set_that_does_not_close():
     V = PotentialSpec(((4, -0.1),), min_degree=4)
     with pytest.raises(LevelSetError, match="does not close"):

@@ -11,8 +11,7 @@ from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     propagate_pinned, propagate_whole_chain,
                                     puiseux_leading_check, resolvent_B_apply,
                                     resolvent_apply, resolvent_kernel,
-                                    sp_temp_check, state_to_ring,
-                                    van_der_corput_check)
+                                    sp_temp_check, van_der_corput_check)
 
 
 def skew_state(rng, N, n_active=3, scale=1.0):
@@ -31,10 +30,12 @@ def test_dispersion_endpoints():
 
 
 def test_parseval(rng):
+    # the sine transform is orthonormal, so the flow keeps the chain's energy
+    # <p;p> + <q;Bq>; a skew state has q_0 = 0, where modified_energy applies
     s = skew_state(rng, 32, 8)
-    pr, qr = state_to_ring(s)
-    assert np.sum(qr ** 2) == pytest.approx(np.sum(np.abs(np.fft.fft(qr, norm="ortho")) ** 2),
-                                            rel=1e-12)
+    eps = 0.13
+    moved = propagate_whole_chain(s, 9.1, eps)
+    assert modified_energy(moved, eps) == pytest.approx(modified_energy(s, eps), rel=1e-12)
 
 
 def test_propagation_identity_and_rotation(rng):
@@ -91,24 +92,48 @@ def test_pinned_identity_and_decoupling(rng, V0):
     assert np.max(np.abs(out.p[right])) == 0.0
 
 
-def _pinned_chain_flow(xi, t, eps):
-    """Exact flow of q'' = -B q on the sites k != 0, B = 1 - eps Delta with q_0 = 0.
+def _dense_chain_flow(p, q, t, eps):
+    """Exact flow (p(t), q(t)) of q'' = -B q on a chain closed by zero ghosts at both ends.
 
-    B is the tridiagonal matrix of the chain with its site-0 row and column
-    struck out; with B = U diag(w^2) U^T, q(t) = U (cos(wt) a + sin(wt) b / w)
-    and p(t) = U (cos(wt) b - w sin(wt) a) for a = U^T q(0), b = U^T p(0).
+    B = 1 - eps Delta is the dense tridiagonal matrix of the chain; with
+    B = U diag(w^2) U^T, q(t) = U (cos(wt) a + sin(wt) b / w) and
+    p(t) = U (cos(wt) b - w sin(wt) a) for a = U^T q(0), b = U^T p(0).
     """
-    n = 2 * xi.N + 1
+    n = p.size
     B = (1.0 + 2.0 * eps) * np.eye(n) - eps * (np.eye(n, k=1) + np.eye(n, k=-1))
-    keep = xi.sites() != 0
-    w2, U = np.linalg.eigh(B[np.ix_(keep, keep)])
+    w2, U = np.linalg.eigh(B)
     w = np.sqrt(w2)
-    a, b = U.T @ xi.q[keep], U.T @ xi.p[keep]
+    a, b = U.T @ q, U.T @ p
     c, s = np.cos(w * t), np.sin(w * t)
+    return U @ (c * b - w * s * a), U @ (c * a + s * b / w)
+
+
+def _pinned_chain_flow(xi, t, eps):
+    """Exact flow on the sites k != 0 with q_0 = 0: the two half chains, each closed."""
     out = LatticeState.zeros(xi.N)
-    out.q[keep] = U @ (c * a + s * b / w)
-    out.p[keep] = U @ (c * b - w * s * a)
+    for half in (slice(0, xi.N), slice(xi.N + 1, None)):
+        out.p[half], out.q[half] = _dense_chain_flow(xi.p[half], xi.q[half], t, eps)
     return out
+
+
+def test_whole_chain_matches_dense_eigensolution(rng):
+    # the 2N+1-site chain with ghosts at +-(N+1), solved by a dense eigh of B;
+    # every site is active, the ends included
+    N, eps, t = 24, 0.13, 7.3
+    s = skew_state(rng, N, N)
+    p, q = _dense_chain_flow(s.p, s.q, t, eps)
+    out = propagate_whole_chain(s, t, eps)
+    assert np.max(np.abs(out.p - p)) <= 1e-12 and np.max(np.abs(out.q - q)) <= 1e-12
+
+
+def test_pinned_matches_dense_eigensolution_on_each_half(rng):
+    # every site active, the ends of both half chains included
+    N, eps, t = 24, 0.13, 7.3
+    xi = LatticeState(N, rng.standard_normal(2 * N + 1), rng.standard_normal(2 * N + 1))
+    xi.p[N] = xi.q[N] = 0.0
+    ref = _pinned_chain_flow(xi, t, eps)
+    out = propagate_pinned(xi, t, eps)
+    assert np.max(np.abs(out.p - ref.p)) <= 1e-12 and np.max(np.abs(out.q - ref.q)) <= 1e-12
 
 
 def test_pinned_matches_direct_integration(rng):
@@ -457,6 +482,15 @@ def test_forced_evolution_rejects_non_uniform_grid(rng):
     times = np.array([0.0, 1.0, 2.5, 3.0])
     with pytest.raises(ValueError):
         forced_evolution(times, [skew_state(rng, 16) for _ in times], 0.1)
+
+
+def test_forced_evolution_rejects_a_non_skew_sample(rng):
+    # q_1 alone, with no -q_1 at site -1, is not a datum of the Dirichlet half chain
+    bad = LatticeState.zeros(8)
+    bad.q[bad.index(1)] = 1.0
+    forcing = [skew_state(rng, 8), bad, skew_state(rng, 8)]
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        forced_evolution(np.array([0.0, 0.5, 1.0]), forcing, 0.1)
 
 
 def test_weighted_retarded_bound_quotient(rng):
