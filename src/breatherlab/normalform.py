@@ -46,14 +46,20 @@ sorted by key, and equal keys are summed by a sort and ``np.add.reduceat``.
 ``terms`` is a read-only (mono tuple, n) -> values mapping, decoded from the
 arrays on first lookup; its length needs no decoding.
 
-The bracket pairs monomials first and orders the pairs by the key of their
-output monomial.  It expands them over the Fourier modes of both operands in
-blocks of about ``_BLOCK_PARTS`` pairs of terms, cut only between output
-monomials, so that no key reaches two blocks.  Each block sorts its keys,
-gathers the coefficient rows in that order and sums them by one
-``np.add.reduceat`` per kind of part; its sums are final, and the blocks,
-concatenated, are the result in key order.  So each pair-part is sorted and
-summed once, and memory stays within the output and one block.
+The bracket pairs monomials first and numbers the output monomials in key
+order.  A monomial's modes lie on a lattice, lowest mode plus stride times
+slot (mostly all odd or all even), and each output monomial owns a window of
+rows: the lattice through the modes of its pairs, cut to |n| <= M.  The pairs
+that share an f-monomial, a kind of part and a g-stride form a group, and
+reach distinct output monomials.  For each pair the group sums its parts over
+the modes of both operands as one convolution: a product of rows when the
+f-monomial has one mode, else one Toeplitz matrix product per grid node, the
+f rows at their mode shifts against the g rows held dense over each
+g-monomial's lattice.  Each pair's sums are added once into its monomial's
+rows, and the parts that reach a row make it a term.  Whole output monomials
+are summed in chunks of about ``_CHUNK_ROWS`` rows, so memory stays within
+the output and one chunk, and the terms come out in key order with no sort of
+the parts.
 """
 
 from __future__ import annotations
@@ -212,8 +218,8 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
 # ---------------------------------------------------------------------------
 # monomial index and keyed sums
 
-# pair-parts a bracket expands per block, beyond that only to finish a monomial
-_BLOCK_PARTS = 1 << 12
+# output rows a bracket sums per chunk, beyond that only to finish a monomial
+_CHUNK_ROWS = 1 << 15
 
 
 @functools.cache
@@ -287,18 +293,64 @@ def _ranges(count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _add_runs(out: np.ndarray, slot: np.ndarray, values: np.ndarray):
-    """out[s] += the sum of the rows of values at slot s, for nondecreasing slots."""
-    runs = np.flatnonzero(np.diff(slot, prepend=-1))
-    out[slot[runs]] += np.add.reduceat(values, runs)
-
-
 def _monomial_runs(E: np.ndarray):
     """(first row, row count, exponents) of each monomial of key-sorted rows."""
     first = np.ones(E.shape[0], dtype=bool)
     first[1:] = np.any(E[1:] != E[:-1], axis=1)
     start = np.flatnonzero(first)
     return start, np.diff(np.append(start, E.shape[0])), E[start]
+
+
+def _lattices(n: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """(lowest mode, stride, slot of each row) per monomial run of key-sorted rows.
+
+    A monomial's modes are lowest + stride * slot, with the stride their
+    greatest common step (0 for a single mode).
+    """
+    lowest = n[start]
+    step = n - np.repeat(lowest, count)
+    stride = np.gcd.reduceat(step, start)
+    return lowest, stride, step // np.repeat(np.maximum(stride, 1), count)
+
+
+def _windows(lo_p, hi_p, stride_p, order, first, M: int):
+    """(lowest mode, stride, row count) of the output rows of each output monomial.
+
+    Pair p reaches modes lo_p + stride_p * k up to hi_p.  A monomial's rows
+    are the lattice through the modes of all its pairs (the runs of
+    ``order`` that ``first`` marks), cut to |n| <= M.
+    """
+    start = np.flatnonzero(first)
+    lo_p, hi_p, stride_p = lo_p[order], hi_p[order], stride_p[order]
+    lo = np.minimum.reduceat(lo_p, start)
+    hi = np.maximum.reduceat(hi_p, start)
+    stride = np.gcd(stride_p, lo_p - lo[np.cumsum(first) - 1])
+    stride = np.maximum(np.gcd.reduceat(stride, start), 1)
+    lo += stride * -(np.minimum(lo + M, 0) // stride)
+    return lo, stride, np.maximum((np.minimum(hi, M) - lo) // stride + 1, 0)
+
+
+def _mode_convolution(F: np.ndarray, shift: np.ndarray, X: np.ndarray,
+                      occupied: np.ndarray, r: int):
+    """Sums over the modes of one f-monomial times each g-monomial of a group.
+
+    F (f-modes, kinds, G) holds the f rows, mode m at output offset shift[m];
+    X (G, kinds, slots, pairs) the g rows, slot t at offset r t, with
+    ``occupied`` (slots, pairs) marking the slots that hold a term.  The
+    offsets of a pair form a Toeplitz matrix over the slots, so the sum is
+    one matrix product per grid node.  Returns the sums (G, offsets, pairs)
+    and the count of parts at each (offset, pair).
+    """
+    t = np.arange(X.shape[2])
+    at = shift[:, None] + r * t
+    span = int(at[-1, -1]) + 1
+    kinds, G = F.shape[1:]
+    toeplitz = np.zeros((G, span, kinds, t.size), dtype=complex)
+    toeplitz[:, at, :, t] = F.transpose(0, 2, 1)[:, None]
+    acc = toeplitz.reshape(G, span, -1) @ X.reshape(G, kinds * t.size, -1)
+    spread = np.zeros((span, t.size))
+    spread[at, t] = 1.0
+    return acc, spread @ occupied
 
 
 def _pairs_up_to(df: np.ndarray, dg: np.ndarray, cap: int):
@@ -528,14 +580,12 @@ class GradedHamiltonian:
 
         Each part of a pair of terms (action-angle, transverse) that lands
         beyond the Fourier cutoff or the degree cap adds max|c1| * max|c2| to
-        the ``dropped`` tally.  Pairs are formed per pair of monomials, ordered
-        by output monomial and expanded over the Fourier modes in blocks of
-        whole output monomials, each summed in key order (see the module
-        docstring).
+        the ``dropped`` tally.  Pairs are formed per pair of monomials; each
+        pair's parts are summed as one convolution over the Fourier modes,
+        into chunks of whole output monomials (see the module docstring).
         """
         ctx = self.ctx
         D, M = ctx.D, ctx.M
-        K = 2 * M + 1
         dropped = self.dropped + other.dropped
         if not self.n.size or not other.n.size:
             return GradedHamiltonian(ctx, dropped)
@@ -547,66 +597,115 @@ class GradedHamiltonian:
         aa_a, aa_b = _pairs_up_to(df, dg, D)
         # transverse part i sum_k (dz f dw g - dw f dz g), one part per z-w match
         tr_a, tr_b, tr_v = _transverse_triples(Uf, Ug, df, dg, D)
+        if not aa_a.size + tr_a.size:
+            return GradedHamiltonian(ctx, dropped)
         tr_rows = Uf[tr_a] + Ug[tr_b]
         k = np.arange(tr_v.size)
         tr_rows[k, tr_v] -= 1
         tr_rows[k, tr_v ^ 1] -= 1
         factor = np.where(tr_v & 1, -1j, 1j) * Uf[tr_a, tr_v] * Ug[tr_b, tr_v ^ 1]
-        # the pairs (action-angle, then transverse) ordered by output monomial,
-        # numbered in key order
+        # the pairs (action-angle, then transverse) numbered by output
+        # monomial in key order
         rows = np.concatenate([Uf[aa_a] + Ug[aa_b], tr_rows])
         order, first = _group(_keys(ctx, rows))
         monomials = rows[order[first]]
-        pid = np.cumsum(first) - 1
-        pa, pb = np.concatenate([aa_a, tr_a])[order], np.concatenate([aa_b, tr_b])[order]
-        transverse = order >= aa_a.size
-        factor = np.concatenate([np.zeros(aa_a.size), factor])[order]
-        # blocks of whole output monomials: one starts at each monomial that
-        # starts past another _BLOCK_PARTS pair-parts
-        size = cf[pa] * cg[pb]
-        start = np.flatnonzero(first)
-        stretch = (np.cumsum(size) - size)[start] // _BLOCK_PARTS
-        bounds = np.append(start[np.diff(stretch, prepend=-1) > 0], pa.size)
+        pid = np.empty(order.size, dtype=np.int64)
+        pid[order] = np.cumsum(first) - 1
+        pa, pb = np.concatenate([aa_a, tr_a]), np.concatenate([aa_b, tr_b])
+        pv = np.concatenate([np.full(aa_a.size, -1), tr_v])    # -1: action-angle
+        factor = np.concatenate([np.ones(aa_a.size), factor])
 
-        Cf, Cg, nf, ng = self.C, other.C, self.n, other.n
-        dCf, dCg = Cf @ ctx.Dmat.T, Cg @ ctx.Dmat.T
-        nCf, nCg = 1j * nf[:, None] * Cf, 1j * ng[:, None] * Cg
-        keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((0, Cf.shape[1]), dtype=complex)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            part = np.repeat(np.arange(lo, hi), size[lo:hi])
-            offset = _ranges(size[lo:hi])
-            span = cg[pb[part]]
-            i = sf[pa[part]] + offset // span
-            j = sg[pb[part]] + offset % span
-            n_out = nf[i] + ng[j]
-            key = pid[part] * K + n_out + M
-            sel = np.flatnonzero((np.abs(n_out) <= M)
-                                 & (transverse[part] | (nf[i] != 0) | (ng[j] != 0)))
-            sel = sel[np.argsort(key[sel])]
-            i, j, part, key = i[sel], j[sel], part[sel], key[sel]
-            new = np.ones(key.size, dtype=bool)
-            new[1:] = key[1:] != key[:-1]
-            slot = np.cumsum(new) - 1
-            block = np.zeros((int(new.sum()), Cf.shape[1]), dtype=complex)
-            # each kind of part is summed in key order into the block's slots
-            tr = transverse[part]
-            r = np.flatnonzero(~tr)
-            values = dCf[i[r]]
-            values *= nCg[j[r]]
-            other_half = nCf[i[r]]
-            other_half *= dCg[j[r]]
-            values -= other_half
-            _add_runs(block, slot[r], values)
-            r = np.flatnonzero(tr)
-            values = Cf[i[r]]
-            values *= Cg[j[r]]
-            values *= factor[part[r], None]
-            _add_runs(block, slot[r], values)
-            keys.append(key[new])
-            sums.append(block)
-        mono_id, mode = np.divmod(np.concatenate(keys), K)
-        return GradedHamiltonian._of(ctx, monomials[mono_id], mode - M,
-                                     np.concatenate(sums), dropped)
+        nf, ng = self.n, other.n
+        lo_f, st_f, _ = _lattices(nf, sf, cf)
+        lo_g, st_g, slot_g = _lattices(ng, sg, cg)
+        Lg = slot_g[sg + cg - 1] + 1
+        hi_f, hi_g = nf[sf + cf - 1], ng[sg + cg - 1]
+        lo, step, width = _windows(lo_f[pa] + lo_g[pb], hi_f[pa] + hi_g[pb],
+                                   np.gcd(st_f[pa], st_g[pb]), order, first, M)
+        row0 = np.cumsum(width) - width
+        # chunks of whole output monomials: one starts at each monomial that
+        # starts past another _CHUNK_ROWS rows
+        opens = np.diff(row0 // _CHUNK_ROWS, prepend=-1) > 0
+        chunk = (np.cumsum(opens) - 1)[pid]
+        bounds = np.append(row0[opens], width.sum())
+
+        # the rows each kind of part multiplies: (i n Cg, dI Cg) with
+        # (dI Cf, -i n Cf) for the action-angle part, Cg with Cf for the
+        # transverse part; g also grid node first, with a zero column last
+        Cf, Cg = self.C, other.C
+        G = Cf.shape[1]
+        g_rows = np.stack([1j * ng[:, None] * Cg, Cg @ ctx.Dmat.T, Cg], axis=1)
+        f_rows = np.stack([Cf @ ctx.Dmat.T, -1j * nf[:, None] * Cf, Cf], axis=1)
+        g_aa = np.zeros((G, 2, ng.size + 1), dtype=complex)
+        g_aa[:, :, :-1] = g_rows[:, :2].T
+        g_tr = np.zeros((G, 1, ng.size + 1), dtype=complex)
+        g_tr[:, :, :-1] = g_rows[:, 2:].T
+        # one group per chunk, f-monomial, kind of part and g-stride (the
+        # stride matters only to an f-monomial of several modes): the pairs
+        # of a group reach distinct output monomials
+        gs = np.where(cf[pa] == 1, 0, np.where(Lg[pb] > 1, st_g[pb], st_f[pa]))
+        seq = np.lexsort((gs, pv, pa, chunk))
+        key = np.stack([chunk, pa, pv, gs])[:, seq]
+        cut = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
+        groups = np.split(seq, cut)
+        edges = np.searchsorted(key[0, np.append(0, cut)], np.arange(bounds.size))
+        out_rows, out_C = [], []
+        for c in range(bounds.size - 1):
+            buf = np.zeros((bounds[c + 1] - bounds[c], G), dtype=complex)
+            reached = np.zeros(buf.shape[0], dtype=bool)
+            for p in groups[edges[c]:edges[c + 1]]:
+                a, b = pa[p[0]], pb[p]
+                aa = pv[p[0]] < 0
+                # the g terms of the group; the action-angle part of modes
+                # n_f = n_g = 0 vanishes and makes no term
+                j = np.repeat(sg[b], cg[b]) + _ranges(cg[b])
+                pair = np.repeat(np.arange(b.size), cg[b])
+                if cf[a] == 1:
+                    # one f-mode: the convolution is a product, and each g
+                    # term times the f row is a whole output row
+                    i = sf[a]
+                    q, n = pid[p][pair], nf[i] + ng[j]
+                    hit = n != 0 if aa and nf[i] == 0 else True
+                    if aa:
+                        values = g_rows[j, 0] * f_rows[i, 0]
+                        values += g_rows[j, 1] * f_rows[i, 1]
+                    else:
+                        values = g_rows[j, 2] * f_rows[i, 2]
+                        values *= factor[p][pair, None]
+                else:
+                    s0 = int(gs[p[0]])
+                    so = math.gcd(int(st_f[a]), s0)
+                    # the g terms at (slot, pair); empty slots read the zero column
+                    idx = np.full((Lg[b].max(), b.size), ng.size)
+                    idx[slot_g[j], pair] = j
+                    X = np.take(g_aa if aa else g_tr, idx, axis=2)
+                    if not aa:
+                        X *= factor[p]
+                    fr = np.arange(sf[a], sf[a] + cf[a])
+                    shift = (nf[fr] - lo_f[a]) // so
+                    kinds = slice(0, 2) if aa else slice(2, 3)
+                    acc, count = _mode_convolution(f_rows[fr, kinds], shift, X,
+                                                   idx < ng.size, s0 // so)
+                    if aa and np.any(nf[fr] == 0):
+                        t0, p0 = np.nonzero(np.append(ng, 1)[idx] == 0)
+                        count[shift[nf[fr] == 0] + s0 // so * t0, p0] -= 1.0
+                    q = np.broadcast_to(pid[p], count.shape).ravel()
+                    n = (lo_f[a] + lo_g[b] + so * np.arange(count.shape[0])[:, None]).ravel()
+                    hit = count.ravel() > 0.5
+                    values = acc.reshape(G, -1).T
+                # into the output rows of each pair's monomial
+                at = n - lo[q]
+                keep = np.flatnonzero(hit & (at >= 0) & (at < step[q] * width[q]))
+                row = (row0[q] - bounds[c] + at // step[q])[keep]
+                buf[row] += values[keep]
+                reached[row] = True
+            out_rows.append(bounds[c] + np.flatnonzero(reached))
+            out_C.append(buf[reached])
+        out_rows = np.concatenate(out_rows)
+        mono = np.searchsorted(row0, out_rows, side="right") - 1
+        return GradedHamiltonian._of(ctx, monomials[mono],
+                                     lo[mono] + step[mono] * (out_rows - row0[mono]),
+                                     np.concatenate(out_C), dropped)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 
 class ChartRangeError(ValueError):
@@ -220,7 +221,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are shared by every caller and therefore read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

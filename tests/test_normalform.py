@@ -185,8 +185,8 @@ def _reference_poisson(f, g):
     return acc, dropped
 
 
-def _random_operand(ctx, rng, n_monos, variables):
-    """Monomials over a few variables, each with several Fourier modes.
+def _random_operand(ctx, rng, n_monos, variables, modes=3):
+    """Monomials over a few variables, each with ``modes`` Fourier modes.
 
     Degrees and modes reach the caps, so pairs overflow both.
     """
@@ -196,7 +196,7 @@ def _random_operand(ctx, rng, n_monos, variables):
         mono = {}
         for v in rng.choice(variables, size=deg):
             mono[int(v)] = mono.get(int(v), 0) + 1
-        for n in rng.choice(np.arange(-ctx.M, ctx.M + 1), size=3, replace=False):
+        for n in rng.choice(np.arange(-ctx.M, ctx.M + 1), size=modes, replace=False):
             gh.add_term(tuple(sorted(mono.items())), int(n), _poly_coeff(ctx, rng))
     return gh
 
@@ -234,11 +234,23 @@ def test_poisson_matches_reference_beyond_62_sites(chart4, V4, rng):
     _assert_matches_reference(large, small)
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_poisson_blocks_hold_whole_output_monomials(ctx4, rng, monkeypatch, block):
-    # blocks of 1 or 7 pair-parts end after nearly every output monomial; the
-    # sums of each block must be final, so no key may come out twice
-    monkeypatch.setattr(normalform, "_BLOCK_PARTS", block)
+def test_poisson_matches_reference_on_single_mode_monomials(ctx4, rng):
+    # an f-monomial of one Fourier mode makes a product, not a convolution,
+    # with g-monomials of one mode or of several
+    ctx = ctx4.with_truncation(3, 5)
+    variables = np.arange(8)
+    single = _random_operand(ctx, rng, 8, variables, modes=1)
+    other_single = _random_operand(ctx, rng, 8, variables, modes=1)
+    several = _random_operand(ctx, rng, 25, variables)
+    for f, g in ((single, several), (several, single), (single, other_single)):
+        _assert_matches_reference(f, g)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_poisson_blocks_hold_whole_output_monomials(ctx4, rng, monkeypatch, chunk):
+    # chunks of 1 or 7 output rows end after nearly every output monomial;
+    # the sums of each chunk must be final, so no key may come out twice
+    monkeypatch.setattr(normalform, "_CHUNK_ROWS", chunk)
     ctx = ctx4.with_truncation(4, 16)
     variables = np.arange(8)
     small = _random_operand(ctx, rng, 4, variables)
@@ -249,6 +261,37 @@ def test_poisson_blocks_hold_whole_output_monomials(ctx4, rng, monkeypatch, bloc
         keys = normalform._keys(ctx, br.E, br.n)
         assert np.array_equal(np.lexsort(keys[::-1]), np.arange(br.n.size))
         assert np.unique(keys, axis=1).shape[1] == br.n.size
+
+
+def test_poisson_sums_every_part_that_reaches_one_term(ctx4, rng):
+    # z^2 w^2 e^{2 i alpha} is reached by the action-angle pairs (z w, z w)
+    # and (z^2, w^2), by the z-w and the w-z transverse part of (z^2 w, z w^2),
+    # and by three pairs of modes in each
+    z, w = ctx4.z_var(1), ctx4.w_var(1)
+    f, g = GradedHamiltonian(ctx4), GradedHamiltonian(ctx4)
+    for mono_f, mono_g in ((((z, 1), (w, 1)), ((z, 1), (w, 1))),
+                           (((z, 2),), ((w, 2),)),
+                           (((z, 2), (w, 1)), ((z, 1), (w, 2)))):
+        for n in (-1, 1, 3):
+            f.add_term(mono_f, n, _poly_coeff(ctx4, rng))
+            g.add_term(mono_g, 2 - n, _poly_coeff(ctx4, rng))
+    assert (((z, 2), (w, 2)), 2) in f.poisson(g).terms
+    _assert_matches_reference(f, g)
+    _assert_matches_reference(g, f)
+
+
+def test_poisson_keys_skip_vanishing_action_angle_parts(ctx4):
+    # {z, w e^{i n alpha}} for n = 0, 2: the action-angle part of modes 0 and
+    # 0 vanishes and makes no z w term at n = 0; the transverse part's
+    # constant at n = 0 is a term
+    z, w = ctx4.z_var(1), ctx4.w_var(1)
+    f = GradedHamiltonian(ctx4).add_term(((z, 1),), 0, ctx4.I_nodes)
+    g = GradedHamiltonian(ctx4)
+    for n in (0, 2):
+        g.add_term(((w, 1),), n, 1.0 + ctx4.I_nodes ** 2)
+    assert set(f.poisson(g).terms) == {((), 0), ((), 2), (((z, 1), (w, 1)), 2)}
+    _assert_matches_reference(f, g)
+    _assert_matches_reference(g, f)
 
 
 def test_bracket_convention_action_angle(ctx4):

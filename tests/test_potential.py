@@ -5,9 +5,9 @@ import pytest
 
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
                                    _orbit_quadrature, _turning_points, action_of_energy,
-                                   build_chart, from_cartesian, h0_of_action,
-                                   max_action_gradient, nonresonance_margin, omega0,
-                                   period_of_energy, sample_orbit, to_cartesian)
+                                   build_chart, from_cartesian, gauss_legendre,
+                                   h0_of_action, max_action_gradient, nonresonance_margin,
+                                   omega0, period_of_energy, sample_orbit, to_cartesian)
 
 
 def test_eval_potential_zero_of_order_eight(V8):
@@ -83,6 +83,16 @@ def test_action_of_energy_refinement_oracle(V8):
     adaptive = action_of_energy(V8, 0.5)
     frozen = action_of_energy(V8, 0.5, n_nodes=4096)
     assert adaptive == pytest.approx(frozen, abs=1e-11)
+
+
+@pytest.mark.parametrize("n, weight_tol", [(64, 1e-14), (1024, 3e-14)])
+def test_gauss_legendre_matches_numpy_rule(n, weight_tol):
+    # at n = 1024 the end weights of either rule are off by up to 1.5e-14
+    # from a 40-digit reference, so the two may differ by twice that
+    x, w = gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref)) <= weight_tol
 
 
 def test_action_strictly_increasing(V8):
