@@ -52,14 +52,19 @@ slot (mostly all odd or all even), and each output monomial owns a window of
 rows: the lattice through the modes of its pairs, cut to |n| <= M.  The pairs
 that share an f-monomial, a kind of part and a g-stride form a group, and
 reach distinct output monomials.  For each pair the group sums its parts over
-the modes of both operands as one convolution: a product of rows when the
-f-monomial has one mode, else one Toeplitz matrix product per grid node, the
-f rows at their mode shifts against the g rows held dense over each
-g-monomial's lattice.  Each pair's sums are added once into its monomial's
-rows, and the parts that reach a row make it a term.  Whole output monomials
-are summed in chunks of about ``_CHUNK_ROWS`` rows, so memory stays within
-the output and one chunk, and the terms come out in key order with no sort of
-the parts.
+the modes of both operands as one convolution, a Toeplitz matrix product per
+grid node: the f rows at their mode shifts against the g rows held dense over
+each g-monomial's lattice.  Each pair's sums are added once into its
+monomial's rows, and the parts that reach a row make it a term, so the terms
+come out in key order with no sort of the parts.  ``_CHUNK_ROWS`` bounds the
+work arrays: the output rows are summed in chunks of whole output monomials
+of about that many rows, a group is cut so that its pairs times its widest
+span of sums stay within it, and the Toeplitz matrices are built for as many
+grid nodes at a time as fit in the entries of a chunk.  Beyond the output
+(twice, while the chunks are joined), a few copies of the operands and the
+index arrays of the pairs, memory so stays within a few chunks; only one
+node's Toeplitz matrix can pass a chunk, at few grid nodes and with modes
+that span most of |n| <= M.
 """
 
 from __future__ import annotations
@@ -338,16 +343,23 @@ def _mode_convolution(F: np.ndarray, shift: np.ndarray, X: np.ndarray,
     X (G, kinds, slots, pairs) the g rows, slot t at offset r t, with
     ``occupied`` (slots, pairs) marking the slots that hold a term.  The
     offsets of a pair form a Toeplitz matrix over the slots, so the sum is
-    one matrix product per grid node.  Returns the sums (G, offsets, pairs)
-    and the count of parts at each (offset, pair).
+    one matrix product per grid node; the matrices are built for as many
+    nodes at a time as fit in the entries of ``_CHUNK_ROWS`` output rows.
+    Returns the sums (G, offsets, pairs) and the count of parts at each
+    (offset, pair).
     """
     t = np.arange(X.shape[2])
     at = shift[:, None] + r * t
     span = int(at[-1, -1]) + 1
     kinds, G = F.shape[1:]
-    toeplitz = np.zeros((G, span, kinds, t.size), dtype=complex)
-    toeplitz[:, at, :, t] = F.transpose(0, 2, 1)[:, None]
-    acc = toeplitz.reshape(G, span, -1) @ X.reshape(G, kinds * t.size, -1)
+    F = F.transpose(0, 2, 1)[:, None]
+    X = X.reshape(G, kinds * t.size, -1)
+    acc = np.empty((G, span, X.shape[2]), dtype=complex)
+    nodes = max(_CHUNK_ROWS * G // (span * kinds * t.size), 1)
+    for g in range(0, G, nodes):
+        toeplitz = np.zeros((min(nodes, G - g), span, kinds, t.size), dtype=complex)
+        toeplitz[:, at, :, t] = F[:, :, g:g + nodes]
+        acc[g:g + nodes] = toeplitz.reshape(-1, span, kinds * t.size) @ X[g:g + nodes]
     spread = np.zeros((span, t.size))
     spread[at, t] = 1.0
     return acc, spread @ occupied
@@ -581,8 +593,9 @@ class GradedHamiltonian:
         Each part of a pair of terms (action-angle, transverse) that lands
         beyond the Fourier cutoff or the degree cap adds max|c1| * max|c2| to
         the ``dropped`` tally.  Pairs are formed per pair of monomials; each
-        pair's parts are summed as one convolution over the Fourier modes,
-        into chunks of whole output monomials (see the module docstring).
+        pair's parts are summed as one convolution over the Fourier modes, a
+        Toeplitz matrix product per grid node, into chunks of whole output
+        monomials (see the module docstring).
         """
         ctx = self.ctx
         D, M = ctx.D, ctx.M
@@ -631,24 +644,34 @@ class GradedHamiltonian:
 
         # the rows each kind of part multiplies: (i n Cg, dI Cg) with
         # (dI Cf, -i n Cf) for the action-angle part, Cg with Cf for the
-        # transverse part; g also grid node first, with a zero column last
+        # transverse part; g grid node first, with a zero column last
         Cf, Cg = self.C, other.C
         G = Cf.shape[1]
-        g_rows = np.stack([1j * ng[:, None] * Cg, Cg @ ctx.Dmat.T, Cg], axis=1)
         f_rows = np.stack([Cf @ ctx.Dmat.T, -1j * nf[:, None] * Cf, Cf], axis=1)
         g_aa = np.zeros((G, 2, ng.size + 1), dtype=complex)
-        g_aa[:, :, :-1] = g_rows[:, :2].T
+        g_aa[:, 0, :-1] = (1j * ng[:, None] * Cg).T
+        g_aa[:, 1, :-1] = (Cg @ ctx.Dmat.T).T
         g_tr = np.zeros((G, 1, ng.size + 1), dtype=complex)
-        g_tr[:, :, :-1] = g_rows[:, 2:].T
-        # one group per chunk, f-monomial, kind of part and g-stride (the
-        # stride matters only to an f-monomial of several modes): the pairs
-        # of a group reach distinct output monomials
-        gs = np.where(cf[pa] == 1, 0, np.where(Lg[pb] > 1, st_g[pb], st_f[pa]))
-        seq = np.lexsort((gs, pv, pa, chunk))
+        g_tr[:, 0, :-1] = Cg.T
+        # one group per chunk, f-monomial, kind of part and g-stride: the
+        # pairs of a group reach distinct output monomials.  A pair's sums
+        # lie ``so`` modes apart over the span of f's modes plus g's
+        gs = np.where(Lg[pb] > 1, st_g[pb], st_f[pa])
+        so = np.maximum(np.gcd(st_f[pa], gs), 1)
+        span = (hi_f[pa] - lo_f[pa] + hi_g[pb] - lo_g[pb]) // so + 1
+        seq = np.lexsort((span, gs, pv, pa, chunk))
         key = np.stack([chunk, pa, pv, gs])[:, seq]
         cut = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
-        groups = np.split(seq, cut)
-        edges = np.searchsorted(key[0, np.append(0, cut)], np.arange(bounds.size))
+        # a group, by growing span, is cut where pairs times its widest span
+        # would pass _CHUNK_ROWS, so that its sums stay within one chunk
+        groups = []
+        for p in np.split(seq, cut):
+            while p.size:
+                size = span[p] * np.arange(1, p.size + 1)
+                take = max(int(np.searchsorted(size, _CHUNK_ROWS, side="right")), 1)
+                groups.append(p[:take])
+                p = p[take:]
+        edges = np.searchsorted(chunk[[p[0] for p in groups]], np.arange(bounds.size))
         out_rows, out_C = [], []
         for c in range(bounds.size - 1):
             buf = np.zeros((bounds[c + 1] - bounds[c], G), dtype=complex)
@@ -656,48 +679,32 @@ class GradedHamiltonian:
             for p in groups[edges[c]:edges[c + 1]]:
                 a, b = pa[p[0]], pb[p]
                 aa = pv[p[0]] < 0
-                # the g terms of the group; the action-angle part of modes
-                # n_f = n_g = 0 vanishes and makes no term
+                s = int(so[p[0]])
+                r = int(gs[p[0]]) // s
+                # the g terms at (slot, pair); empty slots read the zero column
                 j = np.repeat(sg[b], cg[b]) + _ranges(cg[b])
-                pair = np.repeat(np.arange(b.size), cg[b])
-                if cf[a] == 1:
-                    # one f-mode: the convolution is a product, and each g
-                    # term times the f row is a whole output row
-                    i = sf[a]
-                    q, n = pid[p][pair], nf[i] + ng[j]
-                    hit = n != 0 if aa and nf[i] == 0 else True
-                    if aa:
-                        values = g_rows[j, 0] * f_rows[i, 0]
-                        values += g_rows[j, 1] * f_rows[i, 1]
-                    else:
-                        values = g_rows[j, 2] * f_rows[i, 2]
-                        values *= factor[p][pair, None]
-                else:
-                    s0 = int(gs[p[0]])
-                    so = math.gcd(int(st_f[a]), s0)
-                    # the g terms at (slot, pair); empty slots read the zero column
-                    idx = np.full((Lg[b].max(), b.size), ng.size)
-                    idx[slot_g[j], pair] = j
-                    X = np.take(g_aa if aa else g_tr, idx, axis=2)
-                    if not aa:
-                        X *= factor[p]
-                    fr = np.arange(sf[a], sf[a] + cf[a])
-                    shift = (nf[fr] - lo_f[a]) // so
-                    kinds = slice(0, 2) if aa else slice(2, 3)
-                    acc, count = _mode_convolution(f_rows[fr, kinds], shift, X,
-                                                   idx < ng.size, s0 // so)
-                    if aa and np.any(nf[fr] == 0):
-                        t0, p0 = np.nonzero(np.append(ng, 1)[idx] == 0)
-                        count[shift[nf[fr] == 0] + s0 // so * t0, p0] -= 1.0
-                    q = np.broadcast_to(pid[p], count.shape).ravel()
-                    n = (lo_f[a] + lo_g[b] + so * np.arange(count.shape[0])[:, None]).ravel()
-                    hit = count.ravel() > 0.5
-                    values = acc.reshape(G, -1).T
+                idx = np.full((Lg[b].max(), b.size), ng.size)
+                idx[slot_g[j], np.repeat(np.arange(b.size), cg[b])] = j
+                X = np.take(g_aa if aa else g_tr, idx, axis=2)
+                if not aa:
+                    X *= factor[p]
+                fr = np.arange(sf[a], sf[a] + cf[a])
+                shift = (nf[fr] - lo_f[a]) // s
+                kinds = slice(0, 2) if aa else slice(2, 3)
+                acc, count = _mode_convolution(f_rows[fr, kinds], shift, X,
+                                               idx < ng.size, r)
+                # the action-angle part of modes n_f = n_g = 0 vanishes and
+                # makes no term
+                if aa and np.any(nf[fr] == 0):
+                    t0, p0 = np.nonzero(np.append(ng, 1)[idx] == 0)
+                    count[shift[nf[fr] == 0] + r * t0, p0] -= 1.0
                 # into the output rows of each pair's monomial
-                at = n - lo[q]
-                keep = np.flatnonzero(hit & (at >= 0) & (at < step[q] * width[q]))
+                q = np.broadcast_to(pid[p], count.shape).ravel()
+                at = (lo_f[a] + lo_g[b] + s * np.arange(count.shape[0])[:, None]).ravel() - lo[q]
+                keep = np.flatnonzero((count.ravel() > 0.5) & (at >= 0)
+                                      & (at < step[q] * width[q]))
                 row = (row0[q] - bounds[c] + at // step[q])[keep]
-                buf[row] += values[keep]
+                buf[row] += acc.reshape(G, -1).T[keep]
                 reached[row] = True
             out_rows.append(bounds[c] + np.flatnonzero(reached))
             out_C.append(buf[reached])

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -235,8 +238,8 @@ def test_poisson_matches_reference_beyond_62_sites(chart4, V4, rng):
 
 
 def test_poisson_matches_reference_on_single_mode_monomials(ctx4, rng):
-    # an f-monomial of one Fourier mode makes a product, not a convolution,
-    # with g-monomials of one mode or of several
+    # an f-monomial of one Fourier mode makes a diagonal Toeplitz matrix,
+    # against g-monomials of one mode or of several
     ctx = ctx4.with_truncation(3, 5)
     variables = np.arange(8)
     single = _random_operand(ctx, rng, 8, variables, modes=1)
@@ -261,6 +264,34 @@ def test_poisson_blocks_hold_whole_output_monomials(ctx4, rng, monkeypatch, chun
         keys = normalform._keys(ctx, br.E, br.n)
         assert np.array_equal(np.lexsort(keys[::-1]), np.arange(br.n.size))
         assert np.unique(keys, axis=1).shape[1] == br.n.size
+
+
+def test_poisson_groups_stay_within_one_chunk(ctx4, rng, monkeypatch):
+    # modes -M and M on both sides: each pair's sums span n = -2M, 0, 2M, of
+    # which only n = 0 is an output row, so a chunk of 64 rows holds about
+    # 64 output monomials, and a group of their pairs is cut to keep its
+    # pairs times its span within 64 rows
+    monkeypatch.setattr(normalform, "_CHUNK_ROWS", 64)
+    convolve = normalform._mode_convolution
+    sizes = []
+
+    def recorded(F, shift, X, occupied, r):
+        acc, count = convolve(F, shift, X, occupied, r)
+        sizes.append(acc.shape[1:])
+        return acc, count
+
+    monkeypatch.setattr(normalform, "_mode_convolution", recorded)
+    ctx = ctx4.with_truncation(4, 16)
+    f, g = GradedHamiltonian(ctx), GradedHamiltonian(ctx)
+    for n in (-ctx.M, ctx.M):
+        f.add_term(((ctx.z_var(1), 1),), n, _poly_coeff(ctx, rng))
+        for degree in (1, 2, 3):
+            for vs in itertools.combinations_with_replacement(range(8), degree):
+                mono = tuple(sorted(collections.Counter(vs).items()))
+                g.add_term(mono, n, _poly_coeff(ctx, rng))
+    _assert_matches_reference(f, g)
+    assert any(pairs > 1 for _, pairs in sizes)
+    assert all(span * pairs <= 64 for span, pairs in sizes if pairs > 1)
 
 
 def test_poisson_sums_every_part_that_reaches_one_term(ctx4, rng):
