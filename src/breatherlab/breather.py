@@ -53,9 +53,12 @@ def flow_map(x: LatticeState, V: PotentialSpec, eps: float, T: float,
 
 
 def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
-              dt: float = 0.01) -> np.ndarray:
-    """Tangent map of the period-T flow by the splitting scheme's exact tangent.
+              tangent: np.ndarray, dt: float = 0.01) -> np.ndarray:
+    """Tangent map of the period-T flow applied to ``tangent``, by the splitting
+    scheme's exact tangent.
 
+    ``tangent`` stacks the initial tangent vectors as columns (dp; dq), 2n rows
+    for the n = 2N + 1 sites; the identity gives the full monodromy matrix.
     Each rotation substep rotates (dp, dq) blocks; each kick adds
     tau (eps Delta - V''(q(t))) dq to dp with q(t) co-evolved, so the product
     is symplectic to round-off.  The state rides along as column 0 of the
@@ -64,24 +67,25 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     the force derivative, all in preallocated buffers.
     """
     n = 2 * x.N + 1
-    P = np.zeros((n, 2 * n + 1))
-    Q = np.zeros((n, 2 * n + 1))
+    P = np.empty((n, tangent.shape[1] + 1))
+    Q = np.empty_like(P)
     P[:, 0], Q[:, 0] = x.p, x.q
-    P[:, 1:n + 1] = np.eye(n)
-    Q[:, n + 1:] = np.eye(n)
+    P[:, 1:], Q[:, 1:] = tangent[:n], tangent[n:]
     lap = np.empty_like(Q)
     dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
+    P_flat, Q_flat, lap_flat, dV_flat = P.ravel(), Q.ravel(), lap.ravel(), dV.ravel()
     steps = max(1, int(np.ceil(T / dt)))
     h = T / steps
     for _ in range(steps):
         for i, ck in enumerate(tint._KICKS):
-            tint._rotate(P, Q, tint._ROTATIONS[i] * h)
+            tint._rotate(P_flat, Q_flat, tint._ROTATIONS[i] * h)
             q = Q[:, 0]
             np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
             dV[:, 0] = V.derivative(q)
-            tint._axpy(P, ck * h * eps, coupling_force(Q, out=lap))
-            tint._axpy(P, -ck * h, dV)
-        tint._rotate(P, Q, tint._ROTATIONS[-1] * h)
+            coupling_force(Q, out=lap)
+            tint._axpy(P_flat, ck * h * eps, lap_flat)
+            tint._axpy(P_flat, -ck * h, dV_flat)
+        tint._rotate(P_flat, Q_flat, tint._ROTATIONS[-1] * h)
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 
@@ -121,7 +125,8 @@ def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
             return cur, defect, it
         if it == max_newton:
             break
-        J = monodromy(cur, V, eps, 0.5 * T)[:n, n:]      # dp(T/2) / dq(0)
+        # dp(T/2) / dq(0): the tangent of the n q-columns, (dp; dq) = (0; I)
+        J = monodromy(cur, V, eps, 0.5 * T, np.eye(2 * n, n, -n))[:n]
         try:
             cur.q = cur.q - np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -236,7 +241,7 @@ def floquet_spectrum(b: Breather, V: PotentialSpec, dt: float = 0.005) -> Floque
     the modulus excess is taken over the remaining (stability-relevant)
     eigenvalues.
     """
-    M = monodromy(b.x0, V, b.eps, b.period, dt=dt)
+    M = monodromy(b.x0, V, b.eps, b.period, np.eye(2 * b.x0.q.size), dt=dt)
     eigs = np.linalg.eigvals(M)
     order = np.argsort(np.abs(eigs - 1.0))
     trivial_err = float(np.max(np.abs(eigs[order[:2]] - 1.0)))

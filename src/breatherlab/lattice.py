@@ -106,10 +106,27 @@ def is_admissible(pair: AdmissiblePair) -> bool:
     return inv <= 1.0 / 6.0 + 1e-15
 
 
+def _span(mask: np.ndarray, reach: int = 0) -> slice:
+    """Smallest slice holding every True entry of ``mask``, widened by ``reach``
+    entries on each side and cut to the array; empty when no entry is True."""
+    flags = mask.tobytes()      # one byte per entry, so find and rfind scan it in C
+    first = flags.find(1)
+    if first < 0:
+        return slice(0, 0)
+    return slice(max(first - reach, 0), min(flags.rfind(1) + 1 + reach, len(flags)))
+
+
 def hamiltonian(state: LatticeState, V: PotentialSpec, eps: float) -> float:
-    """Full chain energy: on-site oscillators + V + (eps/2) sum (q_{k+1}-q_k)^2."""
-    onsite = 0.5 * np.sum(state.p ** 2 + state.q ** 2) + np.sum(V(state.q))
-    qp = np.concatenate(([0.0], state.q, [0.0]))  # Dirichlet ghosts
+    """Full chain energy: on-site oscillators + V + (eps/2) sum (q_{k+1}-q_k)^2.
+
+    V is evaluated only on the smallest slice holding every |q| >= ``V.q_cut``;
+    below q_cut, |V(q)| < |q| times the smallest normal double (see
+    ``PotentialSpec``), so the far field of a localized state adds nothing and
+    its powers are never raised.
+    """
+    q = state.q
+    onsite = 0.5 * np.sum(state.p ** 2 + q ** 2) + np.sum(V(q[_span(np.abs(q) >= V.q_cut)]))
+    qp = np.concatenate(([0.0], q, [0.0]))  # Dirichlet ghosts
     coupling = 0.5 * eps * np.sum(np.diff(qp) ** 2)
     return float(onsite + coupling)
 
@@ -151,7 +168,12 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
 
     The direct sum convention is (|p|_r^r + |q|_r^r)^(1/r); exponential weights
     always use the squared form (sum over both components).  An integral r is
-    raised by a chain of multiplications, a fractional one by ``**``.
+    raised by a chain of multiplications.  For r > 2 the chain runs only on
+    the smallest slice holding every entry at or above tiny^(1/r), tiny the
+    smallest normal double: below it the r-th power is subnormal, adds less
+    than tiny to the sum, and its products cost many times normal ones.  For
+    r <= 2 the chain has at most one product, which costs no more than the
+    scan that finds the slice.  A fractional r is raised by ``**``.
     """
     if isinstance(weight, ExponentialWeight):
         w = np.exp(weight.sign * weight.beta * np.abs(state.sites()))
@@ -165,6 +187,9 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
     if np.isinf(r_exp):
         return float(max(np.max(x, initial=0.0) for x in xs))
     if float(r_exp).is_integer():
+        if r_exp > 2:
+            cut = np.finfo(float).tiny ** (1.0 / r_exp)
+            xs = tuple(x[_span(x >= cut)] for x in xs)
         s = sum(np.sum(_power(x, int(r_exp))) for x in xs)
     else:
         s = sum(np.sum(x ** r_exp) for x in xs)

@@ -9,6 +9,8 @@ nonresonance margin used by the continuation and normal-form machinery.
 The chart layer works on arrays: ``_turning_points``, ``_orbit_quadrature``
 and ``sample_orbit`` take an array of energies or actions and treat them all
 in one pass, and ``build_chart`` runs each of its sweeps as one such pass.
+``_orbit_quadrature`` returns the action and the period together, from one
+turning-point solve.
 ``action_of_energy``, ``period_of_energy``, ``ActionAngleChart.q_max`` and
 ``max_action_gradient`` are views of the same routines for one value.
 
@@ -51,8 +53,10 @@ class PotentialSpec:
     ``q_cut`` is (tiny / sum |m a_m|)^(1 / (m0 - 1)), capped at 1, where tiny
     is the smallest normal double and m0 the lowest degree (inf for V = 0).
     For |q| < q_cut every power q^(m-1) is at most q^(m0-1), so
-    |V'(q)| < tiny: about 8e-45 for q^8.  The splitting kernel skips V' on
-    such sites.
+    |V'(q)| < tiny: about 8e-45 for q^8.  The splitting kernel evaluates V'
+    only on its force window, the sites whose |q| can reach q_cut within the
+    step (see ``integrate``), and ``hamiltonian`` evaluates V only where
+    |q| >= q_cut.
     """
 
     coefficients: tuple[tuple[int, float], ...]
@@ -232,19 +236,21 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODE_COUNTS = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
 
-def _orbit_quadrature(V: PotentialSpec, E, kind: str, rtol: float = 1e-12,
+def _orbit_quadrature(V: PotentialSpec, E, rtol: float = 1e-12,
                       n_nodes: int | None = None) -> np.ndarray:
-    """Gauss-Legendre quadrature between turning points, one value per energy.
+    """Action and half-period integrals by Gauss-Legendre quadrature between the
+    turning points: rows 0 and 1 of the result, one column per energy.
 
-    ``E`` is a scalar or an array, and the values have its shape.  With
+    ``E`` is a scalar or an array, and each row has its shape.  With
     q = c + h sin(phi) and the polynomial U - E deflated by its turning point
     roots, E - U(q) = h^2 cos^2(phi) W(q) exactly, so both integrands
     (sqrt(2(E-U)) dq for the action, dq/sqrt(2(E-U)) for the period) are
-    analytic in phi and free of endpoint cancellation.  The integrands are
-    evaluated on one (nodes, energies) grid.  Without ``n_nodes``, each energy
-    keeps the value at the first node count of ``_NODE_COUNTS`` that agrees
-    with the count before it to ``rtol``; only the energies not yet converged
-    go on to the next count.
+    analytic in phi and free of endpoint cancellation.  The turning points are
+    found once, and both integrands are evaluated on one (nodes, energies)
+    grid.  Without ``n_nodes``, each integral of each energy keeps its value at
+    the first node count of ``_NODE_COUNTS`` that agrees with the count before
+    it to ``rtol``; only the energies with an integral not yet converged go on
+    to the next count.
     """
     E = np.asarray(E, dtype=float)
     shape, E = E.shape, E.ravel()
@@ -274,24 +280,27 @@ def _orbit_quadrature(V: PotentialSpec, E, kind: str, rtol: float = 1e-12,
         for a in W[:, idx]:
             Wq = Wq * q + a
         Wq = np.clip(Wq, 1e-300, None)
-        if kind == "action":
-            f = h[idx] ** 2 * np.cos(phi) ** 2 * np.sqrt(2.0 * Wq)
-        else:
-            f = 1.0 / np.sqrt(2.0 * Wq)
-        return 0.5 * np.pi * (w @ f)
+        root = np.sqrt(2.0 * Wq)
+        action = h[idx] ** 2 * np.cos(phi) ** 2 * root
+        return 0.5 * np.pi * np.stack([w @ action, w @ (1.0 / root)])
 
     if n_nodes is not None:
-        return evaluate(n_nodes, slice(None)).reshape(shape)
-    out = np.empty_like(E)
+        return evaluate(n_nodes, slice(None)).reshape(2, *shape)
+    out = np.empty((2, E.size))
+    pending = np.ones((2, E.size), dtype=bool)
     todo = np.arange(E.size)
     prev = evaluate(_NODE_COUNTS[0], todo)
     for n in _NODE_COUNTS[1:]:
         cur = evaluate(n, todo)
         done = np.abs(cur - prev) <= rtol * np.maximum(np.abs(cur), 1e-300) + 1e-15
-        out[todo[done]] = cur[done]
-        todo, prev = todo[~done], cur[~done]
+        # an integral still pending takes this count's value, and keeps it once done
+        out[:, todo] = np.where(pending[:, todo], cur, out[:, todo])
+        pending[:, todo] &= ~done
+        keep = pending[:, todo].any(axis=0)
+        todo, prev = todo[keep], cur[:, keep]
         if not todo.size:
-            return out.reshape(shape)
+            return out.reshape(2, *shape)
+    kind = "action" if pending[0, todo[0]] else "period"
     raise QuadratureError(f"orbit quadrature ({kind}) did not converge at E={E[todo[0]]}")
 
 
@@ -302,19 +311,26 @@ def _positive_energy(E) -> np.ndarray:
     return E
 
 
+def _action_and_period(V: PotentialSpec, E, rtol: float = 1e-12,
+                       n_nodes: int | None = None):
+    """Action I(E) and period T(E) from one turning-point solve, for a scalar or an array of E."""
+    action, half_period = _orbit_quadrature(V, _positive_energy(E), rtol, n_nodes)
+    return action[()] / np.pi, 2.0 * half_period[()]
+
+
 def action_of_energy(V: PotentialSpec, E, rtol: float = 1e-12,
                      n_nodes: int | None = None):
     """Action I(E) = (1/2pi) * (area enclosed by the level set), for a scalar or an array of E.
 
     Computed as (1/pi) * integral of sqrt(2(E - U(q))) between turning points.
     """
-    return _orbit_quadrature(V, _positive_energy(E), "action", rtol, n_nodes)[()] / np.pi
+    return _action_and_period(V, E, rtol, n_nodes)[0]
 
 
 def period_of_energy(V: PotentialSpec, E, rtol: float = 1e-12,
                      n_nodes: int | None = None):
     """Orbit period T(E) = 2 * integral of dq / sqrt(2(E - U(q))), for a scalar or an array of E."""
-    return 2.0 * _orbit_quadrature(V, _positive_energy(E), "period", rtol, n_nodes)[()]
+    return _action_and_period(V, E, rtol, n_nodes)[1]
 
 
 def _oscillator_rhs(V: PotentialSpec):
@@ -394,8 +410,8 @@ def build_chart(V: PotentialSpec, I_min: float, I_max: float,
     I_grid = np.linspace(I_min, I_max, n_grid)
     E = inv(I_grid)
     for _ in range(3):
-        T = period_of_energy(V, E, quad_rtol)
-        E = E - (action_of_energy(V, E, quad_rtol) - I_grid) / (T / (2.0 * np.pi))
+        I, T = _action_and_period(V, E, quad_rtol)
+        E = E - (I - I_grid) / (T / (2.0 * np.pi))
     omega = 2.0 * np.pi / period_of_energy(V, E, quad_rtol)
     return ActionAngleChart(V, I_grid, E, omega)
 

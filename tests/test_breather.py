@@ -139,7 +139,8 @@ def test_floquet_symplectic_symmetry(breather005, V8):
 
 
 def test_monodromy_symplectic(breather005, V8):
-    M = monodromy(breather005.x0, V8, 0.05, breather005.period, dt=0.01)
+    M = monodromy(breather005.x0, V8, 0.05, breather005.period,
+                  np.eye(2 * breather005.x0.q.size), dt=0.01)
     n = (M.shape[0]) // 2
     J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     err = M.T @ J @ M - J
@@ -190,10 +191,13 @@ def _oracle_monodromy(x, V, eps, T, dt=0.01):
 
 def test_monodromy_matches_two_block_oracle(breather16, V8):
     b = breather16
-    M = monodromy(b.x0, V8, b.eps, b.period)
+    M = monodromy(b.x0, V8, b.eps, b.period, np.eye(66))
     M_ref = _oracle_monodromy(b.x0, V8, b.eps, b.period)
     assert M.shape == M_ref.shape == (66, 66)
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+    # the columns are stepped apart, so a block of them is the same map
+    np.testing.assert_array_equal(monodromy(b.x0, V8, b.eps, b.period, np.eye(66, 33, -33)),
+                                  M[:, 33:])
 
 
 def _oracle_newton_polish(x, V, eps, T, tol, max_newton):
@@ -209,7 +213,7 @@ def _oracle_newton_polish(x, V, eps, T, tol, max_newton):
         defect = float(np.linalg.norm(F))
         if defect < tol:
             return cur, defect, it
-        M = br.monodromy(cur, V, eps, T)
+        M = br.monodromy(cur, V, eps, T, np.eye(d))
         v = vector_field(y, V, eps)
         # border with the energy gradient (v_q, -v_p): the left kernel of
         # (M - I) is J v, which is orthogonal to v itself (Hamiltonian Jordan

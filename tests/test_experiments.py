@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from breatherlab import breather as br
-from breatherlab import experiments
+from breatherlab import experiments, integrate
 from breatherlab.breather import anti_continuum_seed, continue_breather
 from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
                                      emit_report, perturb, run_stability, track_modulation)
-from breatherlab.lattice import LatticeState
+from breatherlab.lattice import LatticeState, coupling_force
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,47 @@ def test_emit_report_writes_the_series_and_each_check(zero_mu_record, tmp_path):
     assert float(values["I_drift"]) == drift
     _, _, ok = emit_report(record, tmp_path / "report", {"I_drift": drift})
     assert ok
+
+
+def test_support_cut_leaves_the_stability_series_unchanged(chart8, V8, monkeypatch):
+    # a kicked run on 1025 sites steps at most 60 % of them; with a zero
+    # support floor the kernel steps the whole chain, and the sampled series agree
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=512, mu=0.01, T=20.0,
+                              sample_stride=25, family_half_width=0.06, family_members=3,
+                              family_phases=64, family_window=8, N_family=8)
+    family = build_family(chart8, config)
+    sizes = []
+
+    def recorded(q, out=None):
+        sizes.append(q.size)
+        return coupling_force(q, out=out)
+
+    monkeypatch.setattr(integrate, "coupling_force", recorded)
+    cut = run_stability(config, chart8, family)
+    assert max(sizes) < 0.6 * 1025
+    monkeypatch.setattr(integrate, "_EPS2", 0.0)
+    sizes.clear()
+    full = run_stability(config, chart8, family)
+    assert min(sizes) == 1025
+    for name in ("I_bar", "residual_l2", "energy"):
+        a, b = getattr(cut, name), getattr(full, name)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+
+
+def test_run_stability_steps_once_per_step_of_the_run(chart8, tracker_family, monkeypatch):
+    config, family = tracker_family
+    config = dataclasses.replace(config, T=1.01, dt=0.03, sample_stride=7)
+    calls = []
+    step = experiments.step_arrays
+
+    def counting(*args):
+        calls.append(args[4])
+        step(*args)
+
+    monkeypatch.setattr(experiments, "step_arrays", counting)
+    record = run_stability(config, chart8, family)
+    assert calls == [0.03] * round(1.01 / 0.03)
+    assert record.times[-1] == pytest.approx(34 * 0.03)
 
 
 def test_unknown_perturbation_shape_is_rejected(V8):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from breatherlab import integrate
+from breatherlab.experiments import perturb
 from breatherlab.integrate import (_KICKS, _ROTATIONS, BlowupError, IntegratorConfig, evolve,
                                    flow, step, step_arrays)
 from breatherlab.lattice import LatticeState, coupling_force, hamiltonian, norm, vector_field
@@ -207,6 +209,82 @@ def test_state_below_q_cut_steps_like_the_harmonic_chain(rng, monkeypatch):
     bound = 1e-14 * np.max(np.abs(q_ref))
     assert np.max(np.abs(p - p_ref)) < bound
     assert np.max(np.abs(q - q_ref)) < bound
+
+
+def _kicked(N, mu, shape, seed=1):
+    """A central oscillator at q = 0.8 with a perturbation of l^2 size mu."""
+    x = LatticeState.zeros(N)
+    x.q[N] = 0.8
+    x = perturb(x, mu, shape, seed)
+    return x.p, x.q
+
+
+def test_localized_kicked_state_stays_within_the_support_bound(V8):
+    # sites below e^2 max a (e = 2^-52) are left out of the step, so after n
+    # steps each site may differ from the full-chain oracle by n e^2 max a, on
+    # top of the rounding that the oracle's own order of operations leaves,
+    # which is relative to the site's own amplitude
+    N, n = 512, 2000
+    p, q = _kicked(N, 0.05, "localized")
+    p_ref, q_ref = p.copy(), q.copy()
+    for _ in range(n):
+        step_arrays(p, q, V8, 0.05, 0.02)
+        _oracle_step_arrays(p_ref, q_ref, V8, 0.05, 0.02)
+    amp = np.maximum(np.abs(p_ref), np.abs(q_ref))
+    assert amp[0] < 1e-40 * amp.max()      # the support ends inside the chain
+    bound = 1e-12 * amp + n * np.finfo(float).eps ** 2 * amp.max()
+    assert np.all(np.abs(p - p_ref) <= bound)
+    assert np.all(np.abs(q - q_ref) <= bound)
+
+
+def test_force_window_holds_every_site_at_or_above_q_cut(V8, monkeypatch):
+    # dt at the stability guard for eps = 0.05.  Site 20 starts at p = q =
+    # 0.9 q_cut and the first rotation lifts |q| above q_cut, which only the
+    # growth factor foresees; site 9 starts at rest, and its neighbour's
+    # coupling kick lifts it above q_cut by the second kick, which only the
+    # reach foresees
+    eps, dt = 0.05, 0.45
+    IntegratorConfig(t_final=dt, dt=dt).check_stability(eps)
+    p, q = np.zeros(33), np.zeros(33)
+    q[10] = 1000.0 * V8.q_cut
+    p[20] = q[20] = 0.9 * V8.q_cut
+    derivative = PotentialSpec.derivative
+    live_sites = []
+
+    def checked(self, q_window):
+        # q_window is a slice of q, so it holds every live site iff it holds as many
+        live = np.flatnonzero(np.abs(q) >= V8.q_cut)
+        assert np.count_nonzero(np.abs(q_window) >= V8.q_cut) == live.size
+        live_sites.extend(live)
+        return derivative(self, q_window)
+
+    monkeypatch.setattr(PotentialSpec, "derivative", checked)
+    for _ in range(4):
+        step_arrays(p, q, V8, eps, dt)
+    assert {9, 20} <= set(live_sites)
+
+
+def test_spread_out_or_non_finite_state_steps_every_site(V8, monkeypatch):
+    sizes = []
+
+    def recorded(q, out=None):
+        sizes.append(q.size)
+        return coupling_force(q, out=out)
+
+    monkeypatch.setattr(integrate, "coupling_force", recorded)
+    p, q = _kicked(256, 0.05, "uniform")
+    for _ in range(10):
+        step_arrays(p, q, V8, 0.05, 0.02)
+    assert sizes == [p.size] * 10 * len(_KICKS)
+    # one NaN in a localized state: every site is stepped, so the NaN spreads by
+    # the reach of a step
+    p, q = _kicked(256, 0.05, "localized")
+    q[3] = np.nan
+    sizes.clear()
+    with np.errstate(invalid="ignore"):
+        step_arrays(p, q, V8, 0.05, 0.02)
+    assert sizes == [p.size] * len(_KICKS)
+    assert np.isnan(p[:7]).all()
 
 
 def test_step_arrays_refuses_a_strided_view(rng, V8):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from breatherlab import lattice
 from breatherlab.csvio import read_state, write_table
 from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
                                  PolynomialWeight, check_skew, circle_distance,
                                  distance, hamiltonian, is_admissible, norm,
                                  skew_symmetrize, vector_field)
+from breatherlab.potential import PotentialSpec
 
 
 def random_state(rng, N=32, scale=0.3):
@@ -37,6 +39,30 @@ def test_hamiltonian_matches_naive_sum(rng, V8):
     for k in range(-s.N - 1, s.N + 1):  # bonds, Dirichlet ghosts
         total += 0.5 * eps * (qd.get(k + 1, 0.0) - qd.get(k, 0.0)) ** 2
     assert hamiltonian(s, V8, eps) == pytest.approx(total, rel=1e-12)
+
+
+def test_hamiltonian_of_a_localized_state_skips_only_the_far_field(rng, V8, monkeypatch):
+    # V is evaluated only on the slice holding every |q| >= q_cut; outside it
+    # each term is below tiny * |q|
+    N = 128
+    ks = np.arange(-N, N + 1)
+    env = 10.0 ** (-200.0 * np.abs(ks) / N)
+    s = LatticeState(N, env * rng.standard_normal(ks.size), env * rng.standard_normal(ks.size))
+    qp = np.concatenate(([0.0], s.q, [0.0]))
+    total = (0.5 * np.sum(s.p ** 2 + s.q ** 2) + np.sum(s.q ** 8)
+             + 0.5 * 0.1 * np.sum(np.diff(qp) ** 2))
+    assert hamiltonian(s, V8, 0.1) == pytest.approx(total, rel=1e-15)
+    call = PotentialSpec.__call__
+    sizes = []
+
+    def recorded(self, q):
+        sizes.append(q.size)
+        return call(self, q)
+
+    monkeypatch.setattr(PotentialSpec, "__call__", recorded)
+    hamiltonian(s, V8, 0.1)
+    live = np.flatnonzero(np.abs(s.q) >= V8.q_cut)
+    assert sizes == [live[-1] + 1 - live[0]] and sizes[0] < ks.size
 
 
 def packed(state):
@@ -116,6 +142,30 @@ def test_integral_r_by_multiplication_matches_float_power(rng):
         assert norm(s, r) == _pow_formula_norm(s, r, ones)
         assert norm(s, r, PolynomialWeight(3.0)) == _pow_formula_norm(s, r, wf)
     assert norm(s, 2.5) == _pow_formula_norm(s, 2.5, ones)
+
+
+def test_integral_r_above_two_skips_the_subnormal_far_field(rng, monkeypatch):
+    # for r > 2 the power chain runs on the slice of entries whose r-th power
+    # is normal; for r <= 2 its one product is no dearer than finding the slice
+    N = 128
+    ks = np.arange(-N, N + 1)
+    env = 10.0 ** (-200.0 * np.abs(ks) / N)
+    s = LatticeState(N, env * rng.standard_normal(ks.size), env * rng.standard_normal(ks.size))
+    power = lattice._power
+    sizes = []
+
+    def recorded(x, k):
+        sizes.append(x.size)
+        return power(x, k)
+
+    monkeypatch.setattr(lattice, "_power", recorded)
+    cut = np.finfo(float).tiny ** (1 / 14)
+    norm(s, 14)
+    normal = [np.count_nonzero(np.abs(x) >= cut) for x in (s.p, s.q)]
+    assert all(n <= size < ks.size for n, size in zip(normal, sizes))
+    sizes.clear()
+    norm(s, 2)
+    assert sizes == [ks.size, ks.size]
 
 
 def test_lr_monotonicity(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
-                                   _orbit_quadrature, _turning_points, action_of_energy,
+                                   _NODE_COUNTS, _orbit_quadrature, _turning_points, action_of_energy,
                                    build_chart, from_cartesian, gauss_legendre,
                                    h0_of_action, max_action_gradient, nonresonance_margin,
                                    omega0, period_of_energy, sample_orbit, to_cartesian)
@@ -283,11 +283,29 @@ def test_build_chart_rejects_a_level_set_that_does_not_close():
 ], ids=["open", "non-convex"])
 def test_one_bad_energy_among_good_ones_raises(V, bad, message):
     good = np.array([0.05, 0.1, 0.15])
-    for kind in ("action", "period"):
-        assert np.all(np.isfinite(_orbit_quadrature(V, good, kind)))
-        with pytest.raises(LevelSetError) as err:
-            _orbit_quadrature(V, np.insert(good, 2, bad), kind)
-        assert message in str(err.value) and f"E={bad} " in str(err.value)
+    assert np.all(np.isfinite(_orbit_quadrature(V, good)))
+    with pytest.raises(LevelSetError) as err:
+        _orbit_quadrature(V, np.insert(good, 2, bad))
+    assert message in str(err.value) and f"E={bad} " in str(err.value)
+
+
+def test_each_integral_keeps_its_first_converged_node_count():
+    # the action and the period of one energy are read off one turning-point
+    # solve, but each stops at the first count that agrees with the one
+    # before it, as if it were computed alone
+    # before it, as if it were computed alone.  U = q^2/2 - q^4/4 + b q^6 is
+    # nearly flat at q^2 = 1/(12 b), and just above that level the period
+    # integrand peaks there and needs more nodes than the action's
+    b = 1 / (24 * 0.99)
+    V = PotentialSpec(((4, -0.25), (6, b)), min_degree=4)
+    x = 1 / (12 * b)
+    E = (1 + np.array([3e-2, 1e-2, 1e-3])) * (x / 2 - x * x / 4 + b * x ** 3)
+    both = _orbit_quadrature(V, E)
+    fixed = np.array([_orbit_quadrature(V, E, n_nodes=n) for n in _NODE_COUNTS])
+    agree = np.abs(fixed[1:] - fixed[:-1]) <= 1e-12 * np.abs(fixed[1:]) + 1e-15
+    first = np.argmax(agree, axis=0) + 1
+    assert agree.any(axis=0).all() and np.any(first[0] != first[1])
+    np.testing.assert_array_equal(both, np.take_along_axis(fixed, first[None], 0)[0])
 
 
 def test_action_of_energy_rejects_a_non_positive_energy(V8):
