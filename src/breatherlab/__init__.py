@@ -4,17 +4,15 @@ from .potential import (ActionAngleChart, PotentialSpec, action_of_energy, build
                         from_cartesian, h0_of_action, nonresonance_margin, omega0,
                         to_cartesian)
 from .lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
-                      PolynomialWeight, check_skew, distance, hamiltonian,
-                      is_admissible, norm, skew_symmetrize, vector_field)
-from .integrate import IntegratorConfig, TrajectoryRecord, evolve, flow, step
+                      PolynomialWeight, check_skew, hamiltonian, norm, vector_field)
+from .integrate import flow
 from .csvio import read_state, write_table
 
 __all__ = [
     "ActionAngleChart", "PotentialSpec", "action_of_energy", "build_chart",
     "from_cartesian", "h0_of_action", "nonresonance_margin", "omega0", "to_cartesian",
     "AdmissiblePair", "ExponentialWeight", "LatticeState", "PolynomialWeight",
-    "check_skew", "distance", "hamiltonian", "is_admissible", "norm",
-    "skew_symmetrize", "vector_field",
-    "IntegratorConfig", "TrajectoryRecord", "evolve", "flow", "step",
+    "check_skew", "hamiltonian", "norm", "vector_field",
+    "flow",
     "read_state", "write_table",
 ]

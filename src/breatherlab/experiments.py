@@ -18,7 +18,7 @@ import numpy as np
 
 from .breather import Breather, continue_breather
 from .csvio import write_table
-from .integrate import BlowupError, IntegratorConfig, step_arrays
+from .integrate import BlowupError, check_stability, step_arrays
 from .lattice import AdmissiblePair, LatticeState, SpaceTimeNorm, hamiltonian, norm
 from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
 
@@ -59,6 +59,8 @@ class ExperimentConfig:
         _check_shape(self.perturbation_shape)
         if self.mu is None:
             self.mu = self.eps ** self.delta
+        if self.mu < 0:
+            raise ValueError(f"mu is the kick's l^2 size, so at least 0; got {self.mu:g}")
         if self.mu >= self.eps ** 0.5:
             raise ValueError("mu must be below sqrt(eps) (mu < eps^delta, delta > 1/2)")
         if self.T is None:
@@ -67,7 +69,7 @@ class ExperimentConfig:
             raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride}")
         if self.T < self.dt:
             raise ValueError(f"T = {self.T:g} is shorter than one step dt = {self.dt:g}")
-        IntegratorConfig(t_final=self.T, dt=self.dt).check_stability(self.eps)
+        check_stability(self.dt, self.eps)
         if not self.family_window <= self.N_family <= self.N:
             raise ValueError("need family_window <= N_family <= N, got "
                              f"{self.family_window}, {self.N_family}, {self.N}")
@@ -344,15 +346,14 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     return record
 
 
-def emit_report(record: StabilityRecord, out_dir, tolerances: dict | None = None,
-                basename: str = "stability"):
+def emit_report(record: StabilityRecord, out_dir, tolerances: dict | None = None):
     """CSV time series + summary with pass/fail against configured tolerances."""
-    series_path = os.path.join(out_dir, f"{basename}_series.csv")
+    series_path = os.path.join(out_dir, "stability_series.csv")
     write_table(series_path, ["t", "eps_t", "I_bar", "phase", "residual_l2", "dist_lr",
                               "energy"],
                 zip(record.times, record.eps * record.times, record.I_bar, record.phase,
                     record.residual_l2, record.dist_lr, record.energy))
-    summary_path = os.path.join(out_dir, f"{basename}_summary.csv")
+    summary_path = os.path.join(out_dir, "stability_summary.csv")
     checks = {}
     if tolerances:
         for key, bound in tolerances.items():

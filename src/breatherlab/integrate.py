@@ -45,7 +45,6 @@ most three sites (its reach), and every widening below is by the reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, drot
@@ -70,21 +69,12 @@ class BlowupError(RuntimeError):
     """Trajectory left the finite range (NaN / overflow)."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    t_final: float
-    dt: float = 0.05
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.t_final < 0:
-            raise ValueError("need dt > 0 and t_final >= 0")
-
-    def check_stability(self, eps: float):
-        """Guard dt * max frequency <= 0.5, max frequency sqrt(1 + 4 eps)."""
-        if self.dt * np.sqrt(1.0 + 4.0 * abs(eps)) > 0.5 + 1e-12:
-            raise ValueError(
-                f"dt={self.dt} violates the stability guard for eps={eps}"
-            )
+def check_stability(dt: float, eps: float):
+    """Guard dt > 0 and dt * max frequency <= 0.5, max frequency sqrt(1 + 4 eps)."""
+    if dt <= 0:
+        raise ValueError(f"need dt > 0, got dt={dt}")
+    if dt * np.sqrt(1.0 + 4.0 * abs(eps)) > 0.5 + 1e-12:
+        raise ValueError(f"dt={dt} violates the stability guard for eps={eps}")
 
 
 def _check_inplace(p: np.ndarray, q: np.ndarray):
@@ -134,13 +124,6 @@ def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: 
     _rotate(p, q, _ROTATIONS[-1] * dt)
 
 
-def step(state: LatticeState, V: PotentialSpec, eps: float, dt: float) -> LatticeState:
-    """One splitting step of the lattice flow."""
-    out = state.copy()
-    step_arrays(out.p, out.q, V, eps, dt)
-    return out
-
-
 def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
          dt: float = 0.05) -> LatticeState:
     """Evolve for time t with a whole number of steps of size <= dt."""
@@ -152,40 +135,3 @@ def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
     for _ in range(n):
         step_arrays(out.p, out.q, V, eps, h)
     return out
-
-
-@dataclass
-class TrajectoryRecord:
-    times: np.ndarray
-    observables: dict[str, np.ndarray]
-
-
-def evolve(state: LatticeState, V: PotentialSpec, eps: float,
-           config: IntegratorConfig, observers: dict | None = None,
-           sample_stride: int = 1) -> TrajectoryRecord:
-    """Repeated stepping with sampled observers.
-
-    ``observers`` maps a name to a callable LatticeState -> float; samples are
-    taken every ``sample_stride`` steps (and at t = 0 and t_final).  Aborts
-    with BlowupError when the state stops being finite.
-    """
-    config.check_stability(eps)
-    observers = observers or {}
-    n_steps = int(round(config.t_final / config.dt))
-    cur = state.copy()
-    times = []
-    obs = {name: [] for name in observers}
-
-    def sample(t):
-        if not (np.all(np.isfinite(cur.p)) and np.all(np.isfinite(cur.q))):
-            raise BlowupError(f"non-finite state at t={t}")
-        times.append(t)
-        for name, fn in observers.items():
-            obs[name].append(float(fn(cur)))
-
-    sample(0.0)
-    for i in range(1, n_steps + 1):
-        step_arrays(cur.p, cur.q, V, eps, config.dt)
-        if i % sample_stride == 0 or i == n_steps:
-            sample(i * config.dt)
-    return TrajectoryRecord(np.asarray(times), {k: np.asarray(v) for k, v in obs.items()})

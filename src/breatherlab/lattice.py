@@ -92,18 +92,9 @@ WeightSpec = PolynomialWeight | ExponentialWeight
 
 @dataclass(frozen=True)
 class AdmissiblePair:
-    """Strichartz exponent pair (q, r); admissibility is checked by is_admissible."""
+    """Strichartz exponent pair (q, r), admissible when q >= 6, r >= 2 and 1/q + 1/(3r) <= 1/6."""
     q_exp: float
     r_exp: float
-
-
-def is_admissible(pair: AdmissiblePair) -> bool:
-    """True iff q >= 6, r >= 2 and 1/q + 1/(3r) <= 1/6 (with inf allowed)."""
-    q, r = pair.q_exp, pair.r_exp
-    if q < 6 or r < 2:
-        return False
-    inv = (0.0 if np.isinf(q) else 1.0 / q) + (0.0 if np.isinf(r) else 1.0 / (3.0 * r))
-    return inv <= 1.0 / 6.0 + 1e-15
 
 
 def _span(mask: np.ndarray, reach: int = 0) -> slice:
@@ -242,28 +233,6 @@ class SpaceTimeNorm:
     def weighted_mixed(self, ks: np.ndarray, s: float) -> float:
         w = _site_factors(PolynomialWeight(-s), ks)
         return float(np.max(w * np.sqrt(self._per_site)))
-
-
-def circle_distance(a: float, b: float) -> float:
-    """Shortest-arc distance between angles."""
-    d = (a - b) % (2.0 * np.pi)
-    return float(min(d, 2.0 * np.pi - d))
-
-
-def distance(zeta: tuple[float, float, LatticeState],
-             zeta_p: tuple[float, float, LatticeState],
-             r_exp: float = 2.0, weight: WeightSpec | None = None) -> float:
-    """max of |I - I'|, the circle distance of the angles, and ||xi - xi'||."""
-    I, a, xi = zeta
-    Ip, ap, xip = zeta_p
-    return float(max(abs(I - Ip), circle_distance(a, ap), norm(xi - xip, r_exp, weight)))
-
-
-def skew_symmetrize(state: LatticeState) -> LatticeState:
-    """Antisymmetric part x_k -> (x_k - x_{-k})/2 (site 0 goes to zero)."""
-    p = 0.5 * (state.p - state.p[::-1])
-    q = 0.5 * (state.q - state.q[::-1])
-    return LatticeState(state.N, p, q)
 
 
 def check_skew(state: LatticeState, tol: float = 0.0) -> bool:

@@ -554,9 +554,6 @@ class GradedHamiltonian:
     def part_of_degree(self, degree: int) -> "GradedHamiltonian":
         return self._rows(self.degrees == degree)
 
-    def part_degree_at_least(self, degree: int) -> "GradedHamiltonian":
-        return self._rows(self.degrees >= degree)
-
     def _mean_row(self) -> np.ndarray:
         return (self.degrees == 0) & (self.n == 0)
 
@@ -781,14 +778,6 @@ def _field_on_grid(gh: GradedHamiltonian, cI: np.ndarray, dcI: np.ndarray,
     X_a = (dp.T @ mono.T).reshape(shape)
     dH = np.tensordot(cp, grad[:, :, :m], axes=(0, 1)).reshape(shape + (m,))
     return H, X_I, X_a, -1j * dH[..., 1::2], 1j * dH[..., 0::2]
-
-
-def split_parts(f: GradedHamiltonian):
-    """(xi^0 part, xi^1 part, rest, alpha-mean of the xi^0 part)."""
-    f0 = f.part_of_degree(0)
-    f1 = f.part_of_degree(1)
-    f2 = f.part_degree_at_least(2)
-    return f0, f1, f2, f.mean_action()
 
 
 def constant_hamiltonian(ctx: NormalFormContext, values: np.ndarray) -> GradedHamiltonian:

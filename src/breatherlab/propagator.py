@@ -7,16 +7,12 @@ half chain k = 1..N with q_0 = q_{N+1} = 0, the Dirichlet chain.  Its modes
 are sin(pi j k / (N+1)) with frequencies nu(pi j / (N+1)), j = 1..N, and the
 orthonormal type-1 DST, its own inverse, maps onto them: ``_sine_spectrum``
 and ``_from_spectrum`` are the one pair of transforms every propagation uses.
-The transverse variable xi of the pinned linear system is a state whose
-central site is zero, so two such half chains; ``propagate_pinned`` and
-``modified_energy`` reject any other datum.
 
 Also here: the dispersion relation nu(theta) = sqrt(1 + 4 eps sin^2(theta/2)),
 stationary-phase interval splitting and slope measurement, the lattice
-resolvent kernel with its limiting boundary values, the Puiseux leading-term
-check, and the space-time inequality check ``sp_temp_check``.  The space-time
-(Strichartz-type) norms themselves are ``lattice.SpaceTimeNorm``, which states
-their one convention.
+resolvent kernel with its limiting boundary values, and the space-time
+inequality check ``sp_temp_check``.  The space-time (Strichartz-type) norms
+themselves are ``lattice.SpaceTimeNorm``, which states their one convention.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from scipy.fft import dst
 
 from .lattice import (LatticeState, PolynomialWeight, SpaceTimeNorm, WeightSpec,
                       _site_factors, check_skew, norm)
-from .potential import QuadratureError, gauss_legendre
+from .potential import gauss_legendre
 
 
 class SpectralCutError(ValueError):
@@ -90,41 +86,6 @@ def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeS
     return _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
 
 
-def _check_site0_zero(xi: LatticeState):
-    """ValueError unless xi holds site 0 at zero, as the pinned system does."""
-    p0, q0 = xi.p[xi.N], xi.q[xi.N]
-    if p0 != 0.0 or q0 != 0.0:
-        raise ValueError(f"the pinned system holds site 0 at zero; got p_0 = {p0:g}, "
-                         f"q_0 = {q0:g}")
-
-
-def propagate_pinned(xi: LatticeState, t: float, eps: float) -> LatticeState:
-    """Flow of the transverse linear system with the central site pinned to zero.
-
-    The halves k > 0 and k < 0 (read outward from site 0) are decoupled
-    Dirichlet chains on 1..N; both move in one batched sine transform.
-    """
-    _check_site0_zero(xi)
-    N = xi.N
-    # axes (p or q, right or left half, distance from site 0 minus 1)
-    ph, qh = _dst1(np.stack([(x[N + 1:], x[:N][::-1]) for x in (xi.p, xi.q)]))
-    nu = _sine_frequencies(N, eps)
-    p, q = _dst1(np.stack(_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t))))
-    return LatticeState(N, *(np.concatenate((x[1][::-1], [0.0], x[0])) for x in (p, q)))
-
-
-def modified_energy(xi: LatticeState, eps: float) -> float:
-    """<p;p> + <q;Bq> with B = 1 - eps*Delta and the central site held at zero.
-
-    An exact invariant of the pinned flow; used by the conservation tests.
-    With q_0 = 0 the row of B at site 0 drops out of <q;Bq>.
-    """
-    _check_site0_zero(xi)
-    qp = np.concatenate(([0.0], xi.q, [0.0]))
-    lap = qp[2:] + qp[:-2] - 2.0 * qp[1:-1]
-    return float(np.dot(xi.p, xi.p) + np.dot(xi.q, xi.q - eps * lap))
-
-
 # ---------------------------------------------------------------------------
 # decay measurement
 
@@ -143,11 +104,16 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float,
                   n_samples: int = 30) -> DecayFit:
     """Fit the slope of log ||S(t) xi|| against log(eps t) over the window.
 
-    Rejects windows whose final time exceeds the boundary-safe horizon
+    Needs 0 < lo < hi and at least two samples (ValueError otherwise), and
+    rejects windows whose final time exceeds the boundary-safe horizon
     t < N/2 (conservative group-velocity guard).  The datum is transformed to
     the sine basis once; each sample is one rotation and one inverse transform.
     """
     lo, hi = window
+    if not 0 < lo < hi:
+        raise ValueError(f"the decay window needs 0 < lo < hi, got {lo:g}..{hi:g}")
+    if n_samples < 2:
+        raise ValueError(f"a slope needs at least 2 samples, got n_samples={n_samples}")
     t_max = hi / eps
     if t_max >= state.N / 2:
         raise BoundaryWindowError(
@@ -186,14 +152,6 @@ def phase_intervals(split: str = "consistent") -> dict[str, list[tuple[float, fl
     raise ValueError(f"unknown split {split!r}")
 
 
-def _resolve_interval(interval, split: str) -> list[tuple[float, float]]:
-    if isinstance(interval, str):
-        if interval == "full":
-            return [(-np.pi, np.pi)]
-        return phase_intervals(split)[interval]
-    return [tuple(map(float, piece)) for piece in interval]
-
-
 # order of every Gauss-Legendre panel in the oscillatory quadrature
 _PANEL_ORDER = 128
 
@@ -208,42 +166,6 @@ def _panel_rule(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     edges = np.linspace(a, b, max(1, -(-n_nodes // _PANEL_ORDER)) + 1)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-def _osc_piece(lam: float, rho: float, eps: float, a: float, b: float,
-               n_nodes: int) -> complex:
-    th, w = _panel_rule(a, b, n_nodes)
-    return complex(np.dot(w, np.exp(1j * lam * (dispersion_frequency(eps, th) + rho * th))))
-
-
-def oscillatory_integral(rho: float, lam: float, eps: float, interval="full",
-                         split: str = "consistent", rtol: float = 1e-10,
-                         n_nodes: int | None = None) -> complex:
-    """integral of e^{i lam (nu(theta) + rho theta)} over the interval pieces.
-
-    Node count scales with lam; with n_nodes unset the count doubles until two
-    successive evaluations agree to rtol.
-    """
-    pieces = _resolve_interval(interval, split)
-    length = sum(b - a for a, b in pieces)
-    if lam == 0.0:
-        return complex(length)
-
-    def total(n):
-        return sum(_osc_piece(lam, rho, eps, a, b, max(8, int(n * (b - a) / length)))
-                   for a, b in pieces)
-
-    if n_nodes is not None:
-        return total(n_nodes)
-    n = max(64, int(12.0 * abs(lam) * (abs(rho) + 4.0 * abs(eps)) / (2.0 * np.pi)) + 64)
-    prev = total(n)
-    for _ in range(12):
-        n *= 2
-        cur = total(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(f"oscillatory integral did not converge at lam={lam}")
 
 
 def _osc_on_rho_grid(lam: float, eps: float, a: float, b: float,
@@ -287,11 +209,13 @@ def van_der_corput_check(eps: float, lam_grid, rho_grid=None,
     """Measured sup-over-rho decay exponents of the oscillatory integral.
 
     I1 carries a second-derivative (k=2) lower bound and should decay like
-    lam^(-1/2); I2 a third-derivative (k=3) bound and lam^(-1/3).  A given
-    ``rho_grid`` must be uniform (ValueError otherwise): the integrals share
-    one phase recurrence along it.
+    lam^(-1/2); I2 a third-derivative (k=3) bound and lam^(-1/3).  The slopes
+    need at least two lam values, and a given ``rho_grid`` must be uniform
+    (ValueError otherwise): the integrals share one phase recurrence along it.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
+    if lam_grid.size < 2:
+        raise ValueError(f"a slope needs at least 2 lam values, got {lam_grid.size}")
     if rho_grid is None:
         # stationary points on [0, pi] need rho = -nu'(theta); pad both sides
         vmax = float(np.max(np.abs(_group_velocity(eps, np.linspace(0, np.pi, 512)))))
@@ -350,64 +274,6 @@ def resolvent_kernel(nu_t: complex, j: int, k: int, boundary: int | None = None)
     else:
         th = _theta_boundary(float(np.real(nu_t)), boundary)
     return -1j * cmath.exp(-1j * th * abs(j - k)) / (2.0 * cmath.sin(th))
-
-
-def resolvent_apply(nu_t: complex, ks: np.ndarray, x: np.ndarray,
-                    out_ks: np.ndarray, boundary: int | None = None) -> np.ndarray:
-    """Apply the resolvent kernel of -Delta to the sequence x supported on ks."""
-    if boundary is None:
-        th = _theta_of(complex(nu_t))
-    else:
-        th = _theta_boundary(float(np.real(nu_t)), boundary)
-    amp = -1j / (2.0 * cmath.sin(th))
-    dist = np.abs(out_ks[:, None] - np.asarray(ks)[None, :])
-    return amp * (np.exp(-1j * th * dist) @ np.asarray(x, dtype=complex))
-
-
-def resolvent_B_apply(nu: complex, eps: float, ks: np.ndarray, x: np.ndarray,
-                      out_ks: np.ndarray) -> np.ndarray:
-    """R_B(nu) = (1/eps) R_{-Delta}((nu - 1)/eps), B = 1 - eps Delta.
-
-    Rejects nu on the transverse band [1, 1 + 4 eps].
-    """
-    zeta = (nu - 1.0) / eps
-    if abs(np.imag(zeta)) == 0.0 and 0.0 <= np.real(zeta) <= 4.0:
-        raise SpectralCutError(f"nu={nu} lies on the band [1, 1+4eps]")
-    return resolvent_apply(zeta, ks, x, out_ks) / eps
-
-
-@dataclass
-class PuiseuxFit:
-    slope: float
-    nu_grid: np.ndarray
-    errors: np.ndarray
-
-
-def puiseux_leading_check(ks, vals, nu_grid, s: float = 2.0,
-                          k_window: int = 4096) -> PuiseuxFit:
-    """Error of the nu -> 0+ leading term of the boundary resolvent on skew data.
-
-    [R^+ q]_k = -(1/2) sum_l |k - l| q_l + O(sqrt(nu)) in the <k>^{-s} weighted
-    l^2 norm; returns the fitted slope of log(error) against log(nu).
-    """
-    ks = np.asarray(ks, dtype=int)
-    vals = np.asarray(vals, dtype=float)
-    if s <= 1.5:
-        raise ValueError("need s > 3/2")
-    lookup = dict(zip(ks.tolist(), vals.tolist()))
-    for k, v in lookup.items():
-        if lookup.get(-k) != -v:
-            raise ValueError("sequence is not skew-symmetric")
-    out_ks = np.arange(-k_window, k_window + 1)
-    leading = -0.5 * (np.abs(out_ks[:, None] - ks[None, :]) @ vals)
-    w = (1.0 + out_ks.astype(float) ** 2) ** (-s)
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    errors = np.empty(nu_grid.size)
-    for i, nt in enumerate(nu_grid):
-        resolved = resolvent_apply(nt, ks, vals, out_ks, boundary=+1)
-        errors[i] = np.sqrt(np.sum(w * np.abs(resolved - leading) ** 2))
-    slope = float(np.polyfit(np.log(nu_grid), np.log(errors), 1)[0])
-    return PuiseuxFit(slope, nu_grid, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,13 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     (["propagate"], None, "No such file"),
     (["propagate"], "N 64\n", "bad config line"),
     (["decay-fit"], "norm = l3\n", "unknown norm 'l3'"),
-], ids=["missing-file", "line-without-equals", "unknown-norm"])
+    # reversed, the window sampled up to t = 4500, past the guard N/2 = 4095.5
+    (["decay-fit"], "window_lo = 450\nwindow_hi = 10\n", "needs 0 < lo < hi, got 450..10"),
+    (["decay-fit"], "n_samples = 1\n", "at least 2 samples, got n_samples=1"),
+    (["vdc-check"], "lam_count = 1\n", "at least 2 lam values, got 1"),
+    (["stability"], "mu = -0.01\n", "so at least 0; got -0.01"),
+], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
+        "one-decay-sample", "one-lam-value", "negative-mu"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:

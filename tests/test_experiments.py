@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from breatherlab import experiments, integrate
 from breatherlab.breather import anti_continuum_seed, continue_breather
 from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
                                      emit_report, perturb, run_stability, track_modulation)
+from breatherlab.integrate import BlowupError
 from breatherlab.lattice import LatticeState, coupling_force
 
 
@@ -149,6 +151,25 @@ def test_run_stability_steps_once_per_step_of_the_run(chart8, tracker_family, mo
     assert record.times[-1] == pytest.approx(34 * 0.03)
 
 
+def test_run_stability_stops_on_a_non_finite_state(chart8, tracker_family, monkeypatch):
+    # the third step leaves an infinite momentum; the sample after it must stop
+    # the run before the tracker reads the state
+    config, family = tracker_family
+    calls = []
+    step = experiments.step_arrays
+
+    def poisoned(p, q, *args):
+        step(p, q, *args)
+        calls.append(args[-1])
+        if len(calls) == 3:
+            p[config.N] = np.inf
+
+    monkeypatch.setattr(experiments, "step_arrays", poisoned)
+    with pytest.raises(BlowupError, match=r"^non-finite state at t=0\.06$"):
+        run_stability(config, chart8, family)
+    assert len(calls) == 3
+
+
 def test_unknown_perturbation_shape_is_rejected(V8):
     with pytest.raises(ValueError, match="unknown perturbation shape 'localised'"):
         ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, perturbation_shape="localised")
@@ -215,14 +236,17 @@ def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V
     (dict(family_members=1), "family_members must be at least 3, got 1"),
     (dict(family_members=4), "family_members must be odd, so that a member sits at "
                              "I_label; got 4"),
+    (dict(mu=-0.5), "mu is the kick's l^2 size, so at least 0; got -0.5"),
 ], ids=["stride-zero", "stride-negative", "T-zero", "T-below-dt", "N-below-N_family",
-        "window-beyond-N_family", "members-two", "members-one", "members-even"])
+        "window-beyond-N_family", "members-two", "members-one", "members-even", "mu-negative"])
 def test_config_rejects_a_run_that_would_crash_late(V8, fields, message):
     # each of these used to pass the constructor and fail after the family build:
     # ZeroDivisionError, IndexError in the Cauchy tails, a numpy broadcast error,
     # and FamilyWindowError, as fewer than 3 members start the run on an end
-    # member; an even count started it silently off I_label
-    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
-        ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, **fields)
+    # member; an even count started it silently off I_label.  A negative mu
+    # made the up-front window shift negative, so the run failed late in the
+    # tracker, and max_residual_l2_over_mu negative, so its check passed any residual
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, **{"mu": 0.001, **fields})
     ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, mu=0.001, N=64, T=0.02,
                      sample_stride=1, family_window=64, N_family=64)

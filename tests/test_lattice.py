@@ -3,10 +3,8 @@ import pytest
 
 from breatherlab import lattice
 from breatherlab.csvio import read_state, write_table
-from breatherlab.lattice import (AdmissiblePair, ExponentialWeight, LatticeState,
-                                 PolynomialWeight, check_skew, circle_distance,
-                                 distance, hamiltonian, is_admissible, norm,
-                                 skew_symmetrize, vector_field)
+from breatherlab.lattice import (ExponentialWeight, LatticeState, PolynomialWeight,
+                                 hamiltonian, norm, vector_field)
 from breatherlab.potential import PotentialSpec
 
 
@@ -190,55 +188,6 @@ def test_embedding_chain(rng):
             n_r = norm(s, r)
             assert n_minus <= np.sqrt(2) * C1 * n_r + 1e-12
             assert n_r <= C2 * n_plus + 1e-12
-
-
-def test_distance(rng):
-    s = random_state(rng, N=6).transverse()
-    z = (0.4, 1.0, s)
-    assert distance(z, z) == 0.0
-    z2 = (0.6, 1.0, s)
-    assert distance(z, z2) == pytest.approx(0.2)
-    # angle distance is modulo 2 pi
-    z3 = (0.4, 1.0 + 2 * np.pi - 0.05, s)
-    assert distance(z, z3) == pytest.approx(0.05)
-    s2 = random_state(rng, N=6).transverse()
-    d = distance((0.4, 1.0, s), (0.45, 1.2, s2))
-    assert d == pytest.approx(max(0.05, 0.2, norm(s - s2, 2)), rel=1e-12)
-
-
-def test_circle_distance():
-    assert circle_distance(0.1, 2 * np.pi - 0.1) == pytest.approx(0.2)
-
-
-def test_admissible_pairs():
-    assert is_admissible(AdmissiblePair(7, 14))       # equality: 1/7 + 1/42 = 1/6
-    assert abs(1 / 7 + 1 / 42 - 1 / 6) < 1e-15
-    assert is_admissible(AdmissiblePair(np.inf, 2))
-    assert not is_admissible(AdmissiblePair(6, 14))   # 1/6 + 1/42 > 1/6
-    assert not is_admissible(AdmissiblePair(5, 100))  # q < 6
-    assert is_admissible(AdmissiblePair(6, np.inf))
-
-
-def test_skew_symmetrize(rng):
-    N = 8
-    s = LatticeState.zeros(N)
-    ks = s.sites()
-    s.q = np.cos(0.3 * ks).astype(float)  # even
-    s.p = np.cos(0.7 * ks).astype(float)
-    out = skew_symmetrize(s)
-    assert np.allclose(out.p, 0) and np.allclose(out.q, 0)
-    s.q = np.sin(0.3 * ks)  # odd
-    s.p = np.sin(0.7 * ks)
-    out = skew_symmetrize(s)
-    assert np.allclose(out.q, s.q) and np.allclose(out.p, s.p)
-    assert check_skew(out, tol=1e-15)
-    s = random_state(rng, N=N)
-    out = skew_symmetrize(s)
-    for k in ks:
-        i, j = s.index(int(k)), s.index(int(-k))
-        assert out.q[i] == pytest.approx(0.5 * (s.q[i] - s.q[j]), rel=1e-14, abs=1e-16)
-    assert check_skew(out, tol=1e-15)
-    assert not check_skew(s)
 
 
 def test_csv_round_trip(tmp_path, rng):

@@ -12,7 +12,7 @@ from breatherlab.normalform import (GradedHamiltonian, ResonanceError, bary_eval
                                     invariant_manifold_check, lie_transform,
                                     make_context, measure_scaled_norm,
                                     nf_point_to_state, normalize, solve_cohomological,
-                                    split_parts, state_to_nf_point, transverse_core)
+                                    state_to_nf_point, transverse_core)
 from breatherlab.potential import PotentialSpec, build_chart
 
 
@@ -388,18 +388,6 @@ def test_reality_preserved_by_bracket(ctx4, rng):
     assert br.conjugation_defect() < 1e-12 * max(1.0, br.max_coeff())
 
 
-def test_split_parts(ctx4):
-    core = transverse_core(ctx4)
-    f0, f1, f2, mean = split_parts(core)
-    assert not f0.terms and not f1.terms
-    assert len(f2.terms) == ctx4.n_sites
-    assert np.allclose(mean, 0.0)
-    g = constant_hamiltonian(ctx4, ctx4.hs0)
-    f0, f1, f2, mean = split_parts(g)
-    assert not f1.terms and not f2.terms
-    assert np.allclose(mean, ctx4.hs0)
-
-
 def test_q0_fourier_single_pair_for_harmonic(chart0, V0):
     ctx = make_context(chart0, V0, N=2, D=2, M=8, I_span=(0.2, 0.6), n_nodes=8)
     mags = np.max(np.abs(ctx.q0hat), axis=1)
@@ -418,10 +406,19 @@ def test_q0_fourier_tail_small(ctx8_wide):
 
 def test_initial_decomposition_structure(ctx8):
     init = build_initial(ctx8, 0.05)
-    f0, f1, f2, mean = split_parts(init.linear_residual)
-    assert not f0.terms and not f2.terms and np.allclose(mean, 0)
-    f0, f1, f2, _ = split_parts(init.angular_residual)
-    assert not f1.terms and not f2.terms
+    # every term of the linear residual has xi-degree 1, and so no alpha-mean
+    lin = init.linear_residual
+    assert len(lin.part_of_degree(1).terms) == len(lin.terms)
+    assert np.allclose(lin.mean_action(), 0)
+    # every term of the angular residual has xi-degree 0
+    ang = init.angular_residual
+    assert len(ang.part_of_degree(0).terms) == len(ang.terms)
+    # the unit transverse core is one z_k w_k term per site, with no alpha-mean;
+    # a constant Hamiltonian is all alpha-mean
+    core = transverse_core(ctx8)
+    assert len(core.part_of_degree(2).terms) == len(core.terms) == ctx8.n_sites
+    assert np.allclose(core.mean_action(), 0.0)
+    assert np.allclose(constant_hamiltonian(ctx8, ctx8.hs0).mean_action(), ctx8.hs0)
     # angular residual carries modes up to twice the q0 bandwidth (within M)
     ns = {abs(n) for (_, n) in init.angular_residual.terms}
     base = {abs(n) for (_, n) in init.linear_residual.terms}

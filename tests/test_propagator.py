@@ -3,14 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from breatherlab.integrate import flow
-from breatherlab.lattice import LatticeState, PolynomialWeight, SpaceTimeNorm, norm
+from breatherlab.lattice import LatticeState, PolynomialWeight, SpaceTimeNorm, hamiltonian, norm
 from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     _osc_on_rho_grid, dispersion_frequency,
-                                    forced_evolution, measure_decay, modified_energy,
-                                    oscillatory_integral, phase_intervals,
-                                    propagate_pinned, propagate_whole_chain,
-                                    puiseux_leading_check, resolvent_B_apply,
-                                    resolvent_apply, resolvent_kernel,
+                                    forced_evolution, measure_decay, phase_intervals,
+                                    propagate_whole_chain, resolvent_kernel,
                                     sp_temp_check, van_der_corput_check)
 
 
@@ -29,13 +26,15 @@ def test_dispersion_endpoints():
     assert dispersion_frequency(0.25, np.pi / 2) == pytest.approx(np.sqrt(1.5))
 
 
-def test_parseval(rng):
+def test_parseval(rng, V0):
     # the sine transform is orthonormal, so the flow keeps the chain's energy
-    # <p;p> + <q;Bq>; a skew state has q_0 = 0, where modified_energy applies
+    # <p;p> + <q;Bq>, which with the Dirichlet ghosts is twice the lattice
+    # Hamiltonian at the zero potential
     s = skew_state(rng, 32, 8)
     eps = 0.13
     moved = propagate_whole_chain(s, 9.1, eps)
-    assert modified_energy(moved, eps) == pytest.approx(modified_energy(s, eps), rel=1e-12)
+    assert 2 * hamiltonian(moved, V0, eps) == pytest.approx(2 * hamiltonian(s, V0, eps),
+                                                            rel=1e-12)
 
 
 def test_propagation_identity_and_rotation(rng):
@@ -79,19 +78,6 @@ def test_matches_time_integrator(rng, V0):
     assert norm(exact - stepped, 2) < 1e-8
 
 
-def test_pinned_identity_and_decoupling(rng, V0):
-    xi = LatticeState.zeros(16)
-    xi.q[xi.index(-3)] = 1.0
-    xi.p[xi.index(-2)] = -0.4
-    out0 = propagate_pinned(xi, 0.0, 0.1)
-    assert np.allclose(out0.p, xi.p) and np.allclose(out0.q, xi.q)
-    out = propagate_pinned(xi, 25.0, 0.1)
-    ks = out.sites()
-    right = ks >= 0
-    assert np.max(np.abs(out.q[right])) == 0.0  # left datum stays left
-    assert np.max(np.abs(out.p[right])) == 0.0
-
-
 def _dense_chain_flow(p, q, t, eps):
     """Exact flow (p(t), q(t)) of q'' = -B q on a chain closed by zero ghosts at both ends.
 
@@ -108,14 +94,6 @@ def _dense_chain_flow(p, q, t, eps):
     return U @ (c * b - w * s * a), U @ (c * a + s * b / w)
 
 
-def _pinned_chain_flow(xi, t, eps):
-    """Exact flow on the sites k != 0 with q_0 = 0: the two half chains, each closed."""
-    out = LatticeState.zeros(xi.N)
-    for half in (slice(0, xi.N), slice(xi.N + 1, None)):
-        out.p[half], out.q[half] = _dense_chain_flow(xi.p[half], xi.q[half], t, eps)
-    return out
-
-
 def test_whole_chain_matches_dense_eigensolution(rng):
     # the 2N+1-site chain with ghosts at +-(N+1), solved by a dense eigh of B;
     # every site is active, the ends included
@@ -124,49 +102,6 @@ def test_whole_chain_matches_dense_eigensolution(rng):
     p, q = _dense_chain_flow(s.p, s.q, t, eps)
     out = propagate_whole_chain(s, t, eps)
     assert np.max(np.abs(out.p - p)) <= 1e-12 and np.max(np.abs(out.q - q)) <= 1e-12
-
-
-def test_pinned_matches_dense_eigensolution_on_each_half(rng):
-    # every site active, the ends of both half chains included
-    N, eps, t = 24, 0.13, 7.3
-    xi = LatticeState(N, rng.standard_normal(2 * N + 1), rng.standard_normal(2 * N + 1))
-    xi.p[N] = xi.q[N] = 0.0
-    ref = _pinned_chain_flow(xi, t, eps)
-    out = propagate_pinned(xi, t, eps)
-    assert np.max(np.abs(out.p - ref.p)) <= 1e-12 and np.max(np.abs(out.q - ref.q)) <= 1e-12
-
-
-def test_pinned_matches_direct_integration(rng):
-    xi = LatticeState.zeros(48)
-    for k in (-3, -1, 2, 5):
-        xi.q[xi.index(k)] = rng.standard_normal()
-        xi.p[xi.index(k)] = rng.standard_normal()
-    eps, t = 0.1, 30.0
-    exact = propagate_pinned(xi, t, eps)
-    assert exact.p[xi.N] == exact.q[xi.N] == 0.0
-    assert norm(exact - _pinned_chain_flow(xi, t, eps), 2) < 1e-12
-
-
-@pytest.mark.parametrize("component", ["p", "q"])
-def test_pinned_system_rejects_a_moving_central_site(component):
-    xi = LatticeState.zeros(8)
-    getattr(xi, component)[xi.N] = 0.5
-    with pytest.raises(ValueError, match="holds site 0 at zero; got p_0"):
-        propagate_pinned(xi, 1.0, 0.1)
-    with pytest.raises(ValueError, match=f"{component}_0 = 0.5"):
-        modified_energy(xi, 0.1)
-
-
-def test_modified_energy_conserved(rng):
-    xi = LatticeState.zeros(32)
-    for k in (-5, -2, 1, 4):
-        xi.q[xi.index(k)] = rng.standard_normal()
-        xi.p[xi.index(k)] = rng.standard_normal()
-    eps = 0.2
-    e0 = modified_energy(xi, eps)
-    for t in (3.0, 17.0, 61.0):
-        et = modified_energy(propagate_pinned(xi, t, eps), eps)
-        assert et == pytest.approx(e0, rel=1e-10)
 
 
 def test_l2_conservation_slope_zero(rng):
@@ -185,6 +120,16 @@ def test_decay_window_guard(rng):
         measure_decay(s, 0.1, np.inf, None, window=(10.0, 300.0))
 
 
+def test_reversed_decay_window_is_rejected(rng):
+    # geomspace(450, 10) runs up to eps t = 450, t = 4500 past the guard N/2 =
+    # 4095.5, which a check on the window's second entry alone lets through
+    s = skew_state(rng, 8191, 3)
+    with pytest.raises(ValueError, match="needs 0 < lo < hi, got 450..10"):
+        measure_decay(s, 0.1, np.inf, None, window=(450.0, 10.0))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        measure_decay(s, 0.1, np.inf, None, window=(10.0, 300.0), n_samples=1)
+
+
 def test_sup_norm_decay_slope(rng):
     s = skew_state(rng, 4096, 3)
     fit = measure_decay(s, 0.1, np.inf, None, window=(10.0, 150.0), n_samples=20)
@@ -196,19 +141,6 @@ def test_weighted_decay_slope(rng):
     fit = measure_decay(s, 0.1, 2.0, PolynomialWeight(-3.0), window=(5.0, 80.0),
                         n_samples=20)
     assert -1.75 < fit.slope < -1.25
-
-
-def test_oscillatory_integral_trivial_cases():
-    assert oscillatory_integral(0.3, 0.0, 0.1, "full") == pytest.approx(2 * np.pi)
-    # eps = 0, rho = 0: constant phase e^{i lam} times the length
-    val = oscillatory_integral(0.0, 5.0, 0.0, "full")
-    assert val == pytest.approx(2 * np.pi * np.exp(5j), rel=1e-10)
-
-
-def test_oscillatory_integral_node_doubling_oracle():
-    val = oscillatory_integral(0.5, 100.0, 0.1, "full")
-    frozen = oscillatory_integral(0.5, 100.0, 0.1, "full", n_nodes=1 << 16)
-    assert abs(val - frozen) < 1e-9
 
 
 @pytest.mark.parametrize("interval", ["I1", "I2"])
@@ -287,8 +219,6 @@ def test_resolvent_kernel_decay_ratio():
 def test_resolvent_on_cut_raises():
     with pytest.raises(SpectralCutError):
         resolvent_kernel(2.0, 1, 0)
-    with pytest.raises(SpectralCutError):
-        resolvent_B_apply(1.1, 0.1, np.array([1]), np.array([1.0]), np.arange(-3, 4))
 
 
 def test_limiting_absorption_cauchy():
@@ -301,65 +231,6 @@ def test_limiting_absorption_cauchy():
         prev, mu_prev = val, mu
     boundary = resolvent_kernel(nu_t, 3, 0, boundary=+1)
     assert abs(boundary - prev) < 1e-4
-
-
-def test_resolvent_B_scaling_identity(rng):
-    eps = 0.08
-    z = 0.7 + 0.9j
-    ks = np.array([-2, 0, 3])
-    x = rng.standard_normal(3)
-    out_ks = np.arange(-6, 7)
-    lhs = resolvent_B_apply(1.0 + eps * z, eps, ks, x, out_ks)
-    rhs = resolvent_apply(z, ks, x, out_ks) / eps
-    assert np.allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_resolvent_B_neumann_regime(rng):
-    eps = 0.1
-    nu = 50.0 + 3.0j
-    ks = np.array([0])
-    x = np.array([1.0])
-    out = resolvent_B_apply(nu, eps, ks, x, ks)
-    assert abs(out[0]) == pytest.approx(1.0 / abs(nu), rel=0.1)
-
-
-def test_resolvent_B_matches_dense_solve(rng):
-    n = 400
-    eps = 0.1
-    nu = 1.2 + 0.3j
-    ks = np.arange(-n // 2, n // 2)
-    L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    B = np.eye(n) + eps * L
-    x = np.zeros(n)
-    src = [(-1, 0.7), (2, -0.4)]
-    for k, v in src:
-        x[np.where(ks == k)[0][0]] = v
-    dense = np.linalg.solve(B - nu * np.eye(n), x.astype(complex))
-    interior = np.abs(ks) <= 30
-    kernel = resolvent_B_apply(nu, eps, np.array([k for k, _ in src]),
-                               np.array([v for _, v in src]), ks[interior])
-    assert np.max(np.abs(kernel - dense[interior])) < 1e-6
-
-
-def test_puiseux_dipole_leading_term_oracle():
-    # leading term at k for the dipole q_{+-1} = +-1: -(|k-1| - |k+1|)/2 = sign-like
-    ks = np.array([-1, 1])
-    vals = np.array([-1.0, 1.0])
-    out_ks = np.arange(-5, 6)
-    leading = -0.5 * (np.abs(out_ks[:, None] - ks[None, :]) @ vals)
-    expected = np.array([-0.5 * (abs(k - 1) - abs(k + 1)) for k in out_ks])
-    assert np.allclose(leading, expected)
-    assert np.allclose(leading, np.sign(out_ks))
-
-
-def test_puiseux_slope(rng):
-    fit = puiseux_leading_check([-1, 1], [-1.0, 1.0], np.geomspace(1e-4, 1e-1, 10))
-    assert fit.slope == pytest.approx(0.5, abs=0.1)
-
-
-def test_puiseux_rejects_even_input():
-    with pytest.raises(ValueError):
-        puiseux_leading_check([-1, 1], [1.0, 1.0], np.geomspace(1e-3, 1e-1, 4))
 
 
 def accumulate(times, states, eps, q_exp, r_exp=2.0):
