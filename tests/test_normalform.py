@@ -404,6 +404,18 @@ def test_q0_fourier_tail_small(ctx8_wide):
     assert mags[-1] < 1e-12 and mags[0] < 1e-12
 
 
+def test_split_parts(ctx4):
+    # the unit transverse core is one z_k w_k term per site, with no alpha-mean
+    core = transverse_core(ctx4)
+    assert not core.part_of_degree(0).terms and not core.part_of_degree(1).terms
+    assert len(core.part_of_degree(2).terms) == ctx4.n_sites
+    assert np.allclose(core.mean_action(), 0.0)
+    # a constant Hamiltonian is all alpha-mean
+    g = constant_hamiltonian(ctx4, ctx4.hs0)
+    assert not g.part_of_degree(1).terms and not g.part_of_degree(2).terms
+    assert np.allclose(g.mean_action(), ctx4.hs0)
+
+
 def test_initial_decomposition_structure(ctx8):
     init = build_initial(ctx8, 0.05)
     # every term of the linear residual has xi-degree 1, and so no alpha-mean
@@ -413,12 +425,6 @@ def test_initial_decomposition_structure(ctx8):
     # every term of the angular residual has xi-degree 0
     ang = init.angular_residual
     assert len(ang.part_of_degree(0).terms) == len(ang.terms)
-    # the unit transverse core is one z_k w_k term per site, with no alpha-mean;
-    # a constant Hamiltonian is all alpha-mean
-    core = transverse_core(ctx8)
-    assert len(core.part_of_degree(2).terms) == len(core.terms) == ctx8.n_sites
-    assert np.allclose(core.mean_action(), 0.0)
-    assert np.allclose(constant_hamiltonian(ctx8, ctx8.hs0).mean_action(), ctx8.hs0)
     # angular residual carries modes up to twice the q0 bandwidth (within M)
     ns = {abs(n) for (_, n) in init.angular_residual.terms}
     base = {abs(n) for (_, n) in init.linear_residual.terms}
