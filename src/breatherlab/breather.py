@@ -98,14 +98,14 @@ def _tabulate(x: LatticeState, V: PotentialSpec, eps: float, T: float, n_phases:
     return orbit, float(np.linalg.norm(y[:, -1] - np.concatenate([x.p, x.q])))
 
 
-def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64,
-                        n_phases: int = 64) -> Breather:
-    """Uncoupled breather: the central oscillator on its orbit, the rest at rest."""
+def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64) -> Breather:
+    """Uncoupled breather: the central oscillator on its orbit, tabulated at 64
+    phases, the rest at rest."""
     E = h0_of_action(chart, I)
     T = 2.0 * np.pi / omega0(chart, I)
     x0 = LatticeState.zeros(N)
     x0.q[x0.index(0)] = chart.q_max(E)
-    orbit, defect = _tabulate(x0, chart.potential, 0.0, T, n_phases)
+    orbit, defect = _tabulate(x0, chart.potential, 0.0, T, 64)
     return Breather(I, 0.0, T, x0, orbit, beta_hat=np.inf, fit_residual=0.0,
                     defect=defect)
 
@@ -182,17 +182,16 @@ def orbit_defect(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     return float(np.linalg.norm(F))
 
 
-def localization_rate(orbit: list[tuple[float, LatticeState]],
-                      floor: float = 1e-13) -> tuple[float, float]:
+def localization_rate(orbit: list[tuple[float, LatticeState]]) -> tuple[float, float]:
     """Exponential localization rate from max_t (|q_k| + |p_k|) against |k|.
 
     Returns (beta_hat, R^2 of the fit).  The uncoupled breather has no sites
-    above the floor and reports the degenerate (inf, 0) case.
+    above the amplitude floor 1e-13 and reports the degenerate (inf, 0) case.
     """
     states = [s for _, s in orbit]
     amp = np.max([np.abs(s.q) + np.abs(s.p) for s in states], axis=0)
     ks = states[0].sites()
-    mask = (np.abs(ks) >= 1) & (amp > floor)
+    mask = (np.abs(ks) >= 1) & (amp > 1e-13)
     if np.count_nonzero(mask) == 0:
         return np.inf, 0.0
     if np.count_nonzero(mask) < 3:

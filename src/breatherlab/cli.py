@@ -29,6 +29,7 @@ from . import experiments as ex
 from . import normalform as nf
 from . import propagator as pr
 from .csvio import write_table
+from .integrate import BlowupError
 from .lattice import LatticeState, PolynomialWeight, norm
 from .potential import PotentialSpec, action_of_point, build_chart
 
@@ -90,7 +91,7 @@ def _chart_for(cfg, V):
                        n_grid=int(cfg.get("chart_grid", 256)))
 
 
-def _skew_datum(cfg, N, seed) -> LatticeState:
+def _skew_datum(cfg, N) -> LatticeState:
     state = LatticeState.zeros(N)
     spec = cfg.get("datum", "1:1.0,2:0.6,3:0.25")
     pairs = spec if isinstance(spec, list) else str(spec).split(",")
@@ -129,7 +130,7 @@ def cmd_propagate(cfg, out_dir, seed) -> bool:
     N = int(cfg.get("N", 1024))
     eps = float(cfg.get("eps", 0.1))
     t = float(cfg.get("t", 50.0))
-    state = _skew_datum(cfg, N, seed)
+    state = _skew_datum(cfg, N)
     moved = pr.propagate_whole_chain(state, t, eps)
     path = os.path.join(out_dir, "propagated.csv")
     _write_state(path, moved)
@@ -155,7 +156,7 @@ def cmd_decay_fit(cfg, out_dir, seed) -> bool:
         r_exp, weight = 2.0, PolynomialWeight(s)
     else:
         raise ValueError(f"unknown norm {kind!r}")
-    state = _skew_datum(cfg, N, seed)
+    state = _skew_datum(cfg, N)
     fit = pr.measure_decay(state, eps, r_exp, weight, window,
                            n_samples=int(cfg.get("n_samples", 30)))
     rows = [(et / eps, et, v) for et, v in zip(fit.eps_t, fit.values)]
@@ -259,7 +260,7 @@ def cmd_stability(cfg, out_dir, seed) -> bool:
            if key in cfg})
     try:
         record = ex.run_stability(config, _chart_for(cfg, V))
-    except ex.FamilyWindowError as exc:
+    except (ex.FamilyWindowError, BlowupError) as exc:
         print(f"stability: {exc}")
         return False
     tolerances = {

@@ -12,15 +12,21 @@ accumulations the dispersive theory bounds.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .breather import Breather, continue_breather
 from .csvio import write_table
 from .integrate import BlowupError, check_stability, step_arrays
-from .lattice import AdmissiblePair, LatticeState, SpaceTimeNorm, hamiltonian, norm
+from .lattice import LatticeState, SpaceTimeNorm, hamiltonian, norm
 from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
+
+# the space-time norm L^q_{eps t} l^r of the residual: (q, r) = (7, 14) is a
+# Strichartz pair of the linear chain, whose l^inf decay is t^(-1/3), as q >= 6,
+# r >= 2 and 1/q + 1/(3r) = 1/6 meets the admissibility bound 1/q + 1/(3r) <= 1/6
+# (Stefanov & Kevrekidis, Nonlinearity 2005)
+Q_EXP, R_EXP = 7, 14
 
 
 class FamilyWindowError(RuntimeError):
@@ -51,25 +57,29 @@ class ExperimentConfig:
     family_window: int = 32
     N_family: int = 64
     weight_s: float = 3.0              # weighted_mixed's weight <k>^(-s); see SpaceTimeNorm
-    pair: AdmissiblePair = field(default_factory=lambda: AdmissiblePair(7, 14))
 
     def __post_init__(self):
-        if self.delta <= 0.5:
+        # each check fails on NaN, for which every comparison is false
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got eps={self.eps}")
+        if not self.delta > 0.5:
             raise ValueError("need delta > 1/2")
         _check_shape(self.perturbation_shape)
         if self.mu is None:
             self.mu = self.eps ** self.delta
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu is the kick's l^2 size, so at least 0; got {self.mu:g}")
-        if self.mu >= self.eps ** 0.5:
+        if not self.mu < self.eps ** 0.5:
             raise ValueError("mu must be below sqrt(eps) (mu < eps^delta, delta > 1/2)")
         if self.T is None:
             self.T = 100.0 / self.eps
+        if not self.T < np.inf:
+            raise ValueError(f"T must be finite, got T={self.T}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be at least 1, got {self.sample_stride}")
-        if self.T < self.dt:
-            raise ValueError(f"T = {self.T:g} is shorter than one step dt = {self.dt:g}")
         check_stability(self.dt, self.eps)
+        if not self.T >= self.dt:
+            raise ValueError(f"T = {self.T:g} is shorter than one step dt = {self.dt:g}")
         if not self.family_window <= self.N_family <= self.N:
             raise ValueError("need family_window <= N_family <= N, got "
                              f"{self.family_window}, {self.N_family}, {self.N}")
@@ -250,7 +260,7 @@ class StabilityRecord:
     mu: float
     eps: float
     # SpaceTimeNorm of the residual, trapezoid rule in eps dt over the samples:
-    spacetime_lq_lr: float        # L^q_{eps t} l^r, (q, r) = config.pair
+    spacetime_lq_lr: float        # L^q_{eps t} l^r, (q, r) = (Q_EXP, R_EXP)
     weighted_mixed: float         # l^inf_{-s} L^2_{eps t}, weight <k>^(-s), s = weight_s
     I_drift: float
     cauchy_tails: list[tuple[float, float]]
@@ -285,8 +295,7 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
     p, q = x0.p.copy(), x0.q.copy()
     n_steps = int(round(c.T / c.dt))
     times, Ibars, phases_rec, res_l2, d_lr, energies = [], [], [], [], [], []
-    q_exp, r_exp = c.pair.q_exp, c.pair.r_exp
-    spacetime = SpaceTimeNorm(c.eps, q_exp)
+    spacetime = SpaceTimeNorm(c.eps, Q_EXP)
 
     def sample(t):
         if not np.all(np.isfinite(p)):
@@ -294,7 +303,7 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         tr = track_modulation(p, q, family, c.N)
         res2_site = tr.residual_p ** 2 + tr.residual_q ** 2
         rl2 = float(np.sqrt(np.sum(res2_site)))
-        rlr = norm(LatticeState(c.N, tr.residual_p, tr.residual_q), r_exp)
+        rlr = norm(LatticeState(c.N, tr.residual_p, tr.residual_q), R_EXP)
         spacetime.add(t, rlr, res2_site)
         times.append(t)
         Ibars.append(tr.I_bar)
@@ -338,7 +347,7 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         "drift_bound_mu2_sqrt_eps": c.mu ** 2 / np.sqrt(c.eps),
         "max_residual_l2_over_mu": (float(np.max(record.residual_l2) / c.mu)
                                     if c.mu > 0 else float("nan")),
-        "spacetime_L%g_l%g" % (q_exp, r_exp): record.spacetime_lq_lr,
+        f"spacetime_L{Q_EXP}_l{R_EXP}": record.spacetime_lq_lr,
         "weighted_mixed_linf_L2": record.weighted_mixed,
         "energy_rel_drift": float(np.max(np.abs(energies_arr - energies_arr[0]))
                                   / abs(energies_arr[0])),

@@ -71,9 +71,9 @@ class BlowupError(RuntimeError):
 
 def check_stability(dt: float, eps: float):
     """Guard dt > 0 and dt * max frequency <= 0.5, max frequency sqrt(1 + 4 eps)."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"need dt > 0, got dt={dt}")
-    if dt * np.sqrt(1.0 + 4.0 * abs(eps)) > 0.5 + 1e-12:
+    if not dt * np.sqrt(1.0 + 4.0 * abs(eps)) <= 0.5 + 1e-12:
         raise ValueError(f"dt={dt} violates the stability guard for eps={eps}")
 
 
@@ -126,10 +126,13 @@ def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: 
 
 def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
          dt: float = 0.05) -> LatticeState:
-    """Evolve for time t with a whole number of steps of size <= dt."""
+    """Evolve for time t, forward or back, with a whole number of equal steps of
+    size at most |dt|; the sign of dt plays no part."""
+    if not abs(dt) > 0:
+        raise ValueError(f"need a nonzero step, got dt={dt}")
     if t == 0:
         return state.copy()
-    n = max(1, int(np.ceil(abs(t) / dt)))
+    n = max(1, int(np.ceil(abs(t) / abs(dt))))
     h = t / n
     out = state.copy()
     for _ in range(n):

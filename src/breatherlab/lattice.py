@@ -90,13 +90,6 @@ class ExponentialWeight:
 WeightSpec = PolynomialWeight | ExponentialWeight
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """Strichartz exponent pair (q, r), admissible when q >= 6, r >= 2 and 1/q + 1/(3r) <= 1/6."""
-    q_exp: float
-    r_exp: float
-
-
 def _span(mask: np.ndarray, reach: int = 0) -> slice:
     """Smallest slice holding every True entry of ``mask``, widened by ``reach``
     entries on each side and cut to the array; empty when no entry is True."""

@@ -136,11 +136,6 @@ def _bary_row(nodes: np.ndarray, x: float) -> np.ndarray:
     return w / np.sum(w)
 
 
-def bary_eval(nodes: np.ndarray, values: np.ndarray, x: float):
-    """Barycentric interpolation at x for values on CGL nodes."""
-    return values @ _bary_row(nodes, x)
-
-
 # ---------------------------------------------------------------------------
 # context and graded terms
 
@@ -713,27 +708,22 @@ class GradedHamiltonian:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _at_point(self, I: float, alpha: float, z, w):
+    def _at_point(self, I: float, alpha: float, z):
+        """Value and field at (I, alpha, z) on the real subspace w = conj(z)."""
         row = _bary_row(self.ctx.I_nodes, I)
         C = self.C
+        z = np.asarray(z)
         fields = _field_on_grid(self, (C @ row)[:, None],
                                 (C @ (self.ctx.Dmat.T @ row))[:, None],
-                                np.array([float(alpha)]), np.asarray(z)[None, :],
-                                np.asarray(w)[None, :])
+                                np.array([float(alpha)]), z[None, :], np.conj(z)[None, :])
         return [x[0, 0, 0] for x in fields]
 
-    def evaluate(self, I: float, alpha: float, z: np.ndarray,
-                 w: np.ndarray | None = None) -> complex:
-        if w is None:
-            w = np.conj(z)
-        return self._at_point(I, alpha, z, w)[0]
+    def evaluate(self, I: float, alpha: float, z: np.ndarray) -> complex:
+        return self._at_point(I, alpha, z)[0]
 
-    def field_at(self, I: float, alpha: float, z: np.ndarray,
-                 w: np.ndarray | None = None):
-        """Hamiltonian vector field (X_I, X_alpha, X_z, X_w) at a phase point."""
-        if w is None:
-            w = np.conj(z)
-        return tuple(self._at_point(I, alpha, z, w)[1:])
+    def field_at(self, I: float, alpha: float, z: np.ndarray):
+        """Hamiltonian vector field (X_I, X_alpha, X_z, X_w) at a real phase point."""
+        return tuple(self._at_point(I, alpha, z)[1:])
 
 
 def _field_on_grid(gh: GradedHamiltonian, cI: np.ndarray, dcI: np.ndarray,
@@ -806,13 +796,13 @@ def _q_factors(ctx: NormalFormContext, k: int):
     return [(ctx.z_var(k), 1j / _SQRT2), (ctx.w_var(k), -1j / _SQRT2)]
 
 
-def _add_q_product(gh: GradedHamiltonian, ctx, ksites: list[int], coeff, n: int = 0):
-    """Add coeff * prod q_k for the listed sites (with multiplicity)."""
+def _add_q_product(gh: GradedHamiltonian, ctx, ksites: list[int], coeff):
+    """Add coeff * prod q_k for the listed sites (with multiplicity), at mode 0."""
     stack = [((), coeff)]
     for k in ksites:
         stack = [(m + ((v, 1),), c * a) for m, c in stack for v, a in _q_factors(ctx, k)]
     for mono, c in stack:
-        gh.add_term(mono, n, c)
+        gh.add_term(mono, 0, c)
 
 
 @dataclass
@@ -949,8 +939,7 @@ def _lowering_variables(chi: GradedHamiltonian) -> np.ndarray:
 
 
 def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
-                  stop_tol: float = 1e-15,
-                  prune_floor: float | None = None) -> GradedHamiltonian:
+                  stop_tol: float = 1e-15) -> GradedHamiltonian:
     """Truncated Lie series H o Phi^1_chi = sum_l ad_chi^l H / l!, jet-exact.
 
     The degree <= D, |n| <= M part of the result does not depend on where the
@@ -963,9 +952,10 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
     contribution along the shortest such chain, a * growth^k / (l + k)! at
     stage l, is at least ``stop_tol`` relative to H; the growth per bracket
     comes from the pair bound of ``poisson``.  Terms inside the jet are
-    pruned below ``prune_floor``.  Terms that cannot reach the jet within
-    ``order`` brackets (see ``_lowering_variables``) are cut outright.
-    Everything cut goes into the ``dropped`` tally.
+    pruned below max(1e-16, 1e-3 ``stop_tol``) relative to H.  Terms that
+    cannot reach the jet within ``order`` brackets (see
+    ``_lowering_variables``) are cut outright.  Everything cut goes into the
+    ``dropped`` tally.
 
     Only degrees <= D - 1 of a bracket of two such D-jets are determined when
     either has a degree-1 part: the degree-1 terms bracket with degree D + 1
@@ -978,10 +968,9 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
     ctx = H.ctx
     D, M = ctx.D, ctx.M
     scale = max(H.max_coeff(), 1.0)
-    if prune_floor is None:
-        # per-term truncation three decades under the series stop level keeps
-        # the aggregate truncation comfortably below stop_tol
-        prune_floor = max(1e-16, 1e-3 * stop_tol) * scale
+    # per-term truncation three decades under the series stop level keeps
+    # the aggregate truncation comfortably below stop_tol
+    prune_floor = max(1e-16, 1e-3 * stop_tol) * scale
     chi_d = chi.degrees
     chi_n = np.abs(chi.n)
     chi_a = np.abs(chi.C).max(axis=1)
@@ -1046,17 +1035,17 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
 
 
 def flow_generator(chi: GradedHamiltonian, I: float, alpha: float,
-                   z: np.ndarray, time: float = 1.0, steps: int = 32):
-    """Time-``time`` flow of the generator's vector field from a real point.
+                   z: np.ndarray, steps: int = 32):
+    """Time-1 flow of the generator's vector field from a real point.
 
     Integrates (I, alpha, z) with w = conj(z) enforced (the real subspace is
     invariant for generators with the reality symmetry); classic RK4.
     """
-    h = time / steps
+    h = 1.0 / steps
     y_I, y_a, y_z = float(I), float(alpha), np.asarray(z, dtype=complex).copy()
 
     def rhs(cI, ca, cz):
-        X_I, X_a, X_z, _ = chi.field_at(cI, ca, cz, np.conj(cz))
+        X_I, X_a, X_z, _ = chi.field_at(cI, ca, cz)
         return X_I.real, X_a.real, X_z
 
     for _ in range(steps):
@@ -1094,10 +1083,6 @@ class NormalFormResult:
     generators: list[GradedHamiltonian]
     records: list[StepRecord]
 
-    def omega(self, I: float) -> float:
-        return float(bary_eval(self.ctx.I_nodes, (self.ctx.Dmat @ self.hs).real, I))
-
-
 
 def _resplit(ctx, total: GradedHamiltonian):
     """(hs values, Z, R) with the unit transverse core removed from Z."""
@@ -1111,30 +1096,27 @@ def _resplit(ctx, total: GradedHamiltonian):
     return hs, Z, R
 
 
-def measure_scaled_norm(gh: GradedHamiltonian, eps: float,
-                        n_alpha: int = 6, n_dirs: int = 4, seed: int = 1234,
-                        R_I: float = 1.0, R_alpha: float = 1.0) -> float:
+def measure_scaled_norm(gh: GradedHamiltonian, eps: float) -> float:
     """Sampled vector-field norm with the sqrt(eps)-scaled transverse radius.
 
-    max over samples of max(|X_I|/R_I, |X_alpha|/R_alpha, ||X_xi||_2/R_xi)
-    with xi drawn from a fixed seeded ensemble normalized to ||xi||_2 = R_xi
-    = sqrt(eps); I runs over the Chebyshev nodes, alpha over a uniform grid.
+    max over samples of max(|X_I|, |X_alpha|, ||X_xi||_2 / R_xi) with xi drawn
+    from 4 directions of a fixed seeded ensemble, normalized to ||xi||_2 = R_xi
+    = sqrt(eps); I runs over the Chebyshev nodes, alpha over 6 uniform angles.
     Only eps-scaling slopes of this number are ever asserted.
     """
     ctx = gh.ctx
     R_xi = np.sqrt(max(eps, 1e-300))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     ns = ctx.n_sites
-    dirs = rng.standard_normal((n_dirs, ns)) + 1j * rng.standard_normal((n_dirs, ns))
+    dirs = rng.standard_normal((4, ns)) + 1j * rng.standard_normal((4, ns))
     dirs /= np.sqrt(2.0 * np.sum(np.abs(dirs) ** 2, axis=1))[:, None]
     z = R_xi * dirs                      # (nD, ns); w = conj(z) on the real subspace
     ig = np.arange(ctx.I_nodes.size)[:: max(1, ctx.I_nodes.size // 8)]
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     _, X_I, X_a, X_z, X_w = _field_on_grid(gh, gh.C[:, ig], gh.C @ ctx.Dmat[ig].T,
                                            alphas, z, np.conj(z))
     xi_norm = np.sqrt(np.sum(np.abs(X_z) ** 2 + np.abs(X_w) ** 2, axis=-1))
-    return float(max(np.max(np.abs(X_I), initial=0.0) / R_I,
-                     np.max(np.abs(X_a), initial=0.0) / R_alpha,
+    return float(max(np.max(np.abs(X_I), initial=0.0), np.max(np.abs(X_a), initial=0.0),
                      np.max(xi_norm, initial=0.0) / R_xi))
 
 
@@ -1197,15 +1179,15 @@ def normalize(init: InitialDecomposition, r_max: int = 2, lie_order: int = 8,
                             generators, records)
 
 
-def invariant_manifold_check(result: NormalFormResult, n_alpha: int = 64) -> float:
-    """max over the (I, alpha) grid of the transverse field magnitude at xi = 0.
+def invariant_manifold_check(result: NormalFormResult) -> float:
+    """max over the grid of I nodes x 64 angles of the transverse field magnitude at xi = 0.
 
     Only the xi-linear residual contributes: X_z = -i (w-coefficients),
     X_w = +i (z-coefficients) evaluated at xi = 0.
     """
     ctx = result.ctx
     lin = result.residual.part_of_degree(1)
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     origin = np.zeros((1, ctx.n_sites), dtype=complex)
     _, _, _, X_z, X_w = _field_on_grid(lin, lin.C, lin.C @ ctx.Dmat.T, alphas,
                                        origin, origin)

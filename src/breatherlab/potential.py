@@ -105,15 +105,14 @@ class PotentialSpec:
         return _sum_powers(self._ddterms, q)
 
     @classmethod
-    def monomial(cls, degree: int, coefficient: float = 1.0, min_degree: int | None = None):
-        if min_degree is None:
-            min_degree = 8 if degree >= 8 else 4
-        return cls(((degree, coefficient),), min_degree)
+    def monomial(cls, degree: int):
+        """V = q^degree, with min_degree 8 from degree 8 up and 4 below."""
+        return cls(((degree, 1.0),), 8 if degree >= 8 else 4)
 
     @classmethod
-    def zero(cls, min_degree: int = 4):
+    def zero(cls):
         """V = 0 (harmonic oscillator); useful for exactly solvable checks."""
-        return cls((), min_degree)
+        return cls((), 4)
 
 
 def _power(q, k: int):
@@ -356,14 +355,12 @@ class ActionAngleChart:
     I_grid: np.ndarray
     E_values: np.ndarray
     omega_values: np.ndarray
-    _E_spline: CubicSpline = field(repr=False, default=None)
-    _omega_spline: CubicSpline = field(repr=False, default=None)
+    _E_spline: CubicSpline = field(init=False, repr=False)
+    _omega_spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._E_spline is None:
-            self._E_spline = CubicSpline(self.I_grid, self.E_values)
-        if self._omega_spline is None:
-            self._omega_spline = CubicSpline(self.I_grid, self.omega_values)
+        self._E_spline = CubicSpline(self.I_grid, self.E_values)
+        self._omega_spline = CubicSpline(self.I_grid, self.omega_values)
         if np.any(np.diff(self.E_values) <= 0):
             raise ValueError("E_of_I is not strictly increasing")
         if np.any(self.omega_values <= 0):
@@ -440,8 +437,7 @@ def action_of_point(chart: ActionAngleChart, p: float, q: float) -> float:
                         chart.I_min, chart.I_max, xtol=1e-15, rtol=8.9e-16))
 
 
-def to_cartesian(chart: ActionAngleChart, I: float, alpha: float,
-                 rtol: float = 1e-12) -> tuple[float, float]:
+def to_cartesian(chart: ActionAngleChart, I: float, alpha: float) -> tuple[float, float]:
     """Cartesian point at action I and angle alpha.
 
     Flows the oscillator from the reference point (0, q_max(E)) for time
@@ -455,12 +451,11 @@ def to_cartesian(chart: ActionAngleChart, I: float, alpha: float,
         return 0.0, qm
     t = a / omega0(chart, I)
     sol = solve_ivp(_oscillator_rhs(chart.potential), (0.0, t), [0.0, qm],
-                    method="DOP853", rtol=rtol, atol=1e-14)
+                    method="DOP853", rtol=1e-12, atol=1e-14)
     return float(sol.y[0, -1]), float(sol.y[1, -1])
 
 
-def from_cartesian(chart: ActionAngleChart, p: float, q: float,
-                   rtol: float = 1e-12) -> tuple[float, float]:
+def from_cartesian(chart: ActionAngleChart, p: float, q: float) -> tuple[float, float]:
     """Action-angle coordinates of a cartesian point (left inverse of to_cartesian).
 
     The angle is read off from the flight time back to the reference section
@@ -482,7 +477,7 @@ def from_cartesian(chart: ActionAngleChart, p: float, q: float,
     section.terminal = 2
 
     sol = solve_ivp(_oscillator_rhs(chart.potential), (0.0, 2.5 * T_est), [p, q],
-                    method="DOP853", rtol=rtol, atol=1e-14, events=section,
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=section,
                     dense_output=False)
     hits = sol.t_events[0]
     if len(hits) < 2:

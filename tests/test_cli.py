@@ -8,6 +8,7 @@ from breatherlab import breather as br
 from breatherlab import cli
 from breatherlab import experiments as ex
 from breatherlab.csvio import read_state
+from breatherlab.integrate import BlowupError
 
 
 @pytest.mark.parametrize("command", [
@@ -58,6 +59,20 @@ def test_stability_config_keeps_the_experiment_defaults(tmp_path, monkeypatch):
     assert config.sample_stride == 50
 
 
+def test_stability_blowup_ends_with_one_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    def blow_up(config, chart):
+        raise BlowupError("non-finite state at t=0.0")
+
+    monkeypatch.setattr(ex, "run_stability", blow_up)
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text("mu = 0.001\nT = 1.0\nN = 64\n")
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "stability", "-c", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["stability: non-finite state at t=0.0", "FAIL"]
+    assert captured.err == ""
+
+
 def test_stability_rejects_a_zero_stride_before_any_build(tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("family built before the config check")
@@ -105,8 +120,19 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     (["decay-fit"], "n_samples = 1\n", "at least 2 samples, got n_samples=1"),
     (["vdc-check"], "lam_count = 1\n", "at least 2 lam values, got 1"),
     (["stability"], "mu = -0.01\n", "so at least 0; got -0.01"),
+    # NaN, for which every comparison is false, used to pass each check and
+    # end the run late: in round(T / dt), as a BlowupError or in np.arange
+    (["stability"], "mu = 0.001\nT = 1\nN = 64\ndt = nan\n", "need dt > 0, got dt=nan"),
+    (["stability"], "mu = 0.001\nT = nan\nN = 64\n", "T must be finite, got T=nan"),
+    (["stability"], "mu = nan\nT = 1\nN = 64\n",
+     "mu is the kick's l^2 size, so at least 0; got nan"),
+    (["stability"], "eps = nan\nmu = 0.001\nT = 1\nN = 64\n",
+     "eps must be positive and finite, got eps=nan"),
+    # a negative eps made the default mu = eps^delta complex, and its check a TypeError
+    (["stability"], "eps = -0.05\n", "eps must be positive and finite, got eps=-0.05"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
-        "one-decay-sample", "one-lam-value", "negative-mu"])
+        "one-decay-sample", "one-lam-value", "negative-mu", "nan-dt", "nan-T", "nan-mu",
+        "nan-eps", "negative-eps"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:
@@ -150,6 +176,6 @@ def test_breather_csv_header_keeps_the_requested_label(tmp_path):
 
 
 def test_datum_string_is_split_into_pairs():
-    state = cli._skew_datum({"datum": "1:1.0,2:0.6,3:0.25"}, 8, seed=1)
+    state = cli._skew_datum({"datum": "1:1.0,2:0.6,3:0.25"}, 8)
     assert [state.q[state.index(k)] for k in (1, 2, 3)] == [1.0, 0.6, 0.25]
     assert [state.q[state.index(-k)] for k in (1, 2, 3)] == [-1.0, -0.6, -0.25]

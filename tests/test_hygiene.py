@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package uses each name it imports and holds
 no assert statement, every top-level function and class of the package and every
-method of its classes is used somewhere, and every function the benchmark's tracer
-wraps is still where the tracer looks it up."""
+method of its classes is used somewhere, every defaulted parameter of them is
+passed by some call, and every function the benchmark's tracer wraps is still
+where the tracer looks it up."""
 
 import ast
 import types
@@ -94,6 +95,82 @@ def test_package_defines_nothing_unused():
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unused_definitions(package, tests, bench) == []
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, called name, parameter, position) of each parameter with a
+    default of a top-level function or of a method of a top-level class.  A class
+    is called by its own name for its __init__; the position counts without self
+    and cls, and is None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = [(node.name, node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(f"{node.name}.{item.name}",
+                      node.name if item.name == "__init__" else item.name, item)
+                     for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            continue
+        for qualified, called, func in funcs:
+            args = func.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional and positional[0] in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            for i, name in enumerate(positional[first:], first):
+                yield qualified, called, name, i
+            for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualified, called, a.arg, None
+
+
+def call_settings(sources: list[str]) -> set:
+    """(called name, keyword or position) for every argument some call passes; a
+    call through *args or **kwargs gives (called name, "*"), as it may set any."""
+    out = set()
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute) else None)
+            out.update((called, i) for i in range(len(node.args)))
+            out.update((called, k.arg or "*") for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                out.add((called, "*"))
+    return out
+
+
+def unset_defaults(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Defaulted parameters of the package (module name -> source) that no call in
+    the package or the readers passes: each is a constant with a name."""
+    settings = call_settings([*package.values(), *readers])
+    return [f"{module}.{qualified}({name})" for module, src in package.items()
+            for qualified, called, name, pos in defaulted_parameters(ast.parse(src))
+            if not {(called, name), (called, pos), (called, "*")} & settings]
+
+
+def test_checker_flags_a_default_no_call_sets():
+    package = {"a": "def f(x, by_pos=1, by_key=2, unset=3, *, only_key=4):\n    pass\n\n"
+                    "def g(x, y=1):\n    pass\n\n"
+                    "def h(x, y=1):\n    pass\n\n"
+                    "class K:\n    def __init__(self, y=1, z=2):\n        pass\n\n"
+                    "    def m(self, y=1, z=2):\n        pass\n\n"
+                    "    @classmethod\n    def c(cls, y=1):\n        pass\n"}
+    readers = ["from a import K, f, g, h\nf(0, 1, by_key=2)\ng(*args)\nh(0, **kw)\n"
+               "K(5)\nK().m(z=3)\nK.c()\n"]
+    assert unset_defaults(package, readers) == [
+        "a.f(unset)", "a.f(only_key)", "a.K.__init__(z)", "a.K.m(y)", "a.K.c(y)"]
+
+
+def test_package_sets_every_default():
+    # a default that no caller overrides is a constant: it belongs in the body
+    package = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for d in ("tests", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert unset_defaults(package, readers) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

@@ -37,6 +37,27 @@ def test_reversibility(rng, V8):
     assert np.allclose(out.q, s.q, atol=1e-14)
 
 
+@pytest.mark.parametrize("t, dt, steps", [
+    (-0.05, -0.05, [-0.05]),
+    (0.2, 0.05, [0.05] * 4),
+    (0.2, -0.05, [0.05] * 4),
+    (-0.2, 0.05, [-0.05] * 4),
+])
+def test_flow_steps_toward_t_whatever_the_sign_of_dt(rng, V8, monkeypatch, t, dt, steps):
+    # with dt < 0 < t the count ceil(t / dt) was below 1, and the flow took one
+    # step of size t
+    taken = []
+    monkeypatch.setattr(integrate, "step_arrays", lambda p, q, V, eps, h: taken.append(h))
+    flow(random_state(rng, N=2), V8, 0.1, t, dt)
+    assert taken == pytest.approx(steps, rel=1e-15)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, float("nan")])
+def test_flow_rejects_a_step_of_no_size(rng, V8, dt):
+    with pytest.raises(ValueError, match="need a nonzero step"):
+        flow(random_state(rng, N=2), V8, 0.1, 1.0, dt)
+
+
 def test_matches_reference_integration(rng, V8):
     s = random_state(rng, N=64, scale=0.3)
     eps, t = 0.1, 10.0
