@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import ExponentialWeight, LatticeState, coupling_force, norm, vector_field
+from .integrate import tangent_steps
+from .lattice import ExponentialWeight, LatticeState, norm, vector_field
 from .potential import ActionAngleChart, PotentialSpec, action_of_point, h0_of_action, omega0
-from . import integrate as tint
 
 
 class ContinuationError(RuntimeError):
@@ -59,33 +59,17 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
 
     ``tangent`` stacks the initial tangent vectors as columns (dp; dq), 2n rows
     for the n = 2N + 1 sites; the identity gives the full monodromy matrix.
-    Each rotation substep rotates (dp, dq) blocks; each kick adds
-    tau (eps Delta - V''(q(t))) dq to dp with q(t) co-evolved, so the product
-    is symplectic to round-off.  The state rides along as column 0 of the
-    blocks P = [p | Dp] and Q = [q | Dq], so a substep is one BLAS rotation
-    of the stacked blocks and two BLAS updates of P, by the Laplacian and by
-    the force derivative, all in preallocated buffers.
+    The state rides along as column 0 of the blocks P = [p | Dp] and
+    Q = [q | Dq] (``integrate.tangent_steps``), so the product is symplectic
+    to round-off.
     """
     n = 2 * x.N + 1
     P = np.empty((n, tangent.shape[1] + 1))
     Q = np.empty_like(P)
     P[:, 0], Q[:, 0] = x.p, x.q
     P[:, 1:], Q[:, 1:] = tangent[:n], tangent[n:]
-    lap = np.empty_like(Q)
-    dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
-    P_flat, Q_flat, lap_flat, dV_flat = P.ravel(), Q.ravel(), lap.ravel(), dV.ravel()
     steps = max(1, int(np.ceil(T / dt)))
-    h = T / steps
-    for _ in range(steps):
-        for i, ck in enumerate(tint._KICKS):
-            tint._rotate(P_flat, Q_flat, tint._ROTATIONS[i] * h)
-            q = Q[:, 0]
-            np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
-            dV[:, 0] = V.derivative(q)
-            coupling_force(Q, out=lap)
-            tint._axpy(P_flat, ck * h * eps, lap_flat)
-            tint._axpy(P_flat, -ck * h, dV_flat)
-        tint._rotate(P_flat, Q_flat, tint._ROTATIONS[-1] * h)
+    tangent_steps(P, Q, V, eps, T / steps, steps)
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 

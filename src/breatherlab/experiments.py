@@ -314,10 +314,10 @@ def run_stability(config: ExperimentConfig, chart: ActionAngleChart,
         energies.append(hamiltonian(st, c.potential, c.eps))
 
     sample(0.0)
-    for i in range(1, n_steps + 1):
-        step_arrays(p, q, c.potential, c.eps, c.dt)
-        if i % c.sample_stride == 0 or i == n_steps:
-            sample(i * c.dt)
+    for i in range(0, n_steps, c.sample_stride):
+        stride = min(c.sample_stride, n_steps - i)
+        step_arrays(p, q, c.potential, c.eps, c.dt, stride)
+        sample((i + stride) * c.dt)
 
     times_arr = np.asarray(times)
     Ibar_arr = np.asarray(Ibars)

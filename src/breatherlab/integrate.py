@@ -7,44 +7,57 @@ yoshida4: the standard triple composition of the symmetric second-order
 (Strang) step, fourth order.  It steps the one lattice layout, sites -N..N,
 with the central site free, as in the real dynamics.
 
-The kernel updates p and q in place through BLAS.  A rotation is one
-``drot``; a kick adds tau eps (Delta q) to p by one ``daxpy`` and subtracts
-tau V'(q) by another.  f2py hands BLAS a copy of any array that is not
-flat C-contiguous float64, and the update to that copy is lost, so the kernel
-raises ValueError on such arrays (and on read-only or mismatched ones)
-instead of stepping them.
+The kernel updates p and q in place through BLAS, and within a block of
+steps (below) it allocates nothing.  A rotation is one ``drot``.  A kick
+adds tau eps (Delta q) to p by three ``daxpy`` calls on offset views of q
+(-2 q_k, q_(k+1) and q_(k-1)), so that no Laplacian is formed, and
+subtracts tau V'(q) by a fourth, with V' raised in place in work rows and
+its coefficient folded into the ``daxpy`` factor
+(``PotentialSpec.derivative_factors``).  The work rows are made once per
+block; the rotations' cosines and sines and the kick sizes once per call.
+f2py hands BLAS a copy of any array that is not flat C-contiguous float64,
+and the update to that copy is lost, so the kernel raises ValueError on such
+arrays (and on read-only or mismatched ones) instead of stepping them.
 
-Each step reads the amplitude a_k = max(|p_k|, |q_k|) once and takes two
-slices of the chain from it.  A step's three coupling kicks carry a value at
-most three sites (its reach), and every widening below is by the reach.
+A call of n steps goes in blocks of k steps, k = floor(sqrt(C) / 4) on a
+chain of C sites (at least 1, at most the steps left): 8 on 1,025 sites, 16
+on 4,097.  Each block reads the amplitude a_k = max(|p_k|, |q_k|) once, over
+the whole chain, and takes two slices of the chain from it.  A step's three
+coupling kicks carry a value at most three sites (its reach), so a block
+carries one at most 3k sites, and every widening below is by 3k.  Per step,
+the scan then reads C / k = 4 sqrt(C) sites and the widening steps 6k =
+1.5 sqrt(C) more, both small beside the C sites of a full-chain step.
 
 - The stepped support S is the smallest slice holding every site with
-  a_k >= e^2 max a, e = 2^-52, widened by the reach.  The rotations and the
-  kicks act on p[S] and q[S] only; the sites outside S keep their values for
-  the step, and the coupling kick sees them as zero.  A site left out of S is
-  off by at most twice its amplitude, 2 e^2 max a, and a site at an end of S
-  misses at most |c_k dt eps| times that per kick.  So after n steps the state
-  is within about n e^2 max a of the full-chain step: below one rounding of
-  the largest entry, e max a, for every n below 1/e (4.5e15 steps).  A
-  localized state, such as a breather and its spreading perturbation, keeps
-  S to a small part of the chain; a spread-out one has S the whole chain, as
-  has a state that is not finite, so that the blow-up still shows.
-- The force window W, inside S, is where V' is evaluated at every kick: the
-  smallest slice holding every site with a_k >= q_cut / G, widened by the
-  reach, with G = sqrt(2) prod_k (1 + 4 |c_k dt eps|) over the kick sizes
-  c_k dt.  Rotations keep r_k = sqrt(p_k^2 + q_k^2), which starts at most
-  sqrt(2) a_k, and a coupling kick raises r_k by at most 4 |c_k dt eps|
-  times the largest r within one site; so at every kick of the step |q_k| is
-  at most G times the largest a within the reach of k.  Outside W, |q| thus
-  stays below ``V.q_cut``, |V'(q)| is below the smallest normal double (see
-  ``PotentialSpec``), and leaving it out moves p by less than tau times that
-  double, while evaluating the power chain there would run through
-  subnormal numbers at many times the normal cost.
+  a_k >= e^2 max a, e = 2^-52, widened by 3k.  The rotations and the kicks
+  act on p[S] and q[S] only; the sites outside S keep their values for the
+  block, and the coupling kick sees them as zero.  A site left out of S is
+  off by at most twice its amplitude grown over the block, 2 G_k e^2 max a
+  (G_k below), once per block, and a site at an end of S misses at most
+  |c_k dt eps| times that per kick.  So after n steps the state is within
+  about n e^2 max a of the full-chain steps, whatever the blocks: below one
+  rounding of the largest entry, e max a, for every n below 1/e (4.5e15
+  steps).  A localized state, such as a breather and its spreading
+  perturbation, keeps S to a small part of the chain; a spread-out one has S
+  the whole chain, as has a state that is not finite, so that the blow-up
+  still shows at the next sample.
+- The force window W, inside S, is where V' is evaluated at every kick of
+  the block: the smallest slice holding every site with a_k >= q_cut / G_k,
+  widened by 3k, with G_k = sqrt(2) g^k and g = prod_j (1 + 4 |c_j dt eps|)
+  over the kick sizes c_j dt of a step.  Rotations keep r_k = sqrt(p_k^2 +
+  q_k^2), which starts at most sqrt(2) a_k, and a coupling kick raises r_k by
+  at most 4 |c_j dt eps| times the largest r within one site; so at every
+  kick of the block |q_k| is at most G_k times the largest a within 3k sites
+  of k.  Outside W, |q| thus stays below ``V.q_cut``, |V'(q)| is below the
+  smallest normal double (see ``PotentialSpec``), and leaving it out moves p
+  by less than tau times that double, while evaluating the power chain there
+  would run through subnormal numbers at many times the normal cost.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg.blas import daxpy, drot
@@ -101,27 +114,79 @@ def _axpy(y: np.ndarray, a: float, x: np.ndarray):
     daxpy(x, y, x.size, a)
 
 
-def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: float):
-    """One splitting step in place on raw arrays (flat C-contiguous float64, else ValueError).
-
-    Only the stepped support is stepped, and V' is evaluated on the force
-    window alone; see the module docstring for both rules and the bound.
-    """
-    _check_inplace(p, q)
+def _scan(p: np.ndarray, q: np.ndarray, k: int, q_cut: float, growth: float):
+    """One scan of the whole chain: the stepped support S of a block of k
+    steps, and its force window W as a slice of S; ``growth`` is the g of one
+    step (module docstring)."""
     amp = np.maximum(np.abs(p), np.abs(q))
     top = amp[amp.argmax()]     # the largest entry, or the first NaN; a faster pass than max
-    support = _span(amp >= _EPS2 * top, _REACH) if math.isfinite(top) else slice(0, amp.size)
-    growth = math.sqrt(2.0) * math.prod([1.0 + 4.0 * abs(ck * dt * eps) for ck in _KICKS])
-    force = _span(amp[support] >= V.q_cut / growth, _REACH)
-    p, q = p[support], q[support]
-    p_force, q_force = p[force], q[force]
-    lap = np.empty(p.shape)
-    for i, ck in enumerate(_KICKS):
-        _rotate(p, q, _ROTATIONS[i] * dt)
-        _axpy(p, ck * dt * eps, coupling_force(q, out=lap))
-        if q_force.size:
-            _axpy(p_force, -ck * dt, V.derivative(q_force))
-    _rotate(p, q, _ROTATIONS[-1] * dt)
+    core = _span(amp >= _EPS2 * top) if math.isfinite(top) else slice(0, amp.size)
+    reach = k * _REACH
+    support = slice(max(core.start - reach, 0), min(core.stop + reach, amp.size))
+    force = _span(amp[support] >= q_cut / (math.sqrt(2.0) * growth ** k), reach)
+    return support, force
+
+
+def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: float,
+                n: int):
+    """n splitting steps in place on raw arrays (flat C-contiguous float64, else ValueError).
+
+    The steps go in blocks, one scan of the chain per block; a block steps its
+    support alone and evaluates V' on its force window alone.  See the module
+    docstring for the block length, both rules and the bound.
+    """
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"need a whole number of steps n >= 1, got n={n!r}")
+    _check_inplace(p, q)
+    turns = [(math.cos(r * dt), math.sin(r * dt)) for r in _ROTATIONS]
+    kicks = [(ck * dt * eps, -2.0 * ck * dt * eps, -ck * dt) for ck in _KICKS]
+    growth = math.prod([1.0 + 4.0 * abs(ck * dt * eps) for ck in _KICKS])
+    block = max(1, math.isqrt(p.size) // 4)
+    while n:
+        k = min(n, block)
+        n -= k
+        support, force = _scan(p, q, k, V.q_cut, growth)
+        ps, qs = p[support], q[support]
+        pf, qf = ps[force], qs[force]
+        m, mf = ps.size, pf.size
+        work = tuple(np.empty((3, mf)))
+        for _ in range(k):
+            for (a, a2, tau), (c, s) in zip(kicks, turns):     # all but the last turn
+                drot(qs, ps, c, s, m, 0, 1, 0, 1, 1, 1)
+                # p += a (Delta q), the sites outside the support read as zero
+                daxpy(qs, ps, m, a2)
+                daxpy(qs, ps, m - 1, a, 1, 1, 0, 1)
+                daxpy(qs, ps, m - 1, a, 0, 1, 1, 1)
+                if mf:
+                    lead, x = V.derivative_factors(qf, work)      # V' = lead x
+                    daxpy(x, pf, mf, tau * lead)
+            drot(qs, ps, *turns[-1], m, 0, 1, 0, 1, 1, 1)
+
+
+def tangent_steps(P: np.ndarray, Q: np.ndarray, V: PotentialSpec, eps: float, dt: float,
+                  n: int):
+    """n splitting steps in place of a state and its tangent vectors, by the
+    scheme's exact tangent map.
+
+    P = [p | Dp] and Q = [q | Dq] are C-contiguous (sites, 1 + m) blocks: the
+    state rides along as column 0.  Each rotation rotates the stacked blocks
+    as one BLAS rotation; each kick adds tau (eps Delta - V''(q)) Dq to Dp and
+    tau (eps Delta q - V'(q)) to p, by two BLAS updates of P, by the
+    Laplacian and by the force derivative, in buffers allocated once.
+    """
+    lap = np.empty_like(Q)
+    dV = np.empty_like(Q)                    # [V'(q) | V''(q) Dq]
+    P_flat, Q_flat, lap_flat, dV_flat = P.ravel(), Q.ravel(), lap.ravel(), dV.ravel()
+    for _ in range(n):
+        for i, ck in enumerate(_KICKS):
+            _rotate(P_flat, Q_flat, _ROTATIONS[i] * dt)
+            q = Q[:, 0]
+            np.multiply(Q, V.second_derivative(q)[:, None], out=dV)
+            dV[:, 0] = V.derivative(q)
+            coupling_force(Q, out=lap)
+            _axpy(P_flat, ck * dt * eps, lap_flat)
+            _axpy(P_flat, -ck * dt, dV_flat)
+        _rotate(P_flat, Q_flat, _ROTATIONS[-1] * dt)
 
 
 def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
@@ -135,6 +200,5 @@ def flow(state: LatticeState, V: PotentialSpec, eps: float, t: float,
     n = max(1, int(np.ceil(abs(t) / abs(dt))))
     h = t / n
     out = state.copy()
-    for _ in range(n):
-        step_arrays(out.p, out.q, V, eps, h)
+    step_arrays(out.p, out.q, V, eps, h, n)
     return out

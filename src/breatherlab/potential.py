@@ -54,9 +54,9 @@ class PotentialSpec:
     is the smallest normal double and m0 the lowest degree (inf for V = 0).
     For |q| < q_cut every power q^(m-1) is at most q^(m0-1), so
     |V'(q)| < tiny: about 8e-45 for q^8.  The splitting kernel evaluates V'
-    only on its force window, the sites whose |q| can reach q_cut within the
-    step (see ``integrate``), and ``hamiltonian`` evaluates V only where
-    |q| >= q_cut.
+    only on its force window, the sites whose |q| can reach q_cut within a
+    block of steps (see ``integrate``), and ``hamiltonian`` evaluates V only
+    where |q| >= q_cut.
     """
 
     coefficients: tuple[tuple[int, float], ...]
@@ -100,6 +100,18 @@ class PotentialSpec:
         """V'(q)."""
         return _sum_powers(self._dterms, q)
 
+    def derivative_factors(self, q, work):
+        """(c, x) with V'(q) = c x, for a float array q and V != 0, in place in ``work``.
+
+        ``work`` is three float arrays of q's shape (say the rows of one
+        array); x is made in one of them, by the operations of ``derivative``
+        in the same order, so that c x is ``derivative(q)`` to the bit and
+        nothing is allocated.  For a one-term V', c is its coefficient and x
+        the power of q, so that a caller scaling V' anyway folds c into its
+        own factor; else c = 1 and x = V'(q).
+        """
+        return _factored_sum(self._dterms, q, *work)
+
     def second_derivative(self, q):
         """V''(q)."""
         return _sum_powers(self._ddterms, q)
@@ -115,20 +127,31 @@ class PotentialSpec:
         return cls((), 4)
 
 
-def _power(q, k: int):
+def _power(q, k: int, out=None, squares=None):
     """q^k for k >= 1 by repeated squaring.
 
     A chain of multiplications: ``q ** k`` on an array goes through the
     generic power loop and is some fifty times slower at a few thousand sites.
+    The products go to ``out`` and the squares to ``squares``; where these
+    are None, each product is a fresh array, made by the operator.  With both
+    given, the chain allocates nothing.  Returns the array holding q^k: q
+    itself for k = 1, else a fresh array or one of the two.
     """
-    out = None
+    acc = None
     while True:
-        if k & 1:
-            out = q if out is None else out * q
+        if k & 1 and acc is None:
+            acc = q
+        elif k & 1:
+            acc = acc * q if out is None else np.multiply(acc, q, out=out)
         k >>= 1
         if not k:
-            return out
-        q = q * q
+            return acc
+        if squares is None:
+            q = q * q       # the operator: a ufunc call costs ten times more on a scalar
+        else:
+            if acc is squares:
+                out, squares = squares, out     # the first factor is a square: keep it
+            q = np.multiply(q, q, out=squares)
 
 
 def _sum_powers(terms, q):
@@ -136,15 +159,31 @@ def _sum_powers(terms, q):
 
     Horner over the exponent gaps: q^m1 (a1 + q^(m2-m1) (a2 + ...)).  Every
     exponent is at least 2 (``min_degree`` is 4 or 8), so no power is q^0.
+    Each operation makes a fresh array.
     """
     q = np.asarray(q, dtype=float)
     if not terms:
         return q * 0.0
+    c, x = _factored_sum(terms, q, None, None, None)
+    return x if len(terms) > 1 else c * x
+
+
+def _factored_sum(terms, q, out, powers, squares):
+    """(c, x) with c x the sum of ``_sum_powers`` over one or more terms, by its
+    operations but the last product: for one term, c is its coefficient and x
+    the power of q; for more, c = 1 and x the sum.  The sum is made in
+    ``out`` and the powers in ``powers`` and ``squares`` (``_power``), or in
+    fresh arrays where these are None."""
     m, acc = terms[-1]
-    for m_lo, a in reversed(terms[:-1]):
-        acc = a + _power(q, m - m_lo) * acc
+    for m_lo, a in terms[-2::-1]:
+        power = _power(q, m - m_lo, powers, squares)
+        acc = (a + power * acc if out is None
+               else np.add(a, np.multiply(power, acc, out=out), out=out))
         m = m_lo
-    return acc * _power(q, m)
+    power = _power(q, m, powers, squares)
+    if len(terms) == 1:
+        return acc, power
+    return 1.0, acc * power if out is None else np.multiply(acc, power, out=out)
 
 
 def oscillator_energy(V: PotentialSpec, p, q):

@@ -12,7 +12,7 @@ from breatherlab.breather import anti_continuum_seed, continue_breather
 from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
                                      emit_report, perturb, run_stability, track_modulation)
 from breatherlab.integrate import BlowupError
-from breatherlab.lattice import LatticeState, coupling_force
+from breatherlab.lattice import LatticeState
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +117,14 @@ def test_support_cut_leaves_the_stability_series_unchanged(chart8, V8, monkeypat
                               sample_stride=25, family_half_width=0.06, family_members=3,
                               family_phases=64, family_window=8, N_family=8)
     family = build_family(chart8, config)
-    sizes = []
+    sizes = []          # sites per rotation, the stepped support
+    drot = integrate.drot
 
-    def recorded(q, out=None):
-        sizes.append(q.size)
-        return coupling_force(q, out=out)
+    def recorded(x, y, c, s, n, *args):
+        sizes.append(n)
+        return drot(x, y, c, s, n, *args)
 
-    monkeypatch.setattr(integrate, "coupling_force", recorded)
+    monkeypatch.setattr(integrate, "drot", recorded)
     cut = run_stability(config, chart8, family)
     assert max(sizes) < 0.6 * 1025
     monkeypatch.setattr(integrate, "_EPS2", 0.0)
@@ -136,38 +137,42 @@ def test_support_cut_leaves_the_stability_series_unchanged(chart8, V8, monkeypat
 
 
 def test_run_stability_steps_once_per_step_of_the_run(chart8, tracker_family, monkeypatch):
+    # one kernel call per sampling stride, the last one cut to the steps left,
+    # and a sample after each
     config, family = tracker_family
     config = dataclasses.replace(config, T=1.01, dt=0.03, sample_stride=7)
     calls = []
     step = experiments.step_arrays
 
     def counting(*args):
-        calls.append(args[4])
+        calls.append(args[4:])
         step(*args)
 
     monkeypatch.setattr(experiments, "step_arrays", counting)
     record = run_stability(config, chart8, family)
-    assert calls == [0.03] * round(1.01 / 0.03)
-    assert record.times[-1] == pytest.approx(34 * 0.03)
+    assert calls == [(0.03, 7)] * 4 + [(0.03, 6)]
+    assert sum(n for _, n in calls) == round(1.01 / 0.03)
+    assert record.times == pytest.approx(0.03 * np.array([0, 7, 14, 21, 28, 34]))
 
 
 def test_run_stability_stops_on_a_non_finite_state(chart8, tracker_family, monkeypatch):
-    # the third step leaves an infinite momentum; the sample after it must stop
-    # the run before the tracker reads the state
+    # the second stride of 3 steps leaves an infinite momentum; the sample after
+    # it must stop the run before the tracker reads the state
     config, family = tracker_family
+    config = dataclasses.replace(config, sample_stride=3)
     calls = []
     step = experiments.step_arrays
 
     def poisoned(p, q, *args):
         step(p, q, *args)
         calls.append(args[-1])
-        if len(calls) == 3:
+        if len(calls) == 2:
             p[config.N] = np.inf
 
     monkeypatch.setattr(experiments, "step_arrays", poisoned)
-    with pytest.raises(BlowupError, match=r"^non-finite state at t=0\.06$"):
+    with pytest.raises(BlowupError, match=r"^non-finite state at t=0\.12$"):
         run_stability(config, chart8, family)
-    assert len(calls) == 3
+    assert calls == [3, 3]
 
 
 def test_unknown_perturbation_shape_is_rejected(V8):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -45,11 +47,14 @@ def test_reversibility(rng, V8):
 ])
 def test_flow_steps_toward_t_whatever_the_sign_of_dt(rng, V8, monkeypatch, t, dt, steps):
     # with dt < 0 < t the count ceil(t / dt) was below 1, and the flow took one
-    # step of size t
-    taken = []
-    monkeypatch.setattr(integrate, "step_arrays", lambda p, q, V, eps, h: taken.append(h))
+    # step of size t; the whole run is one kernel call
+    calls = []
+    monkeypatch.setattr(integrate, "step_arrays",
+                        lambda p, q, V, eps, h, n: calls.append((h, n)))
     flow(random_state(rng, N=2), V8, 0.1, t, dt)
-    assert taken == pytest.approx(steps, rel=1e-15)
+    assert len(calls) == 1
+    (h, n), = calls
+    assert [h] * n == pytest.approx(steps, rel=1e-15)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.0, float("nan")])
@@ -174,8 +179,8 @@ def test_step_arrays_matches_oracle(rng):
     N = 8
     p, q = 0.3 * rng.standard_normal(2 * N + 1), 0.3 * rng.standard_normal(2 * N + 1)
     p_ref, q_ref = p.copy(), q.copy()
+    step_arrays(p, q, V, 0.1, 0.05, 100)
     for _ in range(100):
-        step_arrays(p, q, V, 0.1, 0.05)
         _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
     assert np.max(np.abs(p - p_ref)) < 1e-14
     assert np.max(np.abs(q - q_ref)) < 1e-14
@@ -184,8 +189,8 @@ def test_step_arrays_matches_oracle(rng):
     for V in (PotentialSpec.monomial(8), PotentialSpec(((8, 1.0), (10, -0.3)))):
         p, q = _localized(rng, N)
         p_ref, q_ref = p.copy(), q.copy()
+        step_arrays(p, q, V, 0.1, 0.05, 100)
         for _ in range(100):
-            step_arrays(p, q, V, 0.1, 0.05)
             _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
         live = np.abs(q) >= V.q_cut
         assert live.any() and not live.all()
@@ -201,15 +206,15 @@ def test_state_below_q_cut_steps_like_the_harmonic_chain(rng, monkeypatch):
     p_lin, q_lin = p.copy(), q.copy()
     p_ref, q_ref = p.copy(), q.copy()
 
-    def no_force(self, q):
+    def no_force(self, q, work=None):
         raise AssertionError("V' evaluated below q_cut")
 
     for _ in range(100):
         _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
     monkeypatch.setattr(PotentialSpec, "derivative", no_force)
-    for _ in range(100):
-        step_arrays(p, q, V, 0.1, 0.05)
-        step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05)
+    monkeypatch.setattr(PotentialSpec, "derivative_factors", no_force)
+    step_arrays(p, q, V, 0.1, 0.05, 100)
+    step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05, 100)
     assert np.max(np.abs(q)) < V.q_cut
     assert np.array_equal(p, p_lin) and np.array_equal(q, q_lin)
     bound = 1e-14 * np.max(np.abs(q_ref))
@@ -226,18 +231,42 @@ def _kicked(N, mu, shape, seed=1):
 
 
 def test_localized_kicked_state_stays_within_the_support_bound(V8):
-    # sites below e^2 max a (e = 2^-52) are left out of the step, so after n
+    # sites below e^2 max a (e = 2^-52) are left out of the steps, so after n
     # steps each site may differ from the full-chain oracle by n e^2 max a, on
     # top of the rounding that the oracle's own order of operations leaves,
-    # which is relative to the site's own amplitude
+    # which is relative to the site's own amplitude.  That holds for one call
+    # of n steps, blocks and all, and for n calls of one step each
     N, n = 512, 2000
     p, q = _kicked(N, 0.05, "localized")
     p_ref, q_ref = p.copy(), q.copy()
+    p_one, q_one = p.copy(), q.copy()
+    step_arrays(p, q, V8, 0.05, 0.02, n)
     for _ in range(n):
-        step_arrays(p, q, V8, 0.05, 0.02)
+        step_arrays(p_one, q_one, V8, 0.05, 0.02, 1)
         _oracle_step_arrays(p_ref, q_ref, V8, 0.05, 0.02)
     amp = np.maximum(np.abs(p_ref), np.abs(q_ref))
     assert amp[0] < 1e-40 * amp.max()      # the support ends inside the chain
+    bound = 1e-12 * amp + n * np.finfo(float).eps ** 2 * amp.max()
+    for p_got, q_got in ((p, q), (p_one, q_one)):
+        assert np.all(np.abs(p_got - p_ref) <= bound)
+        assert np.all(np.abs(q_got - q_ref) <= bound)
+    assert np.all(np.abs(p - p_one) <= bound)
+    assert np.all(np.abs(q - q_one) <= bound)
+
+
+def test_a_block_carries_a_value_as_far_as_the_full_chain_does(V8):
+    # one site of 513 excited and the rest exactly zero: the oracle carries the
+    # value 3 sites per step, so a block of k steps must step 3k sites on each
+    # side of it; after 100 steps the 4th neighbour holds 5.7e-8 and the 12th
+    # 3.6e-32
+    N, n = 256, 100
+    p, q = np.zeros(2 * N + 1), np.zeros(2 * N + 1)
+    q[N] = 0.5
+    p_ref, q_ref = p.copy(), q.copy()
+    step_arrays(p, q, V8, 0.05, 0.02, n)
+    for _ in range(n):
+        _oracle_step_arrays(p_ref, q_ref, V8, 0.05, 0.02)
+    amp = np.maximum(np.abs(p_ref), np.abs(q_ref))
     bound = 1e-12 * amp + n * np.finfo(float).eps ** 2 * amp.max()
     assert np.all(np.abs(p - p_ref) <= bound)
     assert np.all(np.abs(q - q_ref) <= bound)
@@ -248,49 +277,135 @@ def test_force_window_holds_every_site_at_or_above_q_cut(V8, monkeypatch):
     # 0.9 q_cut and the first rotation lifts |q| above q_cut, which only the
     # growth factor foresees; site 9 starts at rest, and its neighbour's
     # coupling kick lifts it above q_cut by the second kick, which only the
-    # reach foresees
+    # reach foresees.  On 257 sites the four steps are one block, so the window
+    # taken before the first step must hold every live site of all four; site
+    # 60's coupling kicks carry it past the reach of one step
     eps, dt = 0.05, 0.45
     check_stability(dt, eps)
-    p, q = np.zeros(33), np.zeros(33)
+    p, q = np.zeros(257), np.zeros(257)
     q[10] = 1000.0 * V8.q_cut
     p[20] = q[20] = 0.9 * V8.q_cut
-    derivative = PotentialSpec.derivative
+    q[60] = 1e12 * V8.q_cut
+    derivative_factors = PotentialSpec.derivative_factors
     live_sites = []
 
-    def checked(self, q_window):
+    def checked(self, q_window, work):
         # q_window is a slice of q, so it holds every live site iff it holds as many
         live = np.flatnonzero(np.abs(q) >= V8.q_cut)
         assert np.count_nonzero(np.abs(q_window) >= V8.q_cut) == live.size
         live_sites.extend(live)
-        return derivative(self, q_window)
+        return derivative_factors(self, q_window, work)
 
-    monkeypatch.setattr(PotentialSpec, "derivative", checked)
-    for _ in range(4):
-        step_arrays(p, q, V8, eps, dt)
+    monkeypatch.setattr(PotentialSpec, "derivative_factors", checked)
+    scans = _count_scans(monkeypatch)
+    step_arrays(p, q, V8, eps, dt, 4)
+    assert [k for k, _, _ in scans] == [4]
     assert {9, 20} <= set(live_sites)
+    assert max(abs(k - 60) for k in live_sites if k > 40) > integrate._REACH
+
+
+def _count_scans(monkeypatch):
+    """Record the (steps, support, force window) of every scan of the chain."""
+    scan = integrate._scan
+    scans = []
+
+    def recorded(p, q, k, *args):
+        support, force = scan(p, q, k, *args)
+        scans.append((k, support, force))
+        return support, force
+
+    monkeypatch.setattr(integrate, "_scan", recorded)
+    return scans
+
+
+def _rotated_sizes(monkeypatch):
+    """Record the number of sites of every rotation, which is the stepped support."""
+    drot = integrate.drot
+    sizes = []
+
+    def recorded(x, y, c, s, n, *args):
+        sizes.append(n)
+        return drot(x, y, c, s, n, *args)
+
+    monkeypatch.setattr(integrate, "drot", recorded)
+    return sizes
 
 
 def test_spread_out_or_non_finite_state_steps_every_site(V8, monkeypatch):
-    sizes = []
-
-    def recorded(q, out=None):
-        sizes.append(q.size)
-        return coupling_force(q, out=out)
-
-    monkeypatch.setattr(integrate, "coupling_force", recorded)
+    sizes = _rotated_sizes(monkeypatch)
     p, q = _kicked(256, 0.05, "uniform")
-    for _ in range(10):
-        step_arrays(p, q, V8, 0.05, 0.02)
-    assert sizes == [p.size] * 10 * len(_KICKS)
+    step_arrays(p, q, V8, 0.05, 0.02, 10)
+    assert len(sizes) == 10 * len(_ROTATIONS) and set(sizes) == {p.size}
     # one NaN in a localized state: every site is stepped, so the NaN spreads by
     # the reach of a step
     p, q = _kicked(256, 0.05, "localized")
     q[3] = np.nan
     sizes.clear()
     with np.errstate(invalid="ignore"):
-        step_arrays(p, q, V8, 0.05, 0.02)
-    assert sizes == [p.size] * len(_KICKS)
+        step_arrays(p, q, V8, 0.05, 0.02, 1)
+    assert sizes == [p.size] * len(_ROTATIONS)
     assert np.isnan(p[:7]).all()
+
+
+def test_a_call_scans_the_chain_once_per_block(V8, monkeypatch):
+    # a localized state: the blocks are several steps long, each stepping a
+    # support widened by its own reach
+    scans = _count_scans(monkeypatch)
+    sizes = _rotated_sizes(monkeypatch)
+    n = 200
+    p, q = _kicked(512, 0.05, "localized")
+    step_arrays(p, q, V8, 0.05, 0.02, n)
+    steps = [k for k, _, _ in scans]
+    assert sum(steps) == n and len(scans) < n / 4
+    assert max(sizes) < p.size
+    for k, support, force in scans:
+        assert 0 <= force.start <= force.stop <= support.stop - support.start
+    assert len(sizes) == len(_ROTATIONS) * n
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, "2", None])
+def test_step_arrays_rejects_a_step_count_that_is_not_a_positive_integer(V8, n):
+    p, q = _kicked(8, 0.05, "localized")
+    p0, q0 = p.copy(), q.copy()
+    with pytest.raises(ValueError, match="whole number of steps"):
+        step_arrays(p, q, V8, 0.05, 0.02, n)
+    assert np.array_equal(p, p0) and np.array_equal(q, q0)
+
+
+def test_a_block_allocates_a_few_support_sized_arrays(V8, monkeypatch):
+    # the scan makes chain-sized temporaries; between scans a block holds its
+    # three V' work rows and a few views, so its peak is set by the support,
+    # not by the number of steps, and a kick that allocates shows as one more
+    # array
+    scan = integrate._scan
+    started, blocks = [], []        # blocks: (support sites, peak bytes of the block)
+
+    def end_block():
+        if started:
+            sites, held = started.pop()
+            blocks.append((sites, tracemalloc.get_traced_memory()[1] - held))
+
+    def scan_then_reset(*args):
+        end_block()
+        support, force = scan(*args)
+        tracemalloc.reset_peak()
+        started.append((support.stop - support.start, tracemalloc.get_traced_memory()[0]))
+        return support, force
+
+    monkeypatch.setattr(integrate, "_scan", scan_then_reset)
+    p, q = _kicked(2048, 0.05, "localized")
+    step_arrays(p, q, V8, 0.05, 0.02, 20)       # warm up the interpreter's caches
+    tracemalloc.start()
+    try:
+        for n in (20, 1000):
+            step_arrays(p, q, V8, 0.05, 0.02, n)
+            end_block()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) > 20
+    for sites, peak in blocks:
+        assert sites < p.size / 2
+        assert peak <= 3 * 8 * sites + 2048, (sites, peak)
 
 
 def test_step_arrays_refuses_a_strided_view(rng, V8):
@@ -298,7 +413,7 @@ def test_step_arrays_refuses_a_strided_view(rng, V8):
     p, q = rng.standard_normal(34), rng.standard_normal(34)
     p0, q0 = p.copy(), q.copy()
     with pytest.raises(ValueError, match="C-contiguous"):
-        step_arrays(p[::2], q[::2], V8, 0.1, 0.05)
+        step_arrays(p[::2], q[::2], V8, 0.1, 0.05, 1)
     assert np.array_equal(p, p0) and np.array_equal(q, q0)
 
 

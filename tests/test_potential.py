@@ -63,6 +63,18 @@ def test_evaluator_matches_direct_summation(V, q):
         assert np.all(np.abs(got - expected) <= 1e-14 * scale), (order, got, expected)
 
 
+@pytest.mark.parametrize("V", [V for V in EVALUATOR_CASES if V.coefficients],
+                         ids=["8-10-12", "4-6", "merged"])
+@pytest.mark.parametrize("q", EVALUATOR_INPUTS[3:], ids=["1d", "2d"])
+def test_in_place_derivative_is_the_fresh_one_to_the_bit(V, q):
+    # the splitting kernel raises V' in work rows; the lattice vector field and
+    # the chart raise it in fresh arrays, by the same operations
+    work = np.full((3,) + q.shape, np.nan)
+    c, x = V.derivative_factors(q, work)
+    assert np.array_equal(c * x, V.derivative(q))
+    assert any(np.shares_memory(x, row) for row in work)
+
+
 def test_potential_spec_rejects_low_degree():
     with pytest.raises(ValueError):
         PotentialSpec(((3, 1.0),), min_degree=4)
