@@ -59,9 +59,10 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
 
     ``tangent`` stacks the initial tangent vectors as columns (dp; dq), 2n rows
     for the n = 2N + 1 sites; the identity gives the full monodromy matrix.
-    The state rides along as column 0 of the blocks P = [p | Dp] and
-    Q = [q | Dq] (``integrate.tangent_steps``), so the product is symplectic
-    to round-off.
+    Each rotation substep rotates (dp, dq) blocks; each kick adds
+    tau (eps Delta - V''(q(t))) dq to dp with q(t) co-evolved, so the product
+    is symplectic to round-off.  The state rides along as column 0 of the
+    blocks P = [p | Dp] and Q = [q | Dq] (``integrate.tangent_steps``).
     """
     n = 2 * x.N + 1
     P = np.empty((n, tangent.shape[1] + 1))

@@ -120,9 +120,8 @@ def _scan(p: np.ndarray, q: np.ndarray, k: int, q_cut: float, growth: float):
     step (module docstring)."""
     amp = np.maximum(np.abs(p), np.abs(q))
     top = amp[amp.argmax()]     # the largest entry, or the first NaN; a faster pass than max
-    core = _span(amp >= _EPS2 * top) if math.isfinite(top) else slice(0, amp.size)
     reach = k * _REACH
-    support = slice(max(core.start - reach, 0), min(core.stop + reach, amp.size))
+    support = _span(amp >= _EPS2 * top, reach) if math.isfinite(top) else slice(0, amp.size)
     force = _span(amp[support] >= q_cut / (math.sqrt(2.0) * growth ** k), reach)
     return support, force
 

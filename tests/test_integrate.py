@@ -273,35 +273,88 @@ def test_a_block_carries_a_value_as_far_as_the_full_chain_does(V8):
 
 
 def test_force_window_holds_every_site_at_or_above_q_cut(V8, monkeypatch):
-    # dt at the stability guard for eps = 0.05.  Site 20 starts at p = q =
-    # 0.9 q_cut and the first rotation lifts |q| above q_cut, which only the
-    # growth factor foresees; site 9 starts at rest, and its neighbour's
-    # coupling kick lifts it above q_cut by the second kick, which only the
-    # reach foresees.  On 257 sites the four steps are one block, so the window
-    # taken before the first step must hold every live site of all four; site
-    # 60's coupling kicks carry it past the reach of one step
-    eps, dt = 0.05, 0.45
+    # On 257 sites the four steps are one block of k = 4, so the window taken
+    # before the first step must hold every live site of all four.  The window
+    # is one slice, so each rule is tested at an end of it.  Site 60 starts at
+    # 1e30 q_cut and its neighbours at rest; its coupling kicks lift sites
+    # more than one step's reach to its right above q_cut, which only the
+    # widening by 3k = 12 foresees.  Site 20 starts at p = q = 0.8 q_cut, 28
+    # sites left of the widened window of site 60 and above the support's
+    # floor e^2 1e30 q_cut, and by the first kick of the second step the
+    # rotations lift |q| to 1.41 x 0.8 q_cut.  At eps dt = 4.5e-4 the growth
+    # bound is sqrt(2) g^4 = sqrt(2) x 1.03, so site 20 is in the window by
+    # the factor sqrt(2) alone
+    eps, dt = 0.001, 0.45
     check_stability(dt, eps)
     p, q = np.zeros(257), np.zeros(257)
-    q[10] = 1000.0 * V8.q_cut
-    p[20] = q[20] = 0.9 * V8.q_cut
-    q[60] = 1e12 * V8.q_cut
+    p[20] = q[20] = 0.8 * V8.q_cut
+    q[60] = 1e30 * V8.q_cut
+    live_sites = _checked_force_windows(monkeypatch, q)
+    scans = _count_scans(monkeypatch)
+    step_arrays(p, q, V8, eps, dt, 4)
+    assert [k for k, _, _ in scans] == [4]
+    assert 20 in live_sites
+    assert max(live_sites) - 60 > integrate._REACH
+
+
+def test_force_window_foresees_the_growth_of_a_whole_block(V8, monkeypatch):
+    # On 16,385 sites a block is k = 32 steps.  At eps = 0.05 and dt = 0.45 the
+    # 6k + 1 sites around a centre, each at amplitude a with the signs that
+    # lift the centre's q the most at one kick, lift it to 2.32 a.  One step's
+    # bound, sqrt(2) g, is 2.05, so only the block's sqrt(2) g^k foresees it.
+    # The sites start at a = q_cut / 2.2 around site 4,000; site 12,000 starts
+    # at 1e30 q_cut, far from them, so that V' is evaluated at every kick
+    eps, dt, k = 0.05, 0.45, 32
+    check_stability(dt, eps)
+    response = _kick_response(eps, dt, k)
+    lift = np.abs(response).sum(axis=1)
+    kick = lift.argmax()
+    growth = np.prod([1.0 + 4.0 * abs(ck * dt * eps) for ck in _KICKS])
+    assert lift[kick] > 1.1 * np.sqrt(2.0) * growth
+    p, q = np.zeros(16385), np.zeros(16385)
+    sites = slice(4000 - 3 * k, 4000 + 3 * k + 1)
+    p[sites], q[sites] = V8.q_cut / 2.2 * np.sign(response[kick]).reshape(2, -1)
+    q[12000] = 1e30 * V8.q_cut
+    live_sites = _checked_force_windows(monkeypatch, q)
+    scans = _count_scans(monkeypatch)
+    step_arrays(p, q, V8, eps, dt, k)
+    assert [n for n, _, _ in scans] == [k]
+    assert 4000 in live_sites
+
+
+def _kick_response(eps, dt, k):
+    """The centre's q at each kick of k harmonic-chain splitting steps on
+    6k + 1 sites, as a row of its coefficients on the sites' initial p, then q
+    (no value travels farther than 3k sites in k steps)."""
+    m = 6 * k + 1
+    p, q = np.eye(2 * m)[:m], np.eye(2 * m)[m:]
+    rows = []
+    for _ in range(k):
+        for i, ck in enumerate(_KICKS):
+            c, s = np.cos(_ROTATIONS[i] * dt), np.sin(_ROTATIONS[i] * dt)
+            p, q = c * p - s * q, s * p + c * q
+            rows.append(q[3 * k])
+            p = p + ck * dt * eps * coupling_force(q)
+        c, s = np.cos(_ROTATIONS[-1] * dt), np.sin(_ROTATIONS[-1] * dt)
+        p, q = c * p - s * q, s * p + c * q
+    return np.array(rows)
+
+
+def _checked_force_windows(monkeypatch, q):
+    """Assert at every V' evaluation of the kernel that its window holds every
+    site of q with |q| >= q_cut, and record those sites."""
     derivative_factors = PotentialSpec.derivative_factors
     live_sites = []
 
     def checked(self, q_window, work):
         # q_window is a slice of q, so it holds every live site iff it holds as many
-        live = np.flatnonzero(np.abs(q) >= V8.q_cut)
-        assert np.count_nonzero(np.abs(q_window) >= V8.q_cut) == live.size
+        live = np.flatnonzero(np.abs(q) >= self.q_cut)
+        assert np.count_nonzero(np.abs(q_window) >= self.q_cut) == live.size
         live_sites.extend(live)
         return derivative_factors(self, q_window, work)
 
     monkeypatch.setattr(PotentialSpec, "derivative_factors", checked)
-    scans = _count_scans(monkeypatch)
-    step_arrays(p, q, V8, eps, dt, 4)
-    assert [k for k, _, _ in scans] == [4]
-    assert {9, 20} <= set(live_sites)
-    assert max(abs(k - 60) for k in live_sites if k > 40) > integrate._REACH
+    return live_sites
 
 
 def _count_scans(monkeypatch):
