@@ -1,16 +1,21 @@
-"""Breather construction by Newton continuation from the uncoupled limit.
+"""Breathers by harmonic balance from the anti-continuum limit.
 
-The continuation fixes the orbit period (the seed's 2 pi / omega0(I)) and
-follows the periodic orbit in the coupling strength.  The lattice is
-reversible under (p, q, t) -> (-p, q, -t), so an orbit with p = 0 on every
-site at t = 0 and at t = T/2 is T-periodic.  Newton shoots over half a
-period: the unknowns are q(0), the residual is p(T/2).  The time shift along
-the orbit moves p(0) off zero, so this square system needs no bordering; it
-is singular at the full period's resonances, omega_phonon = k omega_b.  The
-flows use an adaptive high-order integrator, so defects are meaningful down
-to 1e-12; the tangent is the splitting scheme's exact one (symplectic to
-round-off).  `Breather.defect` is the full-period return defect
-||Phi_T(x0) - x0||, measured by the flow that tabulates the orbit.
+Member I is the periodic orbit at the uncoupled frequency omega0(I), each
+site a cosine series q_k = sum_n a_kn cos(n omega t): the chain is
+reversible, so an orbit with p = 0 on every site at t = 0 is even in t.  An
+even V has an odd V', so q(t + T/2) = -q(t) passes to the residual; the
+start has that symmetry and Newton keeps it, so only odd n are kept.  Any
+other V keeps every n below ``_MODES``.
+
+Newton solves the equations of motion on the harmonics at the fixed omega,
+V'(q_k) collocated at ``_PHASES`` phases.  Its Jacobian is block-tridiagonal:
+a dense harmonic block per site from V''(q_k(t)), -eps I between neighbours.
+Block elimination over the sites solves every member at once, the members a
+leading array axis.  It starts from the anti-continuum limit (MacKay & Aubry,
+Nonlinearity 7, 1994), as Marin & Aubry do (Nonlinearity 9, 1996): site 0 at
+q_max(E(I)) cos(omega t), the rest at rest.  A member must have its top
+harmonic below 1e-13 of its largest, and a return defect ||Phi_T(x0) - x0||
+below tol under the adaptive DOP853 flow, an integrator apart from the series.
 """
 
 from __future__ import annotations
@@ -21,12 +26,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .integrate import tangent_steps
-from .lattice import ExponentialWeight, LatticeState, norm, vector_field
-from .potential import ActionAngleChart, PotentialSpec, action_of_point, h0_of_action, omega0
+from .lattice import ExponentialWeight, LatticeState, coupling_force, norm, vector_field
+from .potential import (ActionAngleChart, PotentialSpec, action_of_point, h0_of_action, omega0,
+                        sample_orbit)
+
+_MODES = 48             # the series keeps the harmonics n < _MODES: 24 odd ones for an even V
+_PHASES = 128           # collocation phases, more than 2 n for every kept n
+_TAIL = 1e-13           # the top harmonic must stay below this share of the largest
 
 
 class ContinuationError(RuntimeError):
-    """Newton failed to converge, its Jacobian became singular, or the orbit did not close."""
+    """The series did not resolve the orbit, or the orbit did not close."""
 
 
 class LocalizationError(RuntimeError):
@@ -39,10 +49,13 @@ class Breather:
     eps: float
     period: float
     x0: LatticeState                       # section point: p = 0 on every site
-    orbit: list[tuple[float, LatticeState]]
+    orbit: np.ndarray                      # (2, phases, sites): p and q at phi = 2 pi j / phases
     beta_hat: float
     fit_residual: float
     defect: float
+    # q_k(t) = sum_n coeffs[k, n] cos(harmonics[n] 2 pi t / period); None for the seed
+    harmonics: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
 
 
 def flow_map(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -74,90 +87,103 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     return np.vstack([P[:, 1:], Q[:, 1:]])
 
 
-def _tabulate(x: LatticeState, V: PotentialSpec, eps: float, T: float, n_phases: int):
-    """Orbit at n_phases equally spaced times and the return defect, from one flow over [0, T]."""
-    t_eval = np.append(np.linspace(0.0, T, n_phases, endpoint=False), T)
-    y = flow_map(x, V, eps, T, t_eval=t_eval).y
-    orbit = [(float(t), LatticeState(x.N, *np.split(y[:, i], 2)))
-             for i, t in enumerate(t_eval[:-1])]
-    return orbit, float(np.linalg.norm(y[:, -1] - np.concatenate([x.p, x.q])))
-
-
 def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64) -> Breather:
-    """Uncoupled breather: the central oscillator on its orbit, tabulated at 64
-    phases, the rest at rest."""
-    E = h0_of_action(chart, I)
-    T = 2.0 * np.pi / omega0(chart, I)
-    x0 = LatticeState.zeros(N)
-    x0.q[x0.index(0)] = chart.q_max(E)
-    orbit, defect = _tabulate(x0, chart.potential, 0.0, T, 64)
-    return Breather(I, 0.0, T, x0, orbit, beta_hat=np.inf, fit_residual=0.0,
-                    defect=defect)
+    """Uncoupled breather: the central oscillator on its orbit, sampled at 64
+    phases by ``sample_orbit``, the rest at rest.  Its orbit is exact, so no
+    return defect is measured (nan)."""
+    orbit = np.zeros((2, 64, 2 * N + 1))
+    _, orbit[0, :, N], orbit[1, :, N] = sample_orbit(chart, I, 64)
+    x0 = LatticeState(N, np.zeros(2 * N + 1), orbit[1, 0])
+    return Breather(I, 0.0, 2.0 * np.pi / omega0(chart, I), x0, orbit, beta_hat=np.inf,
+                    fit_residual=0.0, defect=np.nan)
 
 
-def _newton_polish(x: LatticeState, V: PotentialSpec, eps: float, T: float,
-                   tol: float, max_newton: int) -> tuple[LatticeState, float, int]:
-    """Newton for p(T/2) = 0 in the unknowns q(0), with p(0) = 0 on every site.
+def _eliminate(D: np.ndarray, eps: float, F: np.ndarray) -> np.ndarray:
+    """x with D_k x_k - eps (x_{k-1} + x_{k+1}) = F_k on the sites k, x = 0 past either end.
 
-    Returns the point, the l^2 norm of p(T/2) and the iterations taken.
+    D is (sites, members, H, H) and F (sites, members, H).  The forward sweep
+    keeps G_k = B_k^{-1} and g_k = B_k^{-1} R_k, with B_k = D_k - eps^2 G_{k-1}
+    and R_k = F_k + eps g_{k-1}; the back sweep is x_k = g_k + eps G_k x_{k+1}.
     """
-    n = 2 * x.N + 1
-    cur = LatticeState(x.N, np.zeros(n), x.q.copy())
-    for it in range(max_newton + 1):
-        F = flow_map(cur, V, eps, 0.5 * T).y[:n, -1]
-        defect = float(np.linalg.norm(F))
-        if defect < tol:
-            return cur, defect, it
-        if it == max_newton:
+    G, g = np.empty_like(D), np.empty_like(F)
+    eye = np.broadcast_to(np.eye(D.shape[-1]), D.shape[1:])
+    B, R = D[0], F[0]
+    for k in range(len(D)):
+        if k:
+            B, R = D[k] - eps ** 2 * G[k - 1], F[k] + eps * g[k - 1]
+        solved = np.linalg.solve(B, np.concatenate([eye, R[..., None]], axis=-1))
+        G[k], g[k] = solved[..., :-1], solved[..., -1]
+    for k in range(len(D) - 2, -1, -1):
+        g[k] += eps * (G[k] @ g[k + 1][..., None])[..., 0]
+    return g
+
+
+def _harmonic_balance(V: PotentialSpec, omega: np.ndarray, q_max: np.ndarray, eps: float,
+                      N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonics n and the coefficients a (sites, members, n), member m at
+    frequency omega[m] from q_max[m] cos(omega t) on site 0.  Newton stops once
+    no member's step exceeds 1e-13 of its largest coefficient, or after 20
+    steps; the caller's checks judge the result."""
+    n = np.arange(_MODES)
+    if all(m % 2 == 0 for m, _ in V.coefficients):
+        n = n[1::2]
+    C = np.cos(np.outer(2.0 * np.pi * np.arange(_PHASES) / _PHASES, n))  # values on the phases
+    P = np.where(n == 0, 1.0, 2.0)[:, None] / _PHASES * C.T              # and back to harmonics
+    L = 1.0 - (omega[:, None] * n) ** 2                  # d^2/dt^2 + 1 on cos(n omega t)
+    a = np.zeros((2 * N + 1, omega.size, n.size))
+    a[N][:, n == 1] = q_max[:, None]
+    diagonal = np.eye(n.size) * (L + 2.0 * eps)[..., None]
+    for _ in range(20):
+        q = a @ C.T
+        F = L * a + V.derivative(q) @ P.T - eps * coupling_force(a)
+        D = (P * V.second_derivative(q)[..., None, :]) @ C + diagonal
+        da = _eliminate(D, eps, F)
+        a -= da
+        if np.all(np.max(np.abs(da), axis=(0, 2)) <= 1e-13 * np.max(np.abs(a), axis=(0, 2))):
             break
-        # dp(T/2) / dq(0): the tangent of the n q-columns, (dp; dq) = (0; I)
-        J = monodromy(cur, V, eps, 0.5 * T, np.eye(2 * n, n, -n))[:n]
-        try:
-            cur.q = cur.q - np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise ContinuationError(
-                f"singular half-period Jacobian at eps={eps} (resonance?)") from exc
-    raise ContinuationError(
-        f"Newton stalled at eps={eps}: defect {defect:.3e} after {max_newton} steps")
+    return n, a
 
 
-def continue_breather(seed: Breather, V: PotentialSpec, eps_target: float,
-                      eps_step: float = 0.01, tol: float = 1e-11,
-                      max_newton: int = 10, n_phases: int = 64,
-                      chart: ActionAngleChart | None = None) -> Breather:
-    """Path-follow the fixed-period breather family from the seed to eps_target.
+def continue_breather(chart: ActionAngleChart, I_values, eps: float, N: int,
+                      tol: float = 1e-11, n_phases: int = 64) -> list[Breather]:
+    """The breathers of labels I_values on the sites -N..N at coupling eps, by
+    one harmonic-balance Newton, each with its orbit at n_phases phases.
 
-    The stages run from seed.eps + eps_step up to eps_target; a target equal
-    to seed.eps re-polishes the seed at its own coupling.  One flow over the
-    full period tabulates the orbit and measures the return defect; the
-    breather is returned only when that defect is below tol.
+    Raises ValueError, before any Newton step, for a member whose omega0(I) is
+    not above the phonon band's top sqrt(1 + 4 eps), and ContinuationError,
+    naming the member, when its top harmonic is not below 1e-13 of its largest
+    or its return defect is not below tol.
     """
-    if eps_target < seed.eps:
-        raise ValueError(f"eps_target={eps_target} is below the seed's eps={seed.eps}")
-    T = seed.period
-    x, eps_x = seed.x0.copy(), seed.eps
-    x_prev = eps_prev = None
-    eps_values = np.arange(seed.eps + eps_step, eps_target + 0.5 * eps_step, eps_step)
-    if eps_values.size == 0 or abs(eps_values[-1] - eps_target) > 1e-12:
-        eps_values = np.append(eps_values, eps_target)
-    for eps in eps_values:
-        # secant predictor: extrapolate the last two solutions linearly in eps
-        # (2 x_1 - x_0 on a uniform grid); the first stage starts from the seed
-        guess = x
-        if x_prev is not None:
-            guess = x + (x - x_prev).scaled((eps - eps_x) / (eps_x - eps_prev))
-        x_prev, eps_prev = x, eps_x
-        x, _, _ = _newton_polish(guess, V, float(eps), T, tol, max_newton)
-        eps_x = float(eps)
-    orbit, defect = _tabulate(x, V, eps_target, T, n_phases)
-    if defect >= tol:
-        raise ContinuationError(f"full-period return defect {defect:.3e} at "
-                                f"eps={eps_target} is not below tol={tol:g}")
-    beta_hat, resid = localization_rate(orbit)
-    I_label = seed.I_label
-    if chart is not None:
-        I_label = action_of_point(chart, 0.0, float(x.q[x.index(0)]))
-    return Breather(I_label, eps_target, T, x, orbit, beta_hat, resid, defect)
+    V = chart.potential
+    I_values = [float(I) for I in I_values]
+    omega = np.array([omega0(chart, I) for I in I_values])
+    edge = np.sqrt(1.0 + 4.0 * eps)
+    for I, w in zip(I_values, omega):
+        if w <= edge:
+            raise ValueError(
+                f"member I={I:g} has omega0(I)={w:.6g}, in the phonon band, whose top is sqrt(1 + "
+                f"4 eps)={edge:.6g} at eps={eps:g}: no localized orbit has that frequency")
+    q_max = np.array([chart.q_max(h0_of_action(chart, I)) for I in I_values])
+    n, a = _harmonic_balance(V, omega, q_max, eps, N)
+    phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    cos, sin = np.cos(np.outer(phases, n)), np.sin(np.outer(phases, n))
+    breathers = []
+    for m, I in enumerate(I_values):
+        coeffs = a[:, m]
+        tail = np.max(np.abs(coeffs[:, -1])) / np.max(np.abs(coeffs))
+        if not tail < _TAIL:        # also when Newton left the finite range
+            raise ContinuationError(f"member I={I:g}: harmonic {n[-1]} is {tail:.3e} of the "
+                                    f"largest, not below {_TAIL:g}")
+        T = 2.0 * np.pi / omega[m]
+        orbit = np.stack([-(sin * (omega[m] * n)) @ coeffs.T, cos @ coeffs.T])
+        x0 = LatticeState(N, np.zeros(2 * N + 1), orbit[1, 0])
+        defect = orbit_defect(x0, V, eps, T)
+        if defect >= tol:
+            raise ContinuationError(f"member I={I:g}: full-period return defect {defect:.3e} "
+                                    f"at eps={eps:g} is not below tol={tol:g}")
+        beta_hat, resid = localization_rate(orbit)
+        breathers.append(Breather(I, eps, T, x0, orbit, beta_hat, resid, defect, n, coeffs))
+    return breathers
 
 
 def orbit_defect(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -167,15 +193,14 @@ def orbit_defect(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     return float(np.linalg.norm(F))
 
 
-def localization_rate(orbit: list[tuple[float, LatticeState]]) -> tuple[float, float]:
+def localization_rate(orbit: np.ndarray) -> tuple[float, float]:
     """Exponential localization rate from max_t (|q_k| + |p_k|) against |k|.
 
     Returns (beta_hat, R^2 of the fit).  The uncoupled breather has no sites
     above the amplitude floor 1e-13 and reports the degenerate (inf, 0) case.
     """
-    states = [s for _, s in orbit]
-    amp = np.max([np.abs(s.q) + np.abs(s.p) for s in states], axis=0)
-    ks = states[0].sites()
+    amp = np.max(np.abs(orbit[0]) + np.abs(orbit[1]), axis=0)
+    ks = np.arange(amp.size) - amp.size // 2
     mask = (np.abs(ks) >= 1) & (amp > 1e-13)
     if np.count_nonzero(mask) == 0:
         return np.inf, 0.0
@@ -203,9 +228,9 @@ def distance_to_unperturbed(b: Breather, chart: ActionAngleChart,
     """
     w = ExponentialWeight(beta, +1)
     per_point = []
-    for _, s in b.orbit:
-        i0 = s.index(0)
-        I = action_of_point(chart, float(s.p[i0]), float(s.q[i0]))
+    for p, q in zip(*b.orbit):
+        s = LatticeState(b.x0.N, p, q)
+        I = action_of_point(chart, float(p[s.N]), float(q[s.N]))
         per_point.append(max(abs(I - b.I_label), norm(s.transverse(), 2, w)))
     return min(per_point)
 

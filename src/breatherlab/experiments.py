@@ -1,4 +1,4 @@
-"""Modulated-stability experiments around a continued breather.
+"""Modulated-stability experiments around a breather of the family.
 
 A perturbed breather is evolved with the splitting integrator while the
 modulated action Ibar(t) is tracked by l^2-minimization over a smooth
@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .breather import Breather, continue_breather
+from .breather import continue_breather
 from .csvio import write_table
 from .integrate import BlowupError, check_stability, step_arrays
 from .lattice import LatticeState, SpaceTimeNorm, hamiltonian, norm
-from .potential import ActionAngleChart, PotentialSpec, h0_of_action, max_action_gradient, omega0
+from .potential import ActionAngleChart, PotentialSpec, max_action_gradient
 
 # the space-time norm L^q_{eps t} l^r of the residual: (q, r) = (7, 14) is a
 # Strichartz pair of the linear chain, whose l^inf decay is t^(-1/3), as q >= 6,
@@ -97,15 +97,16 @@ class ExperimentConfig:
 class BreatherFamily:
     """Tabulated family orbits and their smooth interpolant x(I, phi) on the window.
 
-    x stacks (p, q) over window_sites.  In phi it is each member's
-    trigonometric interpolant, cut to the Fourier modes above 1e-13 of the
-    largest; in I it is the polynomial through the members.
+    x stacks (p, q) over window_sites.  In phi it is each member's own
+    harmonic-balance series, cut to the harmonics above 1e-13 of the largest;
+    in I it is the polynomial through the members.  ``orbits`` holds the same
+    series at equally spaced phases, where the tracker starts its fit.
     """
     I_values: np.ndarray               # ascending, equispaced
     window_sites: np.ndarray           # site indices |k| <= window
     orbits: np.ndarray                 # (members, phases, 2 window): x at phi = 2 pi j / phases
     orbit_norm2: np.ndarray            # (members, phases)
-    modes: np.ndarray                  # kept Fourier modes k
+    modes: np.ndarray                  # kept harmonics k
     coeffs: np.ndarray                 # (degree d, modes, 3 x 2 window): x, dx/dI, dx/dphi
                                        # = Re sum_{d,k} coeffs s^d e^(i k phi)
     sections: list[LatticeState]       # embedded at the experiment lattice size
@@ -127,59 +128,36 @@ def _embed(state: LatticeState, N_big: int) -> LatticeState:
 
 
 def build_family(chart: ActionAngleChart, config: ExperimentConfig) -> BreatherFamily:
-    """Continue the breather family over the action window and tabulate orbits.
+    """Solve the breather family over the action window and tabulate its orbits.
 
-    Member m is the breather of fixed period 2 pi / omega0(I_m).  Only the
-    member nearest I_label is continued in eps, from its anti-continuum seed.
-    The others are re-polished at eps in I order, outward on each side: the
-    first neighbour starts from the centre's section moved by the uncoupled
-    amplitude change q_max(E(I_m)) - q_max(E(I_centre)) on site 0, each later
-    one from the secant 2 x_{m-1} - x_{m-2}.  Arrays are in ascending-I order.
-    The interpolant's coefficients in powers of s solve the Vandermonde
-    system of the members' rfft over the phases.
+    Member m is the breather of fixed frequency omega0(I_m); one call of
+    ``continue_breather`` solves them all.  Arrays are in ascending-I order.
+    In phi the interpolant is each member's own series on the window,
+    q = Re sum_n a_n e^(i n phi) and p = Re sum_n i n omega a_n e^(i n phi);
+    its coefficients in powers of s solve the Vandermonde system of the
+    members' series.
     """
     c = config
     I_values = np.linspace(c.I_label - c.family_half_width,
                            c.I_label + c.family_half_width, c.family_members)
     window = np.arange(-c.family_window, c.family_window + 1)
-    orbits = np.zeros((c.family_members, c.family_phases, 2 * window.size))
-    sections = [None] * c.family_members
-    omegas = np.zeros(c.family_members)
-    centre = int(np.argmin(np.abs(I_values - c.I_label)))
-
-    def uncoupled(m):
-        x = LatticeState.zeros(c.N_family)
-        x.q[x.index(0)] = chart.q_max(h0_of_action(chart, float(I_values[m])))
-        return x
-
-    def solve(m, x, eps):
-        I = float(I_values[m])
-        seed = Breather(I, eps, 2.0 * np.pi / omega0(chart, I), x, [], np.nan, np.nan, np.nan)
-        b = continue_breather(seed, c.potential, c.eps, eps_step=0.01, n_phases=c.family_phases)
-        omegas[m] = 2.0 * np.pi / b.period
-        sections[m] = _embed(b.x0, c.N)
-        idx = [b.x0.index(int(k)) for k in window]
-        orbits[m] = [np.concatenate([s.p[idx], s.q[idx]]) for _, s in b.orbit]
-        return b.x0
-
-    x_centre = solve(centre, uncoupled(centre), 0.0)
-    for side in (range(centre + 1, c.family_members), range(centre - 1, -1, -1)):
-        prev, x = None, x_centre
-        for m in side:
-            guess = (x + uncoupled(m) - uncoupled(centre) if prev is None
-                     else x + (x - prev))
-            prev, x = x, solve(m, guess, c.eps)
-    spectrum = np.fft.rfft(orbits, axis=1) / c.family_phases
-    spectrum[:, 1:(c.family_phases + 1) // 2] *= 2.0          # +-k fold onto k
+    members = continue_breather(chart, I_values, c.eps, c.N_family, n_phases=c.family_phases)
+    idx = window + c.N_family
+    orbits = np.array([np.concatenate(b.orbit[:, :, idx], axis=1) for b in members])
+    omegas = np.array([2.0 * np.pi / b.period for b in members])
+    harmonics = members[0].harmonics
+    a = np.array([b.coeffs[idx].T for b in members])              # (members, harmonics, sites)
+    spectrum = np.concatenate([1j * (omegas[:, None] * harmonics)[..., None] * a, a], axis=2)
     size = np.max(np.abs(spectrum), axis=(0, 2))
-    modes = np.flatnonzero(size > 1e-13 * size.max())
+    keep = size > 1e-13 * size.max()
+    modes = harmonics[keep]
     nodes = np.vander(np.linspace(-1.0, 1.0, c.family_members), increasing=True)
-    poly = np.tensordot(np.linalg.inv(nodes), spectrum[:, modes], 1)   # by powers of s
+    poly = np.tensordot(np.linalg.inv(nodes), spectrum[:, keep], 1)   # by powers of s
     poly_I = np.zeros_like(poly)
     poly_I[:-1] = np.arange(1, c.family_members)[:, None, None] * poly[1:] / c.family_half_width
     coeffs = np.concatenate([poly, poly_I, 1j * modes[:, None] * poly], axis=2)
     return BreatherFamily(I_values, window, orbits, np.sum(orbits ** 2, axis=2), modes,
-                          coeffs, sections, omegas, c.N)
+                          coeffs, [_embed(b.x0, c.N) for b in members], omegas, c.N)
 
 
 def perturb(point: LatticeState, mu: float, shape: str = "localized",

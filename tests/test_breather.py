@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,8 @@ from breatherlab.breather import (anti_continuum_seed, continue_breather,
                                   distance_to_unperturbed, floquet_spectrum,
                                   localization_rate, monodromy, orbit_defect)
 from breatherlab.lattice import LatticeState, norm, vector_field
-from breatherlab.potential import h0_of_action, nonresonance_margin, omega0, period_of_energy
+from breatherlab.potential import (PotentialSpec, build_chart, h0_of_action, nonresonance_margin,
+                                   omega0, period_of_energy)
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +17,8 @@ def seed(chart8):
 
 
 @pytest.fixture(scope="module")
-def breather005(seed, V8, chart8):
-    return continue_breather(seed, V8, 0.05, eps_step=0.01, chart=chart8)
+def breather005(chart8):
+    return continue_breather(chart8, [0.4], 0.05, 24)[0]
 
 
 def test_seed_structure(seed, chart8, V8):
@@ -42,8 +41,8 @@ def test_harmonic_seed_is_resonant(chart0):
     assert s.period == pytest.approx(2 * np.pi)
 
 
-def test_continue_to_zero_returns_seed(seed, V8, chart8):
-    b = continue_breather(seed, V8, 0.0, chart=chart8)
+def test_continue_to_zero_returns_seed(seed, chart8):
+    b, = continue_breather(chart8, [0.4], 0.0, 24)
     assert b.defect < 1e-11
     assert norm(b.x0 - seed.x0, 2) < 1e-12
 
@@ -58,17 +57,17 @@ def test_continuation_converges(breather005, V8):
     assert abs(d2 - breather005.defect) < 1e-10
 
 
-def test_continuation_smooth_in_eps(seed, V8, chart8):
-    b1 = continue_breather(seed, V8, 0.02, chart=chart8)
-    b2 = continue_breather(seed, V8, 0.03, chart=chart8)
-    b3 = continue_breather(seed, V8, 0.04, chart=chart8)
+def test_continuation_smooth_in_eps(chart8):
+    b1, = continue_breather(chart8, [0.4], 0.02, 24)
+    b2, = continue_breather(chart8, [0.4], 0.03, 24)
+    b3, = continue_breather(chart8, [0.4], 0.04, 24)
     d12 = norm(b2.x0 - b1.x0, 2)
     d23 = norm(b3.x0 - b2.x0, 2)
     assert d23 == pytest.approx(d12, rel=0.5)  # linear in delta eps
 
 
-def test_first_neighbor_linear_response(seed, V8, chart8):
-    bs = {eps: continue_breather(seed, V8, eps, chart=chart8) for eps in (0.02, 0.04)}
+def test_first_neighbor_linear_response(chart8):
+    bs = {eps: continue_breather(chart8, [0.4], eps, 24)[0] for eps in (0.02, 0.04)}
     amps = {}
     for eps, b in bs.items():
         x = b.x0
@@ -83,10 +82,10 @@ def test_localization(breather005):
     assert r2 > 0.99
 
 
-def test_localization_strengthens_as_coupling_shrinks(seed, V8, chart8):
+def test_localization_strengthens_as_coupling_shrinks(chart8):
     betas = []
     for eps in (0.08, 0.04, 0.02):
-        b = continue_breather(seed, V8, eps, chart=chart8)
+        b, = continue_breather(chart8, [0.4], eps, 24)
         betas.append(localization_rate(b.orbit)[0])
     assert betas[0] < betas[1] < betas[2]
 
@@ -100,13 +99,13 @@ def test_distance_to_unperturbed_zero_coupling(seed, chart8):
     assert distance_to_unperturbed(seed, chart8) < 1e-10
 
 
-def test_distance_scaling(seed, V8, chart8):
+def test_distance_scaling(chart8):
     # the distance tracks sqrt(eps) within a factor 2 per eps-doubling (the
     # measured scaling is slightly above linear in eps, i.e. well inside the
     # sqrt(eps) bound, so the ratio drifts downward as eps shrinks)
     ratios = []
     for eps in (0.02, 0.04, 0.08):
-        b = continue_breather(seed, V8, eps, chart=chart8)
+        b, = continue_breather(chart8, [0.4], eps, 24)
         ratios.append(distance_to_unperturbed(b, chart8) / np.sqrt(eps))
     for lo, hi in zip(ratios, ratios[1:]):
         assert 0.5 < hi / lo < 2.0
@@ -148,8 +147,8 @@ def test_monodromy_symplectic(breather005, V8):
 
 
 @pytest.fixture(scope="module")
-def breather16(chart8, V8):
-    return continue_breather(anti_continuum_seed(chart8, 0.4, N=16), V8, 0.05, eps_step=0.01)
+def breather16(chart8):
+    return continue_breather(chart8, [0.4], 0.05, 16)[0]
 
 
 def _oracle_monodromy(x, V, eps, T, dt=0.01):
@@ -237,19 +236,14 @@ def kicked_guess(breather16):
                         x.q + 1e-5 * rng.standard_normal(x.q.size))
 
 
-def test_half_period_solve_matches_the_bordered_oracle(breather16, kicked_guess, V8):
+def test_harmonic_balance_member_matches_the_bordered_oracle(breather16, kicked_guess, V8):
+    # the full-period shooting Newton by DOP853 and the splitting tangent, from
+    # a kicked section, lands on the series' section, where every p is zero
     b = breather16
-    x, defect, _ = br._newton_polish(kicked_guess, V8, b.eps, b.period, 1e-11, 10)
     x_ref, _, _ = _oracle_newton_polish(kicked_guess, V8, b.eps, b.period, 1e-11, 10)
-    assert defect < 1e-11
-    assert np.max(np.abs(x.q - x_ref.q)) < 1e-12
-    assert np.max(np.abs(x.p - x_ref.p)) < 1e-12
-
-
-def test_half_period_solve_puts_every_p_at_zero(breather16, kicked_guess, V8):
-    x, _, _ = br._newton_polish(kicked_guess, V8, breather16.eps, breather16.period, 1e-11, 10)
-    assert np.all(x.p == 0.0)
-    assert np.all(breather16.x0.p == 0.0)
+    assert np.all(b.x0.p == 0.0)
+    assert np.max(np.abs(b.x0.q - x_ref.q)) < 1e-12
+    assert np.max(np.abs(b.x0.p - x_ref.p)) < 1e-12
 
 
 def test_defect_is_the_full_period_return_defect(breather16, V8):
@@ -258,53 +252,50 @@ def test_defect_is_the_full_period_return_defect(breather16, V8):
     assert b.defect < 1e-11
 
 
-def test_unclosed_orbit_is_rejected(breather16, kicked_guess, V8, monkeypatch):
-    # a Newton that reports success on a point off the orbit
-    monkeypatch.setattr(br, "_newton_polish", lambda x, *args: (x, 0.0, 0))
-    with pytest.raises(br.ContinuationError, match="full-period return defect"):
-        continue_breather(replace(breather16, x0=kicked_guess), V8, 0.05)
+def test_unclosed_orbit_is_rejected(breather16, kicked_guess, chart8, monkeypatch):
+    # a solve that reports convergence on the kicked section's coefficients
+    b = breather16
+    a = b.coeffs.copy()
+    a[:, 0] += kicked_guess.q - b.x0.q
+    monkeypatch.setattr(br, "_harmonic_balance", lambda *args: (b.harmonics, a[:, None]))
+    with pytest.raises(br.ContinuationError,
+                       match="member I=0.4: full-period return defect"):
+        continue_breather(chart8, [0.4], 0.05, 16)
 
 
-def test_secant_predictor_needs_two_newton_steps(chart8, V8, monkeypatch):
-    seed = anti_continuum_seed(chart8, 0.4, N=16)
-    # zero-order continuation on the same grid: each stage starts from the last
-    zero_order = seed.x0
-    for eps in np.arange(0.01, 0.055, 0.01):
-        zero_order, _, _ = br._newton_polish(zero_order, V8, float(eps), seed.period,
-                                             1e-11, 10)
-    iterations = []
-    polish = br._newton_polish
-
-    def counting(*args, **kwargs):
-        out = polish(*args, **kwargs)
-        iterations.append(out[2])
-        return out
-
-    monkeypatch.setattr(br, "_newton_polish", counting)
-    b = continue_breather(seed, V8, 0.05, eps_step=0.01)
-    assert len(iterations) == 5
-    assert max(iterations[1:]) <= 2, iterations
-    assert np.max(np.abs(b.x0.p - zero_order.p)) < 1e-12
-    assert np.max(np.abs(b.x0.q - zero_order.q)) < 1e-12
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.08])
+def test_tabulated_orbit_follows_the_adaptive_flow(chart8, V8, eps):
+    b, = continue_breather(chart8, [0.4], eps, 16, n_phases=16)
+    times = b.period * np.arange(16) / 16
+    p, q = np.split(br.flow_map(b.x0, V8, eps, times[-1], t_eval=times).y.T, 2, axis=1)
+    assert b.orbit.shape == (2, 16, 33)
+    assert np.max(np.abs(b.orbit[0] - p)) < 1e-11
+    assert np.max(np.abs(b.orbit[1] - q)) < 1e-11
 
 
-def test_continuation_starts_from_the_seed_eps(breather16, chart8, V8, monkeypatch):
-    scratch = continue_breather(anti_continuum_seed(chart8, 0.4, N=16), V8, 0.06,
-                                eps_step=0.01)
-    stages = []
-    polish = br._newton_polish
-
-    def counting(*args, **kwargs):
-        stages.append(args[2])
-        return polish(*args, **kwargs)
-
-    monkeypatch.setattr(br, "_newton_polish", counting)
-    b = continue_breather(breather16, V8, 0.06, eps_step=0.01)
-    assert stages == [pytest.approx(0.06, abs=1e-15)]
-    assert np.max(np.abs(b.x0.p - scratch.x0.p)) < 1e-12
-    assert np.max(np.abs(b.x0.q - scratch.x0.q)) < 1e-12
+def test_series_cut_below_its_tail_floor_is_rejected(chart8, monkeypatch):
+    # with 16 odd harmonics the top one is 3e-14 of the largest at I = 0.35,
+    # but 3.7e-13 at I = 0.45
+    monkeypatch.setattr(br, "_MODES", 32)
+    with pytest.raises(br.ContinuationError, match=r"member I=0.45: harmonic 31 is 3\.7\d\de-13"):
+        continue_breather(chart8, [0.35, 0.45], 0.05, 16)
 
 
-def test_continuation_below_the_seed_eps_is_rejected(breather16, V8):
-    with pytest.raises(ValueError, match="below the seed's eps"):
-        continue_breather(breather16, V8, 0.04)
+def test_members_in_the_phonon_band_are_rejected_before_newton(chart8, monkeypatch):
+    # omega0(0.18) = 1.0812 lies below sqrt(1 + 4 * 0.05) = 1.0954
+    def no_solve(*args):
+        raise AssertionError("Newton ran before the band check")
+
+    monkeypatch.setattr(br, "_harmonic_balance", no_solve)
+    with pytest.raises(ValueError, match=r"member I=0.18 has omega0\(I\)=1.0812.*"
+                                         r"sqrt\(1 \+ 4 eps\)=1.09545"):
+        continue_breather(chart8, [0.3, 0.18], 0.05, 16)
+
+
+def test_odd_potential_keeps_every_harmonic():
+    V = PotentialSpec(((8, 1.0), (9, 0.5)))
+    chart = build_chart(V, 0.3, 0.5, n_grid=64)
+    b, = continue_breather(chart, [0.4], 0.05, 12)
+    assert np.array_equal(b.harmonics, np.arange(48))
+    assert b.defect < 1e-11
+    assert np.max(np.abs(b.coeffs[:, 2])) > 1e-3 * np.max(np.abs(b.coeffs))

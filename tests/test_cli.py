@@ -1,3 +1,4 @@
+import re
 import time
 from types import SimpleNamespace
 
@@ -73,6 +74,33 @@ def test_stability_blowup_ends_with_one_line_and_exit_1(tmp_path, capsys, monkey
     assert captured.err == ""
 
 
+def no_family(chart, config):
+    raise br.ContinuationError("member I=0.38: full-period return defect 1e-10")
+
+
+@pytest.mark.parametrize("command, text, patch, line", [
+    # the section closes to about 1e-13, and no orbit closes to 1e-16
+    (["breather", "find"], "N = 8\ntol = 1e-16\n", None,
+     r"breather: member I=0\.4: full-period return defect \S+ at eps=0\.05 is not below "
+     r"tol=1e-16"),
+    (["stability"], "mu = 0.001\nT = 1.0\nN = 64\n", no_family,
+     r"stability: member I=0\.38: full-period return defect 1e-10"),
+], ids=["breather-find", "stability"])
+def test_continuation_error_ends_with_one_line_and_exit_1(tmp_path, capsys, monkeypatch,
+                                                          command, text, patch, line):
+    if patch is not None:
+        monkeypatch.setattr(ex, "build_family", patch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = cli.main(["--out-dir", str(tmp_path / "out"), *command, "-c", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.splitlines()) == 2
+    assert re.fullmatch(line, captured.out.splitlines()[0])
+    assert captured.out.splitlines()[1] == "FAIL"
+    assert captured.err == ""
+
+
 def test_stability_rejects_a_zero_stride_before_any_build(tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("family built before the config check")
@@ -130,9 +158,12 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
      "eps must be positive and finite, got eps=nan"),
     # a negative eps made the default mu = eps^delta complex, and its check a TypeError
     (["stability"], "eps = -0.05\n", "eps must be positive and finite, got eps=-0.05"),
+    # omega0(0.4) = 1.395 lies inside the phonon band, whose top is sqrt(3) at eps = 0.5
+    (["breather", "find"], "eps = 0.5\n",
+     "member I=0.4 has omega0(I)=1.39471, in the phonon band"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
         "one-decay-sample", "one-lam-value", "negative-mu", "nan-dt", "nan-T", "nan-mu",
-        "nan-eps", "negative-eps"])
+        "nan-eps", "negative-eps", "in-band-breather"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:
@@ -157,7 +188,7 @@ def test_breather_csv_reads_back_the_section_bit_for_bit(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["--out-dir", str(out), "breather", "find", "-c", str(cfg)]) == 0
     state = read_state(out / "breather.csv")
-    x0 = found[0].x0
+    x0 = found[0][0].x0
     assert state.N == 12
     assert np.array_equal(state.p, x0.p) and np.array_equal(state.q, x0.q)
 

@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from breatherlab import breather as br
 from breatherlab import experiments, integrate
-from breatherlab.breather import anti_continuum_seed, continue_breather
+from breatherlab.breather import continue_breather, flow_map, orbit_defect
 from breatherlab.experiments import (ExperimentConfig, FamilyWindowError, build_family,
                                      emit_report, perturb, run_stability, track_modulation)
 from breatherlab.integrate import BlowupError
@@ -24,10 +23,10 @@ def tracker_family(chart8, V8):
 
 
 def orbit_points(chart, V, I, n_phases):
-    """Breather at label I, flowed by DOP853 to the phases 2 pi j / n_phases."""
-    seed = anti_continuum_seed(chart, I, N=16)
-    b = continue_breather(seed, V, 0.05, eps_step=0.01, n_phases=n_phases)
-    return [experiments._embed(s, 32) for _, s in b.orbit]
+    """Breather at label I, its section flowed by DOP853 to the phases 2 pi j / n_phases."""
+    b, = continue_breather(chart, [I], 0.05, 16)
+    y = flow_map(b.x0, V, 0.05, b.period, t_eval=b.period * np.arange(n_phases) / n_phases).y
+    return [experiments._embed(LatticeState(16, *np.split(col, 2)), 32) for col in y.T]
 
 
 def test_tracker_error_falls_with_the_integrator_step(chart8, tracker_family):
@@ -187,34 +186,39 @@ def test_perturb_rejects_an_unknown_shape():
         perturb(x, 0.01, "localised")
 
 
-def test_family_is_continued_member_to_member_in_I(chart8, V8, monkeypatch):
+def test_family_members_equal_one_member_solves(chart8, V8):
+    # the members are solved together, each as its own block of the Newton
     config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.4, N=20,
                               family_half_width=0.06, family_members=3, family_phases=16,
                               family_window=8, N_family=16)
-    I_values = np.linspace(0.4 - 0.06, 0.4 + 0.06, 3)
-    scratch = [continue_breather(anti_continuum_seed(chart8, float(I), N=16), V8, 0.05,
-                                 eps_step=0.01) for I in I_values]
-    calls = []
-    polish = br._newton_polish
-
-    def counting(*args, **kwargs):
-        out = polish(*args, **kwargs)
-        calls.append((args[2], out[2]))
-        return out
-
-    monkeypatch.setattr(br, "_newton_polish", counting)
     family = build_family(chart8, config)
-    # the centre's five eps stages, then one re-polish per neighbour
-    assert [eps for eps, _ in calls] == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05, 0.05, 0.05])
-    # from the centre's section moved by the uncoupled amplitude change, a
-    # neighbour converges in three steps (five without the move)
-    assert max(it for _, it in calls[5:]) <= 3, calls
+    I_values = np.linspace(0.4 - 0.06, 0.4 + 0.06, 3)
     assert np.array_equal(family.I_values, I_values)
-    for m, b in enumerate(scratch):
+    for m, I in enumerate(I_values):
+        b, = continue_breather(chart8, [I], 0.05, 16)
         expected = experiments._embed(b.x0, config.N)
         assert np.max(np.abs(family.sections[m].q - expected.q)) < 1e-12
         assert np.max(np.abs(family.sections[m].p - expected.p)) < 1e-12
         assert family.omega[m] == 2.0 * np.pi / b.period
+
+
+def test_family_next_to_the_phonon_band_closes(chart8, V8):
+    # omega0(0.195) = 1.0984 lies 0.3 % above the band's top 1.0954 at eps = 0.05
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.2, N=64,
+                              family_half_width=0.005, N_family=32, family_window=16)
+    family = build_family(chart8, config)
+    near = slice(64 - 32, 64 + 32 + 1)
+    for section, omega in zip(family.sections, family.omega):
+        x = LatticeState(32, section.p[near], section.q[near])
+        assert orbit_defect(x, V8, 0.05, 2.0 * np.pi / omega) < 1e-11
+
+
+def test_family_reaching_into_the_phonon_band_is_rejected(chart8, V8):
+    # the lowest member, I = 0.18, has omega0 = 1.0812 < sqrt(1 + 4 * 0.05)
+    config = ExperimentConfig(eps=0.05, potential=V8, I_label=0.2, N=64, N_family=16,
+                              family_window=16)
+    with pytest.raises(ValueError, match=r"member I=0.18 has omega0\(I\)=1.0812"):
+        build_family(chart8, config)
 
 
 def test_kick_past_the_family_edge_is_rejected_before_the_family_build(chart8, V8,
