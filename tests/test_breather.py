@@ -236,14 +236,23 @@ def kicked_guess(breather16):
                         x.q + 1e-5 * rng.standard_normal(x.q.size))
 
 
-def test_harmonic_balance_member_matches_the_bordered_oracle(breather16, kicked_guess, V8):
+def test_half_period_solve_matches_the_bordered_oracle(breather16, kicked_guess, V8):
     # the full-period shooting Newton by DOP853 and the splitting tangent, from
-    # a kicked section, lands on the series' section, where every p is zero
+    # a kicked section, lands on the section of the cosine series, whose
+    # coefficients fix the orbit from its half period alone
     b = breather16
     x_ref, _, _ = _oracle_newton_polish(kicked_guess, V8, b.eps, b.period, 1e-11, 10)
-    assert np.all(b.x0.p == 0.0)
     assert np.max(np.abs(b.x0.q - x_ref.q)) < 1e-12
     assert np.max(np.abs(b.x0.p - x_ref.p)) < 1e-12
+
+
+def test_half_period_solve_puts_every_p_at_zero(breather16):
+    # the series is even in t, so every p is zero at t = 0 and again at t = T/2
+    b = breather16
+    half = b.orbit.shape[1] // 2
+    assert np.all(b.x0.p == 0.0)
+    assert np.all(b.orbit[0, 0] == 0.0)
+    assert np.max(np.abs(b.orbit[0, half])) < 1e-12 * np.max(np.abs(b.orbit[0]))
 
 
 def test_defect_is_the_full_period_return_defect(breather16, V8):
