@@ -118,6 +118,21 @@ def _eliminate(D: np.ndarray, eps: float, F: np.ndarray) -> np.ndarray:
     return g
 
 
+def _harmonic_blocks(V: PotentialSpec, q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Newton Jacobian's harmonic blocks P diag(V''(q)) C, (sites, members,
+    harmonics, harmonics), for q on the ``_PHASES`` phases: V'' collocated and
+    projected back on the harmonics n.  Block entry (m, n') is
+    (w_m / 2) (f_|m - n'| + f_(m + n')), with w the projection's weight (1 for
+    m = 0, else 2) and f_k the mean of V''(q) cos(k phi) over the phases, so
+    no product over the phase axis is formed."""
+    phi = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
+    f = V.second_derivative(q) @ np.cos(np.outer(phi, np.arange(2 * n[-1] + 1))) / _PHASES
+    D = f[..., np.abs(n[:, None] - n)]
+    D += f[..., n[:, None] + n]
+    D *= np.where(n == 0, 0.5, 1.0)[:, None]
+    return D
+
+
 def _harmonic_balance(V: PotentialSpec, omega: np.ndarray, q_max: np.ndarray, eps: float,
                       N: int) -> tuple[np.ndarray, np.ndarray]:
     """The harmonics n and the coefficients a (sites, members, n), member m at
@@ -136,7 +151,8 @@ def _harmonic_balance(V: PotentialSpec, omega: np.ndarray, q_max: np.ndarray, ep
     for _ in range(20):
         q = a @ C.T
         F = L * a + V.derivative(q) @ P.T - eps * coupling_force(a)
-        D = (P * V.second_derivative(q)[..., None, :]) @ C + diagonal
+        D = _harmonic_blocks(V, q, n)
+        D += diagonal
         da = _eliminate(D, eps, F)
         a -= da
         if np.all(np.max(np.abs(da), axis=(0, 2)) <= 1e-13 * np.max(np.abs(a), axis=(0, 2))):

@@ -111,7 +111,7 @@ def cmd_breather_find(cfg, out_dir, seed) -> bool:
     I = float(cfg.get("I_label", 0.4))
     eps = float(cfg.get("eps", 0.05))
     N = int(cfg.get("N", 64))
-    b, = br.continue_breather(chart, [I], eps, N, tol=min(float(cfg.get("tol", 1e-10)), 1e-11))
+    b, = br.continue_breather(chart, [I], eps, N, tol=float(cfg.get("tol", 1e-11)))
     # the label fixes the period 2 pi / omega0(I_label); the central site's
     # own action at the section sits below it once the coupling is on
     I_site0 = action_of_point(chart, 0.0, float(b.x0.q[b.x0.index(0)]))
@@ -186,6 +186,9 @@ def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
     n = int(cfg.get("N", 256))
     interior = int(cfg.get("interior", 40))
     ks = np.arange(-n // 2, n // 2)
+    if not 0 <= interior < n // 2:
+        raise ValueError(f"interior={interior} does not fit inside the lattice of N={n} sites, "
+                         f"which runs over k = {-n // 2}..{n // 2 - 1}")
     L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     e = np.zeros(n)
     e[np.where(ks == 0)[0][0]] = 1.0
@@ -202,12 +205,15 @@ def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
 
 
 def cmd_normal_form(cfg, out_dir, seed) -> bool:
+    nodes = int(cfg.get("nodes", 12))
+    if nodes < 2:
+        raise ValueError(f"the action grid needs at least 2 Chebyshev nodes, got nodes={nodes}")
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     span = (float(cfg.get("I_lo", 0.32)), float(cfg.get("I_hi", 0.48)))
     ctx = nf.make_context(chart, V, N=int(cfg.get("N", 8)), D=int(cfg.get("D", 4)),
                           M=int(cfg.get("M", 24)), I_span=span,
-                          n_nodes=int(cfg.get("nodes", 12)),
+                          n_nodes=nodes,
                           tail_tol=float(cfg.get("tail_tol", 1e-10)))
     eps_list = cfg.get("eps", [0.0125, 0.025, 0.05, 0.1])
     if not isinstance(eps_list, list):

@@ -22,36 +22,33 @@ arrays (and on read-only or mismatched ones) instead of stepping them.
 A call of n steps goes in blocks of k steps, k = floor(sqrt(C) / 4) on a
 chain of C sites (at least 1, at most the steps left): 8 on 1,025 sites, 16
 on 4,097.  Each block reads the amplitude a_k = max(|p_k|, |q_k|) once, over
-the whole chain, and takes two slices of the chain from it.  A step's three
-coupling kicks carry a value at most three sites (its reach), so a block
-carries one at most 3k sites, and every widening below is by 3k.  Per step,
-the scan then reads C / k = 4 sqrt(C) sites and the widening steps 6k =
-1.5 sqrt(C) more, both small beside the C sites of a full-chain step.
+the whole chain, and takes one slice of the chain from it, the stepped
+support S.  A step's three coupling kicks carry a value at most three sites
+(its reach), so a block carries one at most 3k sites, and S is widened by
+3k.  Per step, the scan then reads C / k = 4 sqrt(C) sites and the widening
+steps 6k = 1.5 sqrt(C) more, both small beside the C sites of a full-chain
+step.
 
-- The stepped support S is the smallest slice holding every site with
-  a_k >= e^2 max a, e = 2^-52, widened by 3k.  The rotations and the kicks
+- S is the smallest slice holding every site with a_k >= e^2 max a
+  (e = 2^-52), widened by 3k.  The rotations and every kick, V' included,
   act on p[S] and q[S] only; the sites outside S keep their values for the
-  block, and the coupling kick sees them as zero.  A site left out of S is
-  off by at most twice its amplitude grown over the block, 2 G_k e^2 max a
-  (G_k below), once per block, and a site at an end of S misses at most
-  |c_k dt eps| times that per kick.  So after n steps the state is within
-  about n e^2 max a of the full-chain steps, whatever the blocks: below one
-  rounding of the largest entry, e max a, for every n below 1/e (4.5e15
-  steps).  A localized state, such as a breather and its spreading
-  perturbation, keeps S to a small part of the chain; a spread-out one has S
-  the whole chain, as has a state that is not finite, so that the blow-up
-  still shows at the next sample.
-- The force window W, inside S, is where V' is evaluated at every kick of
-  the block: the smallest slice holding every site with a_k >= q_cut / G_k,
-  widened by 3k, with G_k = sqrt(2) g^k and g = prod_j (1 + 4 |c_j dt eps|)
-  over the kick sizes c_j dt of a step.  Rotations keep r_k = sqrt(p_k^2 +
-  q_k^2), which starts at most sqrt(2) a_k, and a coupling kick raises r_k by
-  at most 4 |c_j dt eps| times the largest r within one site; so at every
-  kick of the block |q_k| is at most G_k times the largest a within 3k sites
-  of k.  Outside W, |q| thus stays below ``V.q_cut``, |V'(q)| is below the
-  smallest normal double (see ``PotentialSpec``), and leaving it out moves p
-  by less than tau times that double, while evaluating the power chain there
-  would run through subnormal numbers at many times the normal cost.
+  block, and the coupling kick sees them as zero.  Over a block a site's
+  r_k = sqrt(p_k^2 + q_k^2) stays below G_k times the largest a within 3k
+  sites of k, with G_k = sqrt(2) g^k and g = prod_j (1 + 4 |c_j dt eps|)
+  over the kick sizes c_j dt of a step: rotations keep r_k, which starts at
+  most sqrt(2) a_k, a coupling kick raises it by at most 4 |c_j dt eps|
+  times the largest r within one site, and V' of a q that small is far below
+  the q's rounding.  So a site left out of S is off by at most twice its
+  amplitude grown over the block, 2 G_k e^2 max a, once per block, and a
+  site at an end of S misses at most |c_j dt eps| times that per kick.
+  After n steps the state is within about n e^2 max a of the full-chain
+  steps, whatever the blocks: below one rounding of the largest entry,
+  e max a, for every n below 1/e (4.5e15 steps).  A localized state, such as
+  a breather and its spreading perturbation, keeps S to a small part of the
+  chain; a spread-out one has S the whole chain, as has a state that is not
+  finite, so that the blow-up still shows at the next sample.
+- For V = 0 (no term in V', as for ``PotentialSpec.zero()`` or coefficients
+  that cancel) the kicks are the coupling alone, and V' is never called.
 """
 
 from __future__ import annotations
@@ -114,16 +111,14 @@ def _axpy(y: np.ndarray, a: float, x: np.ndarray):
     daxpy(x, y, x.size, a)
 
 
-def _scan(p: np.ndarray, q: np.ndarray, k: int, q_cut: float, growth: float):
+def _scan(p: np.ndarray, q: np.ndarray, k: int) -> slice:
     """One scan of the whole chain: the stepped support S of a block of k
-    steps, and its force window W as a slice of S; ``growth`` is the g of one
-    step (module docstring)."""
+    steps (module docstring)."""
     amp = np.maximum(np.abs(p), np.abs(q))
     top = amp[amp.argmax()]     # the largest entry, or the first NaN; a faster pass than max
-    reach = k * _REACH
-    support = _span(amp >= _EPS2 * top, reach) if math.isfinite(top) else slice(0, amp.size)
-    force = _span(amp[support] >= q_cut / (math.sqrt(2.0) * growth ** k), reach)
-    return support, force
+    if not math.isfinite(top):
+        return slice(0, amp.size)
+    return _span(amp >= _EPS2 * top, k * _REACH)
 
 
 def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: float,
@@ -131,24 +126,23 @@ def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: 
     """n splitting steps in place on raw arrays (flat C-contiguous float64, else ValueError).
 
     The steps go in blocks, one scan of the chain per block; a block steps its
-    support alone and evaluates V' on its force window alone.  See the module
-    docstring for the block length, both rules and the bound.
+    support alone, the rotations, the coupling and V' on one slice.  See the
+    module docstring for the block length, the support and its bound.
     """
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError(f"need a whole number of steps n >= 1, got n={n!r}")
     _check_inplace(p, q)
     turns = [(math.cos(r * dt), math.sin(r * dt)) for r in _ROTATIONS]
     kicks = [(ck * dt * eps, -2.0 * ck * dt * eps, -ck * dt) for ck in _KICKS]
-    growth = math.prod([1.0 + 4.0 * abs(ck * dt * eps) for ck in _KICKS])
+    anharmonic = bool(V._dterms)        # V' has a term: V != 0
     block = max(1, math.isqrt(p.size) // 4)
     while n:
         k = min(n, block)
         n -= k
-        support, force = _scan(p, q, k, V.q_cut, growth)
+        support = _scan(p, q, k)
         ps, qs = p[support], q[support]
-        pf, qf = ps[force], qs[force]
-        m, mf = ps.size, pf.size
-        work = tuple(np.empty((3, mf)))
+        m = ps.size
+        work = tuple(np.empty((3, m)))
         for _ in range(k):
             for (a, a2, tau), (c, s) in zip(kicks, turns):     # all but the last turn
                 drot(qs, ps, c, s, m, 0, 1, 0, 1, 1, 1)
@@ -156,9 +150,9 @@ def step_arrays(p: np.ndarray, q: np.ndarray, V: PotentialSpec, eps: float, dt: 
                 daxpy(qs, ps, m, a2)
                 daxpy(qs, ps, m - 1, a, 1, 1, 0, 1)
                 daxpy(qs, ps, m - 1, a, 0, 1, 1, 1)
-                if mf:
-                    lead, x = V.derivative_factors(qf, work)      # V' = lead x
-                    daxpy(x, pf, mf, tau * lead)
+                if anharmonic:
+                    lead, x = V.derivative_factors(qs, work)      # V' = lead x
+                    daxpy(x, ps, m, tau * lead)
             drot(qs, ps, *turns[-1], m, 0, 1, 0, 1, 1, 1)
 
 

@@ -53,10 +53,9 @@ class PotentialSpec:
     ``q_cut`` is (tiny / sum |m a_m|)^(1 / (m0 - 1)), capped at 1, where tiny
     is the smallest normal double and m0 the lowest degree (inf for V = 0).
     For |q| < q_cut every power q^(m-1) is at most q^(m0-1), so
-    |V'(q)| < tiny: about 8e-45 for q^8.  The splitting kernel evaluates V'
-    only on its force window, the sites whose |q| can reach q_cut within a
-    block of steps (see ``integrate``), and ``hamiltonian`` evaluates V only
-    where |q| >= q_cut.
+    |V'(q)| < tiny: about 8e-45 for q^8.  It serves ``hamiltonian`` alone,
+    which evaluates V only where |q| >= q_cut; the splitting kernel evaluates
+    V' on its whole stepped support (see ``integrate``).
     """
 
     coefficients: tuple[tuple[int, float], ...]

@@ -308,3 +308,20 @@ def test_odd_potential_keeps_every_harmonic():
     assert np.array_equal(b.harmonics, np.arange(48))
     assert b.defect < 1e-11
     assert np.max(np.abs(b.coeffs[:, 2])) > 1e-3 * np.max(np.abs(b.coeffs))
+
+
+@pytest.mark.parametrize("coefficients, harmonics", [
+    (((8, 1.0),), np.arange(1, br._MODES, 2)),
+    (((8, 1.0), (9, 0.5)), np.arange(br._MODES)),
+], ids=["q8-odd-harmonics", "q8-q9-every-harmonic"])
+def test_harmonic_blocks_match_the_collocation_product(rng, coefficients, harmonics):
+    # the Jacobian's blocks from V'''s cosine means against P diag(V'') C, the
+    # collocated V'' projected back on the harmonics, on orbit-like coefficients
+    V = PotentialSpec(coefficients)
+    C = np.cos(np.outer(2.0 * np.pi * np.arange(br._PHASES) / br._PHASES, harmonics))
+    P = np.where(harmonics == 0, 1.0, 2.0)[:, None] / br._PHASES * C.T
+    a = 0.4 * rng.standard_normal((5, 3, harmonics.size)) * 0.6 ** np.arange(harmonics.size)
+    q = a @ C.T
+    want = (P * V.second_derivative(q)[..., None, :]) @ C
+    got = br._harmonic_blocks(V, q, harmonics)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))

@@ -161,9 +161,15 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     # omega0(0.4) = 1.395 lies inside the phonon band, whose top is sqrt(3) at eps = 0.5
     (["breather", "find"], "eps = 0.5\n",
      "member I=0.4 has omega0(I)=1.39471, in the phonon band"),
+    # one site, k = -1 alone: the lookup of site k = 0 found nothing (IndexError)
+    (["resolvent-check"], "N = 1\n",
+     "interior=40 does not fit inside the lattice of N=1 sites, which runs over k = -1..-1"),
+    # one node made the Chebyshev grid divide by zero and the chart read I=nan
+    (["normal-form"], "nodes = 1\n", "at least 2 Chebyshev nodes, got nodes=1"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
         "one-decay-sample", "one-lam-value", "negative-mu", "nan-dt", "nan-T", "nan-mu",
-        "nan-eps", "negative-eps", "in-band-breather"])
+        "nan-eps", "negative-eps", "in-band-breather", "interior-past-the-lattice",
+        "one-chebyshev-node"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:
@@ -191,6 +197,23 @@ def test_breather_csv_reads_back_the_section_bit_for_bit(tmp_path, monkeypatch):
     x0 = found[0][0].x0
     assert state.N == 12
     assert np.array_equal(state.p, x0.p) and np.array_equal(state.q, x0.q)
+
+
+@pytest.mark.parametrize("text, tol", [("N = 12\ntol = 1e-9\n", 1e-9), ("N = 12\n", 1e-11)],
+                         ids=["set", "default"])
+def test_breather_find_applies_its_tol_key(tmp_path, monkeypatch, text, tol):
+    applied = []
+    continue_breather = br.continue_breather
+
+    def keep(*args, **kwargs):
+        applied.append(kwargs["tol"])
+        return continue_breather(*args, **kwargs)
+
+    monkeypatch.setattr(br, "continue_breather", keep)
+    cfg = tmp_path / "find.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "breather", "find", "-c", str(cfg)]) == 0
+    assert applied == [tol]
 
 
 def test_breather_csv_header_keeps_the_requested_label(tmp_path):

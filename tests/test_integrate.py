@@ -166,8 +166,8 @@ def _oracle_step_arrays(p, q, V, eps, dt):
 def _localized(rng, N):
     """Random sites under the envelope 0.3 exp(-|k|/2), down to 8e-57 at |k| = 256.
 
-    Sites beyond |k| of about 200 lie below q_cut (8e-45 for q^8), so the
-    kernel's live window ends inside the chain.
+    Sites beyond |k| of about 150 lie below e^2 max a (e = 2^-52), so the
+    kernel's stepped support ends inside the chain.
     """
     ks = np.arange(-N, N + 1)
     env = 0.3 * np.exp(-np.abs(ks) / 2.0)
@@ -184,7 +184,7 @@ def test_step_arrays_matches_oracle(rng):
         _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
     assert np.max(np.abs(p - p_ref)) < 1e-14
     assert np.max(np.abs(q - q_ref)) < 1e-14
-    # localized states with sites on both sides of q_cut
+    # localized states whose support ends inside the chain
     N = 256
     for V in (PotentialSpec.monomial(8), PotentialSpec(((8, 1.0), (10, -0.3)))):
         p, q = _localized(rng, N)
@@ -192,27 +192,22 @@ def test_step_arrays_matches_oracle(rng):
         step_arrays(p, q, V, 0.1, 0.05, 100)
         for _ in range(100):
             _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
-        live = np.abs(q) >= V.q_cut
-        assert live.any() and not live.all()
+        amp = np.maximum(np.abs(p), np.abs(q))
+        assert amp[0] < np.finfo(float).eps ** 2 * amp.max()
         bound = 1e-14 * np.max(np.abs(q_ref))
         assert np.max(np.abs(p - p_ref)) < bound
         assert np.max(np.abs(q - q_ref)) < bound
 
 
-def test_state_below_q_cut_steps_like_the_harmonic_chain(rng, monkeypatch):
+def test_state_below_q_cut_steps_like_the_harmonic_chain(rng):
     V = PotentialSpec(((8, 1.0), (10, -0.3)))
     N = 16
     p, q = 1e-50 * rng.standard_normal(2 * N + 1), 1e-50 * rng.standard_normal(2 * N + 1)
     p_lin, q_lin = p.copy(), q.copy()
     p_ref, q_ref = p.copy(), q.copy()
-
-    def no_force(self, q, work=None):
-        raise AssertionError("V' evaluated below q_cut")
-
     for _ in range(100):
         _oracle_step_arrays(p_ref, q_ref, V, 0.1, 0.05)
-    monkeypatch.setattr(PotentialSpec, "derivative", no_force)
-    monkeypatch.setattr(PotentialSpec, "derivative_factors", no_force)
+    # V' of 1e-50 underflows to exactly 0, so the kicks leave p as V = 0 does
     step_arrays(p, q, V, 0.1, 0.05, 100)
     step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.1, 0.05, 100)
     assert np.max(np.abs(q)) < V.q_cut
@@ -272,100 +267,15 @@ def test_a_block_carries_a_value_as_far_as_the_full_chain_does(V8):
     assert np.all(np.abs(q - q_ref) <= bound)
 
 
-def test_force_window_holds_every_site_at_or_above_q_cut(V8, monkeypatch):
-    # On 257 sites the four steps are one block of k = 4, so the window taken
-    # before the first step must hold every live site of all four.  The window
-    # is one slice, so each rule is tested at an end of it.  Site 60 starts at
-    # 1e30 q_cut and its neighbours at rest; its coupling kicks lift sites
-    # more than one step's reach to its right above q_cut, which only the
-    # widening by 3k = 12 foresees.  Site 20 starts at p = q = 0.8 q_cut, 28
-    # sites left of the widened window of site 60 and above the support's
-    # floor e^2 1e30 q_cut, and by the first kick of the second step the
-    # rotations lift |q| to 1.41 x 0.8 q_cut.  At eps dt = 4.5e-4 the growth
-    # bound is sqrt(2) g^4 = sqrt(2) x 1.03, so site 20 is in the window by
-    # the factor sqrt(2) alone
-    eps, dt = 0.001, 0.45
-    check_stability(dt, eps)
-    p, q = np.zeros(257), np.zeros(257)
-    p[20] = q[20] = 0.8 * V8.q_cut
-    q[60] = 1e30 * V8.q_cut
-    live_sites = _checked_force_windows(monkeypatch, q)
-    scans = _count_scans(monkeypatch)
-    step_arrays(p, q, V8, eps, dt, 4)
-    assert [k for k, _, _ in scans] == [4]
-    assert 20 in live_sites
-    assert max(live_sites) - 60 > integrate._REACH
-
-
-def test_force_window_foresees_the_growth_of_a_whole_block(V8, monkeypatch):
-    # On 16,385 sites a block is k = 32 steps.  At eps = 0.05 and dt = 0.45 the
-    # 6k + 1 sites around a centre, each at amplitude a with the signs that
-    # lift the centre's q the most at one kick, lift it to 2.32 a.  One step's
-    # bound, sqrt(2) g, is 2.05, so only the block's sqrt(2) g^k foresees it.
-    # The sites start at a = q_cut / 2.2 around site 4,000; site 12,000 starts
-    # at 1e30 q_cut, far from them, so that V' is evaluated at every kick
-    eps, dt, k = 0.05, 0.45, 32
-    check_stability(dt, eps)
-    response = _kick_response(eps, dt, k)
-    lift = np.abs(response).sum(axis=1)
-    kick = lift.argmax()
-    growth = np.prod([1.0 + 4.0 * abs(ck * dt * eps) for ck in _KICKS])
-    assert lift[kick] > 1.1 * np.sqrt(2.0) * growth
-    p, q = np.zeros(16385), np.zeros(16385)
-    sites = slice(4000 - 3 * k, 4000 + 3 * k + 1)
-    p[sites], q[sites] = V8.q_cut / 2.2 * np.sign(response[kick]).reshape(2, -1)
-    q[12000] = 1e30 * V8.q_cut
-    live_sites = _checked_force_windows(monkeypatch, q)
-    scans = _count_scans(monkeypatch)
-    step_arrays(p, q, V8, eps, dt, k)
-    assert [n for n, _, _ in scans] == [k]
-    assert 4000 in live_sites
-
-
-def _kick_response(eps, dt, k):
-    """The centre's q at each kick of k harmonic-chain splitting steps on
-    6k + 1 sites, as a row of its coefficients on the sites' initial p, then q
-    (no value travels farther than 3k sites in k steps)."""
-    m = 6 * k + 1
-    p, q = np.eye(2 * m)[:m], np.eye(2 * m)[m:]
-    rows = []
-    for _ in range(k):
-        for i, ck in enumerate(_KICKS):
-            c, s = np.cos(_ROTATIONS[i] * dt), np.sin(_ROTATIONS[i] * dt)
-            p, q = c * p - s * q, s * p + c * q
-            rows.append(q[3 * k])
-            p = p + ck * dt * eps * coupling_force(q)
-        c, s = np.cos(_ROTATIONS[-1] * dt), np.sin(_ROTATIONS[-1] * dt)
-        p, q = c * p - s * q, s * p + c * q
-    return np.array(rows)
-
-
-def _checked_force_windows(monkeypatch, q):
-    """Assert at every V' evaluation of the kernel that its window holds every
-    site of q with |q| >= q_cut, and record those sites."""
-    derivative_factors = PotentialSpec.derivative_factors
-    live_sites = []
-
-    def checked(self, q_window, work):
-        # q_window is a slice of q, so it holds every live site iff it holds as many
-        live = np.flatnonzero(np.abs(q) >= self.q_cut)
-        assert np.count_nonzero(np.abs(q_window) >= self.q_cut) == live.size
-        live_sites.extend(live)
-        return derivative_factors(self, q_window, work)
-
-    monkeypatch.setattr(PotentialSpec, "derivative_factors", checked)
-    return live_sites
-
-
 def _count_scans(monkeypatch):
-    """Record the (steps, support, force window) of every scan of the chain."""
+    """Record the (steps, support) of every scan of the chain."""
     scan = integrate._scan
     scans = []
 
-    def recorded(p, q, k, *args):
-        support, force = scan(p, q, k, *args)
-        scans.append((k, support, force))
-        return support, force
+    def recorded(p, q, k):
+        support = scan(p, q, k)
+        scans.append((k, support))
+        return support
 
     monkeypatch.setattr(integrate, "_scan", recorded)
     return scans
@@ -382,6 +292,61 @@ def _rotated_sizes(monkeypatch):
 
     monkeypatch.setattr(integrate, "drot", recorded)
     return sizes
+
+
+def _where(x):
+    """The first address and the size of an array, which fix a slice of a chain."""
+    return x.__array_interface__["data"][0], x.size
+
+
+@pytest.mark.parametrize("state", ["kicked", "below-1e-13"])
+def test_v_prime_acts_on_the_slice_the_rotations_step(V8, monkeypatch, state):
+    # at every kick V' is raised on the slice of q that the rotation before it
+    # stepped.  The second state's largest amplitude, 1e-20, is below
+    # q_cut / (sqrt(2) e^2) = 1.2e-13 for q^8 (e = 2^-52), and its site 20, at
+    # 1e-48, lies between e^2 max a = 4.9e-52 and q_cut / sqrt(2) = 5.9e-45, at
+    # the left end of the support's core
+    if state == "kicked":
+        p, q = _kicked(512, 0.05, "localized")
+    else:
+        p, q = np.zeros(257), np.zeros(257)
+        q[128], q[20] = 1e-20, 1e-48
+    drot, derivative_factors = integrate.drot, PotentialSpec.derivative_factors
+    rotated, raised = [], []
+
+    def rotate(x, y, c, s, n, *args):
+        rotated.append(_where(x))
+        return drot(x, y, c, s, n, *args)
+
+    def raise_v_prime(self, q_slice, work):
+        raised.append((rotated[-1], _where(q_slice)))
+        return derivative_factors(self, q_slice, work)
+
+    monkeypatch.setattr(integrate, "drot", rotate)
+    monkeypatch.setattr(PotentialSpec, "derivative_factors", raise_v_prime)
+    scans = _count_scans(monkeypatch)
+    n = 40
+    step_arrays(p, q, V8, 0.05, 0.02, n)
+    assert len(raised) == len(_KICKS) * n
+    assert all(stepped == argument for stepped, argument in raised)
+    assert all(support.stop - support.start < p.size for _, support in scans)
+    if state != "kicked":
+        assert all(support.start <= 20 for _, support in scans)
+
+
+@pytest.mark.parametrize("V", [PotentialSpec.zero(), PotentialSpec(((8, 1.0), (8, -1.0)))],
+                         ids=["zero", "cancelling"])
+def test_zero_potential_steps_without_v_prime(V, monkeypatch):
+    def no_force(self, q, work):
+        raise AssertionError("V' raised for V = 0")
+
+    monkeypatch.setattr(PotentialSpec, "derivative_factors", no_force)
+    p, q = _kicked(64, 0.05, "localized")
+    p_lin, q_lin = p.copy(), q.copy()
+    step_arrays(p, q, V, 0.05, 0.02, 50)
+    step_arrays(p_lin, q_lin, PotentialSpec.zero(), 0.05, 0.02, 50)
+    assert np.array_equal(p, p_lin) and np.array_equal(q, q_lin)
+    assert not np.array_equal(q, _kicked(64, 0.05, "localized")[1])
 
 
 def test_spread_out_or_non_finite_state_steps_every_site(V8, monkeypatch):
@@ -408,11 +373,9 @@ def test_a_call_scans_the_chain_once_per_block(V8, monkeypatch):
     n = 200
     p, q = _kicked(512, 0.05, "localized")
     step_arrays(p, q, V8, 0.05, 0.02, n)
-    steps = [k for k, _, _ in scans]
+    steps = [k for k, _ in scans]
     assert sum(steps) == n and len(scans) < n / 4
     assert max(sizes) < p.size
-    for k, support, force in scans:
-        assert 0 <= force.start <= force.stop <= support.stop - support.start
     assert len(sizes) == len(_ROTATIONS) * n
 
 
@@ -440,10 +403,10 @@ def test_a_block_allocates_a_few_support_sized_arrays(V8, monkeypatch):
 
     def scan_then_reset(*args):
         end_block()
-        support, force = scan(*args)
+        support = scan(*args)
         tracemalloc.reset_peak()
         started.append((support.stop - support.start, tracemalloc.get_traced_memory()[0]))
-        return support, force
+        return support
 
     monkeypatch.setattr(integrate, "_scan", scan_then_reset)
     p, q = _kicked(2048, 0.05, "localized")
