@@ -26,9 +26,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .integrate import tangent_steps
-from .lattice import ExponentialWeight, LatticeState, coupling_force, norm, vector_field
-from .potential import (ActionAngleChart, PotentialSpec, action_of_point, h0_of_action, omega0,
-                        sample_orbit)
+from .lattice import LatticeState, coupling_force, vector_field
+from .potential import ActionAngleChart, PotentialSpec, h0_of_action, omega0
 
 _MODES = 48             # the series keeps the harmonics n < _MODES: 24 odd ones for an even V
 _PHASES = 128           # collocation phases, more than 2 n for every kept n
@@ -53,9 +52,9 @@ class Breather:
     beta_hat: float
     fit_residual: float
     defect: float
-    # q_k(t) = sum_n coeffs[k, n] cos(harmonics[n] 2 pi t / period); None for the seed
-    harmonics: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
+    # q_k(t) = sum_n coeffs[k, n] cos(harmonics[n] 2 pi t / period)
+    harmonics: np.ndarray
+    coeffs: np.ndarray
 
 
 def flow_map(x: LatticeState, V: PotentialSpec, eps: float, T: float,
@@ -85,17 +84,6 @@ def monodromy(x: LatticeState, V: PotentialSpec, eps: float, T: float,
     steps = max(1, int(np.ceil(T / dt)))
     tangent_steps(P, Q, V, eps, T / steps, steps)
     return np.vstack([P[:, 1:], Q[:, 1:]])
-
-
-def anti_continuum_seed(chart: ActionAngleChart, I: float, N: int = 64) -> Breather:
-    """Uncoupled breather: the central oscillator on its orbit, sampled at 64
-    phases by ``sample_orbit``, the rest at rest.  Its orbit is exact, so no
-    return defect is measured (nan)."""
-    orbit = np.zeros((2, 64, 2 * N + 1))
-    _, orbit[0, :, N], orbit[1, :, N] = sample_orbit(chart, I, 64)
-    x0 = LatticeState(N, np.zeros(2 * N + 1), orbit[1, 0])
-    return Breather(I, 0.0, 2.0 * np.pi / omega0(chart, I), x0, orbit, beta_hat=np.inf,
-                    fit_residual=0.0, defect=np.nan)
 
 
 def _eliminate(D: np.ndarray, eps: float, F: np.ndarray) -> np.ndarray:
@@ -230,25 +218,6 @@ def localization_rate(orbit: np.ndarray) -> tuple[float, float]:
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(-slope), float(r2)
-
-
-def distance_to_unperturbed(b: Breather, chart: ActionAngleChart,
-                            beta: float = 1.0) -> float:
-    """d_+ distance from the breather orbit to the uncoupled family at the same label.
-
-    Each orbit point is converted to (I, alpha, xi) via the central-site
-    chart, xi being the point with its central site zeroed; the unperturbed
-    family at the same label covers every phase with xi = 0, so the pointwise
-    distance is max(|I - I_label|, ||xi||_+), and the orbit-to-family distance
-    is the minimum over the sampled phases.
-    """
-    w = ExponentialWeight(beta, +1)
-    per_point = []
-    for p, q in zip(*b.orbit):
-        s = LatticeState(b.x0.N, p, q)
-        I = action_of_point(chart, float(p[s.N]), float(q[s.N]))
-        per_point.append(max(abs(I - b.I_label), norm(s.transverse(), 2, w)))
-    return min(per_point)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from . import normalform as nf
 from . import propagator as pr
 from .csvio import write_table
 from .integrate import BlowupError
-from .lattice import LatticeState, PolynomialWeight, norm
+from .lattice import LatticeState, norm
 from .potential import PotentialSpec, action_of_point, build_chart
 
 
@@ -147,14 +147,13 @@ def cmd_decay_fit(cfg, out_dir, seed) -> bool:
     window = (float(cfg.get("window_lo", 10.0)), float(cfg.get("window_hi", 300.0)))
     kind = str(cfg.get("norm", "linf"))
     if kind == "linf":
-        r_exp, weight = np.inf, None
+        r_exp, s = np.inf, None
     elif kind.startswith("l2w"):
-        s = float(kind[3:] or -3.0)
-        r_exp, weight = 2.0, PolynomialWeight(s)
+        r_exp, s = 2.0, float(kind[3:] or -3.0)
     else:
         raise ValueError(f"unknown norm {kind!r}")
     state = _skew_datum(cfg, N)
-    fit = pr.measure_decay(state, eps, r_exp, weight, window,
+    fit = pr.measure_decay(state, eps, r_exp, s, window,
                            n_samples=int(cfg.get("n_samples", 30)))
     rows = [(et / eps, et, v) for et, v in zip(fit.eps_t, fit.values)]
     rows.append(("slope", fit.slope, f"window {window[0]}..{window[1]}"))
@@ -205,15 +204,12 @@ def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
 
 
 def cmd_normal_form(cfg, out_dir, seed) -> bool:
-    nodes = int(cfg.get("nodes", 12))
-    if nodes < 2:
-        raise ValueError(f"the action grid needs at least 2 Chebyshev nodes, got nodes={nodes}")
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     span = (float(cfg.get("I_lo", 0.32)), float(cfg.get("I_hi", 0.48)))
     ctx = nf.make_context(chart, V, N=int(cfg.get("N", 8)), D=int(cfg.get("D", 4)),
                           M=int(cfg.get("M", 24)), I_span=span,
-                          n_nodes=nodes,
+                          n_nodes=int(cfg.get("nodes", 12)),
                           tail_tol=float(cfg.get("tail_tol", 1e-10)))
     eps_list = cfg.get("eps", [0.0125, 0.025, 0.05, 0.1])
     if not isinstance(eps_list, list):
@@ -308,7 +304,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (br.ContinuationError, ex.FamilyWindowError, BlowupError) as exc:
+    except (br.ContinuationError, br.LocalizationError, nf.FourierTailError,
+            ex.FamilyWindowError, BlowupError) as exc:
         print(f"{args.command}: {exc}")
         ok = False
     print("PASS" if ok else "FAIL")

@@ -30,8 +30,8 @@ def write_table(path, header, rows, comment: str | None = None):
 def read_state(path) -> LatticeState:
     """The state in a ``k, p_k, q_k`` table; ``#`` lines are skipped.
 
-    A site without a row is zero, so a table of the transverse part xi,
-    without a row for site 0, reads back as xi with its central site zero.
+    A site without a row is zero, so a table without a row for site 0 reads
+    back as a state whose central site is zero: the transverse part xi.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))

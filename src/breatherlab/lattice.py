@@ -4,7 +4,8 @@ Every state holds the sites k = -N..N in ascending order, in one layout.  The
 coupling uses Dirichlet closure: the ghost sites +-(N+1) are held at zero,
 which preserves the half-chain decoupling of the pinned linear system.  The
 paper's transverse variable xi lives on the sites k != 0; here it is a state
-whose central site is zero (``LatticeState.transverse``).
+whose central site is zero.  Every weight is the polynomial <k>^s, given by
+its exponent s.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class LatticeState:
     def copy(self):
         return LatticeState(self.N, self.p.copy(), self.q.copy())
 
-    def transverse(self):
-        """xi, the transverse part: a copy with the central site set to zero."""
-        out = self.copy()
-        out.p[self.N] = out.q[self.N] = 0.0
-        return out
-
     def __add__(self, other):
         self._compat(other)
         return replace(self.copy(), p=self.p + other.p, q=self.q + other.q)
@@ -66,28 +61,6 @@ class LatticeState:
     def _compat(self, other):
         if self.N != other.N:
             raise ValueError("incompatible lattice states")
-
-
-@dataclass(frozen=True)
-class PolynomialWeight:
-    """Weight <k>^s, <k> = sqrt(1 + k^2)."""
-    s: float = 0.0
-
-
-@dataclass(frozen=True)
-class ExponentialWeight:
-    """Weight e^{sign * beta |k|} inside the squared sum; beta is fixed per experiment."""
-    beta: float
-    sign: int = +1
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-WeightSpec = PolynomialWeight | ExponentialWeight
 
 
 def _span(mask: np.ndarray, reach: int = 0) -> slice:
@@ -143,15 +116,15 @@ def vector_field(y: np.ndarray, V: PotentialSpec, eps: float) -> np.ndarray:
     return out
 
 
-def _site_factors(weight: PolynomialWeight, ks: np.ndarray) -> np.ndarray:
-    return (1.0 + ks.astype(float) ** 2) ** (weight.s / 2.0)
+def _site_factors(s: float, ks: np.ndarray) -> np.ndarray:
+    """The weight <k>^s = (1 + k^2)^(s/2) at the sites ks."""
+    return (1.0 + ks.astype(float) ** 2) ** (s / 2.0)
 
 
-def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) -> float:
-    """Norm of the pair (p, q): l^r with polynomial weight, or the exponential l^2 form.
+def norm(state: LatticeState, r_exp: float, s: float | None = None) -> float:
+    """l^r norm of the pair (p, q), weighted by <k>^s unless s is None.
 
-    The direct sum convention is (|p|_r^r + |q|_r^r)^(1/r); exponential weights
-    always use the squared form (sum over both components).  An integral r is
+    The direct sum convention is (|p|_r^r + |q|_r^r)^(1/r).  An integral r is
     raised by a chain of multiplications.  For r > 2 the chain runs only on
     the smallest slice holding every entry at or above tiny^(1/r), tiny the
     smallest normal double: below it the r-th power is subnormal, adds less
@@ -159,14 +132,11 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
     r <= 2 the chain has at most one product, which costs no more than the
     scan that finds the slice.  A fractional r is raised by ``**``.
     """
-    if isinstance(weight, ExponentialWeight):
-        w = np.exp(weight.sign * weight.beta * np.abs(state.sites()))
-        return float(np.sqrt(np.sum(w * (state.p ** 2 + state.q ** 2))))
     if r_exp < 1:
         raise ValueError("r_exp must be >= 1")
     xs = (np.abs(state.p), np.abs(state.q))
-    if weight is not None:
-        wf = _site_factors(weight, state.sites())
+    if s is not None:
+        wf = _site_factors(s, state.sites())
         xs = (xs[0] * wf, xs[1] * wf)
     if np.isinf(r_exp):
         return float(max(np.max(x, initial=0.0) for x in xs))
@@ -174,10 +144,10 @@ def norm(state: LatticeState, r_exp: float, weight: WeightSpec | None = None) ->
         if r_exp > 2:
             cut = np.finfo(float).tiny ** (1.0 / r_exp)
             xs = tuple(x[_span(x >= cut)] for x in xs)
-        s = sum(np.sum(_power(x, int(r_exp))) for x in xs)
+        total = sum(np.sum(_power(x, int(r_exp))) for x in xs)
     else:
-        s = sum(np.sum(x ** r_exp) for x in xs)
-    return float(s ** (1.0 / r_exp))
+        total = sum(np.sum(x ** r_exp) for x in xs)
+    return float(total ** (1.0 / r_exp))
 
 
 class SpaceTimeNorm:
@@ -186,7 +156,7 @@ class SpaceTimeNorm:
     A sample at time t brings ``value``, its spatial norm (``norm(x, r)``), and
     ``density``, the per-site p_k^2 + q_k^2.  Every time integral is the
     trapezoid rule over the sample times in the measure eps dt, and the weight
-    is <k>^(-s) = (1 + k^2)^(-s/2), that of ``PolynomialWeight(-s)``:
+    is <k>^(-s) = (1 + k^2)^(-s/2), that of ``norm(x, r, -s)``:
 
     - ``lq()`` = (int value^q eps dt)^(1/q), the L^q_{eps t} l^r norm; the max
       over the samples for q = inf;
@@ -224,7 +194,7 @@ class SpaceTimeNorm:
         return float(self._integral ** (1.0 / self.q_exp))
 
     def weighted_mixed(self, ks: np.ndarray, s: float) -> float:
-        w = _site_factors(PolynomialWeight(-s), ks)
+        w = _site_factors(-s, ks)
         return float(np.max(w * np.sqrt(self._per_site)))
 
 

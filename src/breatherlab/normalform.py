@@ -193,6 +193,8 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
                  n_nodes: int = 16, n_orbit_samples: int = 256,
                  tail_tol: float = 1e-12, beta: float = 1.0) -> NormalFormContext:
     """Grids plus the central-orbit Fourier data shared by all eps."""
+    if n_nodes < 2:
+        raise ValueError(f"the action grid needs at least 2 Chebyshev nodes, got nodes={n_nodes}")
     a, b = I_span
     nodes = cheb_nodes(n_nodes, a, b)
     Dmat = cheb_diff_matrix(n_nodes, a, b)

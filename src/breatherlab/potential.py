@@ -3,8 +3,7 @@
 The on-site potential is a finite polynomial with a high-order zero at the
 origin.  This module provides the potential itself, the action-angle chart
 (action/energy/frequency maps built by turning-point quadrature and tabulated
-on an action grid), the cartesian <-> action-angle conversions, and the
-nonresonance margin used by the continuation and normal-form machinery.
+on an action grid), and the cartesian <-> action-angle conversions.
 
 The chart layer works on arrays: ``_turning_points``, ``_orbit_quadrature``
 and ``sample_orbit`` take an array of energies or actions and treat them all
@@ -570,17 +569,3 @@ def max_action_gradient(chart: ActionAngleChart, I: float) -> float:
     q = np.linspace(_turning_points(V, E, -1), _turning_points(V, E, +1), 2049)
     grad2 = 2.0 * (E - _effective_potential(V, q)) + (q + V.derivative(q)) ** 2
     return float(np.sqrt(np.max(grad2))) / omega0(chart, I)
-
-
-def nonresonance_margin(chart: ActionAngleChart, I_lo: float, I_hi: float,
-                        n_max: int, n_grid: int = 256) -> float:
-    """min over the action grid and 1 <= |n| <= n_max of |omega0(I) - 1/n|."""
-    chart._check_I(I_lo)
-    chart._check_I(I_hi)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    Is = np.linspace(I_lo, I_hi, n_grid)
-    om = chart._omega_spline(Is)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    targets = np.concatenate([1.0 / ns, -1.0 / ns])
-    return float(np.min(np.abs(om[:, None] - targets[None, :])))

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dst
 
-from .lattice import (LatticeState, PolynomialWeight, SpaceTimeNorm, WeightSpec,
-                      _site_factors, check_skew, norm)
+from .lattice import LatticeState, SpaceTimeNorm, _site_factors, check_skew, norm
 from .potential import gauss_legendre
 
 
@@ -98,11 +97,11 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def measure_decay(state: LatticeState, eps: float, r_exp: float,
-                  weight: WeightSpec | None = None,
+def measure_decay(state: LatticeState, eps: float, r_exp: float, s: float | None = None,
                   window: tuple[float, float] = (10.0, 300.0),
                   n_samples: int = 30) -> DecayFit:
-    """Fit the slope of log ||S(t) xi|| against log(eps t) over the window.
+    """Fit the slope of log ||S(t) xi|| against log(eps t) over the window, the
+    norm ``norm(., r_exp, s)``.
 
     Needs 0 < lo < hi and at least two samples (ValueError otherwise), and
     rejects windows whose final time exceeds the boundary-safe horizon
@@ -125,7 +124,7 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float,
     ph, qh = _sine_spectrum(state)
     for i, t in enumerate(ets / eps):
         moved = _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
-        vals[i] = norm(moved, r_exp, weight)
+        vals[i] = norm(moved, r_exp, s)
     slope, intercept = np.polyfit(np.log(ets), np.log(vals), 1)
     return DecayFit(float(slope), float(intercept), ets, vals, window)
 
@@ -290,13 +289,13 @@ def sp_temp_check(times: np.ndarray, states: list[LatticeState], s: float,
     if s <= s_prime + 0.5:
         raise ValueError("need s > s' + 1/2")
     ks = states[0].sites()
-    w_s = _site_factors(PolynomialWeight(-s), ks)
+    w_s = _site_factors(-s, ks)
     acc = SpaceTimeNorm(eps, 2.0)
     for t, st in zip(times, states):
         density = st.p ** 2 + st.q ** 2
         acc.add(float(t), float(np.max(w_s * np.sqrt(density))), density)
     lhs, rhs = acc.lq(), acc.weighted_mixed(ks, s_prime)
-    const = float(np.sum(_site_factors(PolynomialWeight(-2.0 * (s - s_prime)), ks)))
+    const = float(np.sum(_site_factors(-2.0 * (s - s_prime), ks)))
     if rhs == 0.0:
         return lhs == 0.0, 0.0, const
     return bool(lhs <= np.sqrt(const) * rhs + 1e-12), float(lhs / rhs), const

@@ -3,17 +3,17 @@ import pytest
 
 from breatherlab import breather as br
 from breatherlab import integrate as tint
-from breatherlab.breather import (anti_continuum_seed, continue_breather,
-                                  distance_to_unperturbed, floquet_spectrum,
-                                  localization_rate, monodromy, orbit_defect)
+from breatherlab.breather import (continue_breather, floquet_spectrum, localization_rate,
+                                  monodromy, orbit_defect)
 from breatherlab.lattice import LatticeState, norm, vector_field
-from breatherlab.potential import (PotentialSpec, build_chart, h0_of_action, nonresonance_margin,
-                                   omega0, period_of_energy)
+from breatherlab.potential import (PotentialSpec, build_chart, h0_of_action, omega0,
+                                   period_of_energy, sample_orbit)
 
 
 @pytest.fixture(scope="module")
 def seed(chart8):
-    return anti_continuum_seed(chart8, 0.4, N=24)
+    """The eps = 0 member: the anti-continuum breather, site 0 alone on its orbit."""
+    return continue_breather(chart8, [0.4], 0.0, 24)[0]
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +25,13 @@ def test_seed_structure(seed, chart8, V8):
     x = seed.x0
     ks = x.sites()
     off = ks != 0
-    assert np.all(x.q[off] == 0.0) and np.all(x.p[off] == 0.0)
+    assert np.all(seed.orbit[:, :, off] == 0.0)
     assert x.p[x.index(0)] == 0.0
+    # site 0 is the uncoupled oscillator's orbit at every phase, flowed by DOP853
+    # at a tolerance below the bound
+    _, p, q = sample_orbit(chart8, 0.4, 64, rtol=1e-13)
+    assert np.max(np.abs(seed.orbit[0, :, x.index(0)] - p)) < 1e-12
+    assert np.max(np.abs(seed.orbit[1, :, x.index(0)] - q)) < 1e-12
     assert seed.period == pytest.approx(2 * np.pi / omega0(chart8, 0.4), rel=1e-12)
     # period from the independent quadrature
     E = h0_of_action(chart8, 0.4)
@@ -35,16 +40,13 @@ def test_seed_structure(seed, chart8, V8):
     assert orbit_defect(x, V8, 0.0, seed.period) < 1e-11
 
 
-def test_harmonic_seed_is_resonant(chart0):
-    s = anti_continuum_seed(chart0, 0.4, N=8)
-    assert nonresonance_margin(chart0, 0.35, 0.45, 4) == pytest.approx(0.0, abs=1e-12)
-    assert s.period == pytest.approx(2 * np.pi)
-
-
 def test_continue_to_zero_returns_seed(seed, chart8):
-    b, = continue_breather(chart8, [0.4], 0.0, 24)
-    assert b.defect < 1e-11
-    assert norm(b.x0 - seed.x0, 2) < 1e-12
+    # the member at eps = 0 closes, and its section is the uncoupled oscillator's
+    # turning point on site 0 with every other site at rest
+    assert seed.defect < 1e-11
+    x = LatticeState.zeros(24)
+    x.q[x.index(0)] = sample_orbit(chart8, 0.4, 1)[2][0]
+    assert norm(seed.x0 - x, 2) < 1e-12
 
 
 def test_continuation_converges(breather005, V8):
@@ -93,28 +95,6 @@ def test_localization_strengthens_as_coupling_shrinks(chart8):
 def test_localization_degenerate_at_zero(seed):
     beta, _ = localization_rate(seed.orbit)
     assert np.isinf(beta)
-
-
-def test_distance_to_unperturbed_zero_coupling(seed, chart8):
-    assert distance_to_unperturbed(seed, chart8) < 1e-10
-
-
-def test_distance_scaling(chart8):
-    # the distance tracks sqrt(eps) within a factor 2 per eps-doubling (the
-    # measured scaling is slightly above linear in eps, i.e. well inside the
-    # sqrt(eps) bound, so the ratio drifts downward as eps shrinks)
-    ratios = []
-    for eps in (0.02, 0.04, 0.08):
-        b, = continue_breather(chart8, [0.4], eps, 24)
-        ratios.append(distance_to_unperturbed(b, chart8) / np.sqrt(eps))
-    for lo, hi in zip(ratios, ratios[1:]):
-        assert 0.5 < hi / lo < 2.0
-
-
-def test_distance_finite_in_plus_weight_below_localization(breather005, chart8):
-    beta_hat = breather005.beta_hat
-    d = distance_to_unperturbed(breather005, chart8, beta=min(1.0, 0.5 * beta_hat))
-    assert np.isfinite(d)
 
 
 def test_floquet_uncoupled(seed, V8):

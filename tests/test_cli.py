@@ -85,7 +85,13 @@ def no_family(chart, config):
      r"tol=1e-16"),
     (["stability"], "mu = 0.001\nT = 1.0\nN = 64\n", no_family,
      r"stability: member I=0\.38: full-period return defect 1e-10"),
-], ids=["breather-find", "stability"])
+    # three sites hold no localization fit
+    (["breather", "find"], "N = 1\n", None,
+     r"breather: fewer than 3 sites above the amplitude floor"),
+    # the central orbit needs more than 4 Fourier modes
+    (["normal-form"], "M = 4\n", None,
+     r"normal-form: central orbit Fourier tail 1\.54e-03 beyond \|n\|=4 at I=0\.32\d*"),
+], ids=["breather-find", "stability", "breather-find-one-site", "normal-form-fourier-tail"])
 def test_continuation_error_ends_with_one_line_and_exit_1(tmp_path, capsys, monkeypatch,
                                                           command, text, patch, line):
     if patch is not None:

@@ -1,11 +1,13 @@
 """Source hygiene: every module of the package uses each name it imports and holds
 no assert statement, every top-level function and class of the package and every
-method of its classes is used somewhere, every defaulted parameter of them is
-passed by some call, and every function the benchmark's tracer wraps is still
-where the tracer looks it up."""
+method of its classes is used somewhere, the ones only tests use are each listed
+with the reason they stay, every defaulted parameter of them is passed by some
+call, and every function the benchmark's tracer wraps is still where the tracer
+looks it up."""
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,17 +56,17 @@ def names_read(source: str, strings: bool = False) -> set[str]:
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level function and class, and of each
-    method of a top-level class other than a dunder."""
+    """(qualified name, name, node) of each top-level function and class, and of
+    each method of a top-level class other than a dunder."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node.name, node.name
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def unused_definitions(package: dict[str, str], readers: list[str],
@@ -74,7 +76,7 @@ def unused_definitions(package: dict[str, str], readers: list[str],
     used = set().union(*(names_read(src) for src in [*package.values(), *readers]),
                        *(names_read(src, strings=True) for src in string_readers))
     return [f"{module}.{qualified}" for module, src in package.items()
-            for qualified, name in definitions(ast.parse(src)) if name not in used]
+            for qualified, name, _ in definitions(ast.parse(src)) if name not in used]
 
 
 def test_checker_flags_an_unused_definition():
@@ -95,6 +97,59 @@ def test_package_defines_nothing_unused():
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unused_definitions(package, tests, bench) == []
+
+
+def read_counts(node: ast.AST) -> Counter:
+    """How often each Name id and Attribute attr is read under the node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def read_only_by_tests(package: dict[str, str], string_readers: list[str]) -> list[str]:
+    """Definitions of the package (module name -> source) that no package module reads
+    outside the definition's own body, and no string reader reads or spells: what is
+    left for the tests to call."""
+    trees = {module: ast.parse(src) for module, src in package.items()}
+    reads = sum((read_counts(tree) for tree in trees.values()), Counter())
+    outside = set().union(*(names_read(src, strings=True) for src in string_readers))
+    return [f"{module}.{qualified}" for module, tree in trees.items()
+            for qualified, name, node in definitions(tree)
+            if name not in outside and reads[name] == read_counts(node)[name]]
+
+
+def test_checker_flags_a_definition_only_tests_read():
+    package = {"a": "def helper():\n    pass\n\ndef recursive(n):\n    return recursive(n)\n\n"
+                    "def tested():\n    helper()\n\nclass Kept:\n    def run(self):\n"
+                    "        return self.step()\n\n    def step(self):\n        return Kept()\n",
+               "b": "def by_bench():\n    pass\n\ndef by_name():\n    pass\n"}
+    bench = ["import b\nb.by_bench()\nTARGETS = ['by_name']\n"]
+    assert read_only_by_tests(package, bench) == [
+        "a.recursive", "a.tested", "a.Kept", "a.Kept.run"]
+
+
+# each definition that only tests read, and why it stays (items of ROADMAP.md)
+TEST_ONLY = {
+    "breather.floquet_spectrum": "items 3 and 9: the window guard's and the Evans search's check",
+    "propagator.sp_temp_check": "item 4: the Kato-smoothing check of the run record",
+    "normalform.flow_generator": "item 7: the normal-form breather against the Newton one",
+    "normalform.invariant_manifold_check": "item 7",
+    "normalform.nf_point_to_state": "item 7",
+    "normalform.state_to_nf_point": "item 7",
+    "normalform.GradedHamiltonian.d_I": "the oracle of the Lie-series tests",
+    "normalform.GradedHamiltonian.d_alpha": "the oracle of the Lie-series tests",
+    "integrate.flow": "a public helper",
+    "csvio.read_state": "a public helper",
+    "lattice.LatticeState.scaled": "a public helper",
+    "potential.PotentialSpec.monomial": "a public helper",
+    "potential.PotentialSpec.zero": "a public helper",
+}
+
+
+def test_package_keeps_test_only_code_for_a_stated_reason():
+    # a definition that only tests call is either on the list, with its reason, or dead
+    package = {p.stem: p.read_text() for p in MODULES}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert sorted(read_only_by_tests(package, bench)) == sorted(TEST_ONLY)
 
 
 def defaulted_parameters(tree: ast.Module):

@@ -3,8 +3,7 @@ import pytest
 
 from breatherlab import lattice
 from breatherlab.csvio import read_state, write_table
-from breatherlab.lattice import (ExponentialWeight, LatticeState, PolynomialWeight,
-                                 hamiltonian, norm, vector_field)
+from breatherlab.lattice import LatticeState, hamiltonian, norm, vector_field
 from breatherlab.potential import PotentialSpec
 
 
@@ -99,14 +98,7 @@ def test_norm_unit_impulse_polynomial():
     s = LatticeState.zeros(5)
     s.q[s.index(0)] = 1.0
     for r in (1.0, 2.0, np.inf):
-        assert norm(s, r, PolynomialWeight(3.0)) == pytest.approx(1.0)
-
-
-def test_norm_unit_impulse_exponential():
-    s = LatticeState.zeros(5)
-    s.q[s.index(1)] = 1.0
-    beta = 0.7
-    assert norm(s, 2, ExponentialWeight(beta, +1)) == pytest.approx(np.exp(beta / 2))
+        assert norm(s, r, 3.0) == pytest.approx(1.0)
 
 
 def test_norm_matches_direct_sum(rng):
@@ -114,7 +106,7 @@ def test_norm_matches_direct_sum(rng):
     ks = s.sites().astype(float)
     w = (1.0 + ks ** 2) ** 3.0  # (rs with r=2, s=3)
     expected = np.sqrt(np.sum(w * np.abs(s.p) ** 2) + np.sum(w * np.abs(s.q) ** 2))
-    assert norm(s, 2, PolynomialWeight(3.0)) == pytest.approx(expected, rel=1e-12)
+    assert norm(s, 2, 3.0) == pytest.approx(expected, rel=1e-12)
 
 
 def _pow_formula_norm(s, r, wf):
@@ -135,10 +127,10 @@ def test_integral_r_by_multiplication_matches_float_power(rng):
     assert norm(s, 14) == pytest.approx(_pow_formula_norm(s, 14.0, ones), rel=1e-14)
     wf = (1.0 + ks.astype(float) ** 2) ** 1.5
     for r in (1, 2, np.inf, 14):
-        assert norm(s, r, PolynomialWeight(0.0)) == norm(s, r)
+        assert norm(s, r, 0.0) == norm(s, r)
     for r in (1, 2, np.inf):
         assert norm(s, r) == _pow_formula_norm(s, r, ones)
-        assert norm(s, r, PolynomialWeight(3.0)) == _pow_formula_norm(s, r, wf)
+        assert norm(s, r, 3.0) == _pow_formula_norm(s, r, wf)
     assert norm(s, 2.5) == _pow_formula_norm(s, 2.5, ones)
 
 
@@ -172,24 +164,6 @@ def test_lr_monotonicity(rng):
     assert norm(s, 2.0) <= norm(s, 1.0) + 1e-12
 
 
-def test_embedding_chain(rng):
-    beta = 0.5
-    N = 16
-    n_sites = 2 * N + 1
-    # || . ||_- <= C1 || . ||_{l^r} and || . ||_{l^r} <= C2 || . ||_+
-    ks = np.arange(-N, N + 1).astype(float)
-    C1 = np.sqrt(np.sum(np.exp(-beta * np.abs(ks))))
-    for r in (2.0, 7.0, np.inf):
-        C2 = 1.0 if np.isinf(r) else (2 * n_sites) ** (1.0 / r)
-        for _ in range(20):
-            s = random_state(rng, N=N)
-            n_minus = norm(s, 2, ExponentialWeight(beta, -1))
-            n_plus = norm(s, 2, ExponentialWeight(beta, +1))
-            n_r = norm(s, r)
-            assert n_minus <= np.sqrt(2) * C1 * n_r + 1e-12
-            assert n_r <= C2 * n_plus + 1e-12
-
-
 def test_csv_round_trip(tmp_path, rng):
     path = tmp_path / "state.csv"
 
@@ -206,6 +180,7 @@ def test_csv_round_trip(tmp_path, rng):
     t = random_state(rng, N=4)
     write(t.sites()[t.sites() != 0], t, comment="transverse part")
     assert path.read_text().startswith("# transverse part\nk,p_k,q_k\n")
-    t2, xi = read_state(path), t.transverse()
+    t2, xi = read_state(path), t.copy()
+    xi.p[t.N] = xi.q[t.N] = 0.0
     assert t2.N == t.N and t2.p[t.N] == t2.q[t.N] == 0.0
     assert np.array_equal(t2.p, xi.p) and np.array_equal(t2.q, xi.q)

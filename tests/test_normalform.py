@@ -1,5 +1,6 @@
 import collections
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -649,3 +650,11 @@ def test_make_context_names_the_first_action_with_a_long_fourier_tail(chart4, V4
     with pytest.raises(normalform.FourierTailError) as err:
         make_context(chart4, V4, N=2, D=2, M=2, n_nodes=4, tail_tol=1e-300)
     assert f"at I={cheb_nodes(4, 0.3, 0.5)[0]}" in str(err.value)
+
+
+def test_make_context_rejects_one_node_before_dividing_by_zero(chart4, V4):
+    # one Chebyshev-Gauss-Lobatto node would put n - 1 = 0 under cos(pi k / (n - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="at least 2 Chebyshev nodes, got nodes=1"):
+            make_context(chart4, V4, N=2, D=2, M=8, n_nodes=1)

@@ -6,8 +6,8 @@ import pytest
 from breatherlab.potential import (ChartRangeError, LevelSetError, PotentialSpec,
                                    _NODE_COUNTS, _orbit_quadrature, _turning_points, action_of_energy,
                                    build_chart, from_cartesian, gauss_legendre,
-                                   h0_of_action, max_action_gradient, nonresonance_margin,
-                                   omega0, period_of_energy, sample_orbit, to_cartesian)
+                                   h0_of_action, max_action_gradient, omega0, period_of_energy,
+                                   sample_orbit, to_cartesian)
 
 
 def test_eval_potential_zero_of_order_eight(V8):
@@ -209,24 +209,6 @@ def test_chart_range_errors(chart8):
         h0_of_action(chart8, 0.9)
     with pytest.raises(ChartRangeError):
         from_cartesian(chart8, 0.0, 5.0)
-
-
-def test_nonresonance_harmonic_is_resonant(chart0):
-    assert nonresonance_margin(chart0, 0.1, 0.7, 8) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_nonresonance_margin_positive_interval(chart8):
-    margin = nonresonance_margin(chart8, 0.3, 0.6, 64, n_grid=256)
-    dense = nonresonance_margin(chart8, 0.3, 0.6, 64, n_grid=1024)
-    assert margin > 0
-    assert margin == pytest.approx(dense, rel=1e-3)
-    # hard potential: omega > 1, so the margin is omega(I_lo) - 1
-    assert margin == pytest.approx(omega0(chart8, 0.3) - 1.0, rel=1e-6)
-
-
-def test_nonresonance_margin_vanishes_at_small_action(V8):
-    chart = build_chart(V8, 1e-4, 0.1, n_grid=64)
-    assert nonresonance_margin(chart, 1e-4, 1e-3, 4) < 1e-2
 
 
 def test_max_action_gradient_matches_orbit_samples(chart8, V8):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from breatherlab.integrate import flow
-from breatherlab.lattice import LatticeState, PolynomialWeight, SpaceTimeNorm, hamiltonian, norm
+from breatherlab.lattice import LatticeState, SpaceTimeNorm, hamiltonian, norm
 from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
                                     _osc_on_rho_grid, dispersion_frequency,
                                     forced_evolution, measure_decay, phase_intervals,
@@ -138,7 +138,7 @@ def test_sup_norm_decay_slope(rng):
 
 def test_weighted_decay_slope(rng):
     s = skew_state(rng, 2048, 3)
-    fit = measure_decay(s, 0.1, 2.0, PolynomialWeight(-3.0), window=(5.0, 80.0),
+    fit = measure_decay(s, 0.1, 2.0, -3.0, window=(5.0, 80.0),
                         n_samples=20)
     assert -1.75 < fit.slope < -1.25
 
