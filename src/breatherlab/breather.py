@@ -154,16 +154,20 @@ def continue_breather(chart: ActionAngleChart, I_values, eps: float, N: int,
     one harmonic-balance Newton, each with its orbit at n_phases phases.
 
     Raises ValueError, before any Newton step, for a member whose omega0(I) is
-    not above the phonon band's top sqrt(1 + 4 eps), and ContinuationError,
-    naming the member, when its top harmonic is not below 1e-13 of its largest
-    or its return defect is not below tol.
+    not above the phonon band's top sqrt(1 + 4 eps) by more than 4 roundings,
+    ContinuationError, naming the member, when its top harmonic is not below
+    1e-13 of its largest or its return defect is not below tol, and
+    LocalizationError, naming the member and eps, when 1 or 2 sites besides
+    site 0 rise above 1e-13.
     """
     V = chart.potential
     I_values = [float(I) for I in I_values]
     omega = np.array([omega0(chart, I) for I in I_values])
     edge = np.sqrt(1.0 + 4.0 * eps)
     for I, w in zip(I_values, omega):
-        if w <= edge:
+        # within the few roundings of the chart's omega0 the member is at the band top:
+        # the harmonic oscillator's omega0 = 1 reads 1 + 2^-52, above the top 1 at eps = 0
+        if w <= edge * (1.0 + 4.0 * np.finfo(float).eps):
             raise ValueError(
                 f"member I={I:g} has omega0(I)={w:.6g}, in the phonon band, whose top is sqrt(1 + "
                 f"4 eps)={edge:.6g} at eps={eps:g}: no localized orbit has that frequency")
@@ -185,7 +189,10 @@ def continue_breather(chart: ActionAngleChart, I_values, eps: float, N: int,
         if defect >= tol:
             raise ContinuationError(f"member I={I:g}: full-period return defect {defect:.3e} "
                                     f"at eps={eps:g} is not below tol={tol:g}")
-        beta_hat, resid = localization_rate(orbit)
+        try:
+            beta_hat, resid = localization_rate(orbit)
+        except LocalizationError as exc:
+            raise LocalizationError(f"{exc}, in member I={I:g} at eps={eps:g}") from None
         breathers.append(Breather(I, eps, T, x0, orbit, beta_hat, resid, defect, n, coeffs))
     return breathers
 
@@ -206,10 +213,12 @@ def localization_rate(orbit: np.ndarray) -> tuple[float, float]:
     amp = np.max(np.abs(orbit[0]) + np.abs(orbit[1]), axis=0)
     ks = np.arange(amp.size) - amp.size // 2
     mask = (np.abs(ks) >= 1) & (amp > 1e-13)
-    if np.count_nonzero(mask) == 0:
+    count = np.count_nonzero(mask)
+    if count == 0:
         return np.inf, 0.0
-    if np.count_nonzero(mask) < 3:
-        raise LocalizationError("fewer than 3 sites above the amplitude floor")
+    if count < 3:
+        raise LocalizationError(f"fewer than 3 sites above the amplitude floor: {count} of the "
+                                f"sites k != 0 above 1e-13")
     xs = np.abs(ks[mask]).astype(float)
     ys = np.log(amp[mask])
     slope, intercept = np.polyfit(xs, ys, 1)

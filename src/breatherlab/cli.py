@@ -140,8 +140,8 @@ def cmd_propagate(cfg, out_dir, seed) -> bool:
 
 
 def cmd_decay_fit(cfg, out_dir, seed) -> bool:
-    # N + 1 = 2^13: the DST-I of N points is a transform of length 2(N + 1),
-    # which pocketfft runs without its Bluestein path (12x faster than N = 8192)
+    # N only sets the boundary guard t < N/2; the transforms run on the sites the
+    # datum can reach by the window's end (propagator._cone), whatever N is
     N = int(cfg.get("N", 8191))
     eps = float(cfg.get("eps", 0.1))
     window = (float(cfg.get("window_lo", 10.0)), float(cfg.get("window_hi", 300.0)))

@@ -8,6 +8,15 @@ are sin(pi j k / (N+1)) with frequencies nu(pi j / (N+1)), j = 1..N, and the
 orthonormal type-1 DST, its own inverse, maps onto them: ``_sine_spectrum``
 and ``_from_spectrum`` are the one pair of transforms every propagation uses.
 
+The pair runs on the light cone: a Dirichlet chain of the M <= N sites that
+``_cone`` finds the flow can reach, with exact zeros past it.  Data supported
+on k <= K reach site K + r only through r hops of the coupling, so with
+omega = sqrt(1 + 2 eps) and x = 2 eps t / omega, the cut chain's S(tau) differs
+from the full chain's by at most (omega / 2) sum_{n > M - K} x^n / n! of the
+datum's l^2 norm for every |tau| <= t.  M is the shortest cut at which that is
+below 2^-104, rounded up to a fast transform length; data that fill the chain
+keep M = N.
+
 Also here: the dispersion relation nu(theta) = sqrt(1 + 4 eps sin^2(theta/2)),
 stationary-phase interval splitting and slope measurement, the lattice
 resolvent kernel with its limiting boundary values, and the space-time
@@ -18,12 +27,14 @@ themselves are ``lattice.SpaceTimeNorm``, which states their one convention.
 from __future__ import annotations
 
 import cmath
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, next_fast_len
 
-from .lattice import LatticeState, SpaceTimeNorm, _site_factors, check_skew, norm
+from .lattice import LatticeState, SpaceTimeNorm, _site_factors, _span, check_skew, norm
 from .potential import gauss_legendre
 
 
@@ -41,32 +52,87 @@ def dispersion_frequency(eps: float, theta):
 
 
 # ---------------------------------------------------------------------------
-# the Dirichlet half chain's sine basis
+# the Dirichlet half chain's sine basis, cut to the light cone
+
+# share of the datum's l^2 norm that the flow on the cut chain may miss
+_CUT_LOG_TOL = -104.0 * math.log(2.0)
+
+
+def _cone(states: list[LatticeState], eps: float, t: float) -> int:
+    """Number M <= N of half-chain sites that S(tau) of the states reaches for |tau| <= t.
+
+    K is the last half-chain site where some state's p or q is nonzero, and |x|
+    is a state's l^2 norm.  The bound, with omega = sqrt(1 + 2 eps) and
+    T_n(y) = sum_{m >= n} y^m / m!:
+
+    - In the norm |(p, omega q)| the on-site flow q'' = -omega^2 q is an
+      isometry, and the hopping p' += eps (q_{k-1} + q_{k+1}) has norm at most
+      2 eps / omega.  Each term of the Dyson series in the hopping moves the
+      support by one site, so on a chain of M sites
+      |q_M(s)| <= T_{M-K}(2 eps s / omega) |x|.
+    - The chain of M sites misses a longer one's field only by the force
+      eps q_M on p_{M+1}.  The longer chain carries that force with its energy
+      |p|^2 + <q, B q> >= |p|^2 + |q|^2, so by Duhamel's formula the two flows
+      differ by at most eps int_0^|tau| T_{M-K}(2 eps s / omega) ds |x|
+      = (omega / 2) T_{M-K+1}(2 eps |tau| / omega) |x|.
+
+    With T_n(y) <= y^n / n! / (1 - y / (n + 1)) for n + 1 > y, the smallest n at
+    which (omega / 2) T_n is below 2^-104 sets M = K + n - 1.  M is then rounded
+    up so that the DST's transform length 2 (M + 1) is fast, and cut to N.
+
+    ValueError for a non-finite eps, a negative one, or a non-finite t.
+    """
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"the coupling must be finite and at least 0, got eps={eps!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"the time must be finite, got t={t!r}")
+    N = states[0].N
+    K = max(_span((st.p[N + 1:] != 0.0) | (st.q[N + 1:] != 0.0)).stop for st in states)
+    omega = math.sqrt(1.0 + 2.0 * eps)
+    x = 2.0 * eps * abs(t) / omega
+    n = 1
+    if x > 0.0:
+        def below(n):
+            return (math.log(0.5 * omega) + n * math.log(x) - math.lgamma(n + 1.0)
+                    - math.log1p(-x / (n + 1.0))) <= _CUT_LOG_TOL
+
+        # below(n) holds from n = e^2 x + 73 + ln(omega) on, where x^n / n! <= e^-n
+        top = math.ceil(math.e ** 2 * x + 73.0 + math.log(omega))
+        n = bisect_left(range(top), True, lo=math.floor(x) + 1, key=below)
+    return min(N, next_fast_len(max(K + n, 2)) - 1)
+
 
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal type-1 DST along the last axis: the sine basis, its own inverse."""
     return dst(x, type=1, norm="ortho", axis=-1)
 
 
-def _sine_frequencies(N: int, eps: float) -> np.ndarray:
-    """nu_j = nu(pi j / (N+1)) of the Dirichlet modes sin(pi j k / (N+1)), j = 1..N."""
-    return dispersion_frequency(eps, np.pi * np.arange(1, N + 1) / (N + 1))
+def _sine_frequencies(M: int, eps: float) -> np.ndarray:
+    """nu_j = nu(pi j / (M+1)) of the Dirichlet modes sin(pi j k / (M+1)), j = 1..M."""
+    return dispersion_frequency(eps, np.pi * np.arange(1, M + 1) / (M + 1))
 
 
-def _sine_spectrum(state: LatticeState) -> np.ndarray:
-    """(p_hat, q_hat), shape (2, N): the half chain k = 1..N of a skew state in the sine basis.
+def _sine_spectrum(state: LatticeState, M: int) -> np.ndarray:
+    """(p_hat, q_hat), shape (2, M): the sites k = 1..M of a skew state in the sine
+    basis of the Dirichlet chain of M sites.
 
     ValueError unless the state is skew-symmetric to 1e-12 of its l^2 norm.
     """
     if not check_skew(state, tol=1e-12 * max(1.0, norm(state, 2))):
         raise ValueError("datum is not skew-symmetric")
-    return _dst1(np.stack((state.p[state.N + 1:], state.q[state.N + 1:])))
+    N = state.N
+    return _dst1(np.stack((state.p[N + 1:N + 1 + M], state.q[N + 1:N + 1 + M])))
 
 
 def _from_spectrum(N: int, ph: np.ndarray, qh: np.ndarray) -> LatticeState:
-    """The skew whole-chain state whose half chain has the sine coefficients (ph, qh)."""
-    p, q = _dst1(np.stack((ph, qh)))
-    return LatticeState(N, *(np.concatenate((-x[::-1], [0.0], x)) for x in (p, q)))
+    """The skew state on the sites -N..N whose sites k = 1..M have the sine
+    coefficients (ph, qh) of the Dirichlet chain of M sites, and 0 past them."""
+    M = ph.size
+    half = _dst1(np.stack((ph, qh)))
+    whole = np.zeros((2, 2 * N + 1))
+    whole[:, N + 1:N + 1 + M] = half
+    whole[:, N - M:N] = -half[:, ::-1]
+    return LatticeState(N, *whole)
 
 
 def _rotate(ph, qh, nu, c, s):
@@ -78,10 +144,12 @@ def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeS
     """Closed-form flow of the uniform linear chain on skew-symmetric data.
 
     q_hat(t) = q_hat0 cos(nu t) + p_hat0 sin(nu t)/nu and
-    p_hat(t) = p_hat0 cos(nu t) - q_hat0 nu sin(nu t).
+    p_hat(t) = p_hat0 cos(nu t) - q_hat0 nu sin(nu t), on the ``_cone`` cut.
+    ValueError for a non-finite eps, a negative one, or a non-finite t.
     """
-    nu = _sine_frequencies(state.N, eps)
-    ph, qh = _sine_spectrum(state)
+    M = _cone([state], eps, t)
+    nu = _sine_frequencies(M, eps)
+    ph, qh = _sine_spectrum(state, M)
     return _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
 
 
@@ -103,16 +171,20 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float, s: float | None
     """Fit the slope of log ||S(t) xi|| against log(eps t) over the window, the
     norm ``norm(., r_exp, s)``.
 
-    Needs 0 < lo < hi and at least two samples (ValueError otherwise), and
-    rejects windows whose final time exceeds the boundary-safe horizon
-    t < N/2 (conservative group-velocity guard).  The datum is transformed to
-    the sine basis once; each sample is one rotation and one inverse transform.
+    Needs 0 < lo < hi, at least two samples and a finite eps > 0 (ValueError
+    otherwise), and rejects windows whose final time exceeds the boundary-safe
+    horizon t < N/2 (conservative group-velocity guard).  The datum is
+    transformed once, on the ``_cone`` cut for t up to the window's end; each
+    sample is one rotation and one inverse transform on that cut.
     """
     lo, hi = window
     if not 0 < lo < hi:
         raise ValueError(f"the decay window needs 0 < lo < hi, got {lo:g}..{hi:g}")
     if n_samples < 2:
         raise ValueError(f"a slope needs at least 2 samples, got n_samples={n_samples}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"the decay window is in eps t, so eps must be finite and positive, "
+                         f"got eps={eps!r}")
     t_max = hi / eps
     if t_max >= state.N / 2:
         raise BoundaryWindowError(
@@ -120,8 +192,9 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float, s: float | None
         )
     ets = np.geomspace(lo, hi, n_samples)
     vals = np.empty(n_samples)
-    nu = _sine_frequencies(state.N, eps)
-    ph, qh = _sine_spectrum(state)
+    M = _cone([state], eps, t_max)
+    nu = _sine_frequencies(M, eps)
+    ph, qh = _sine_spectrum(state, M)
     for i, t in enumerate(ets / eps):
         moved = _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
         vals[i] = norm(moved, r_exp, s)
@@ -306,22 +379,26 @@ def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
     """u(t_i) = integral_{t_0}^{t_i} S(t_i - tau) F(tau) d tau by trapezoid in tau.
 
     On the uniform grid of step h the trapezoid sum obeys
-    u_i = S(h) (u_{i-1} + (h/2) F_{i-1}) + (h/2) F_i, carried in the sine basis:
-    one forward and one inverse transform per sample, one rotation S(h) whose
-    cos and sin are computed once, and working memory O(N) beyond the returned
-    states.  Forcing samples must be skew-symmetric whole-chain states on a
-    uniform time grid (ValueError otherwise); the first sample's state is zero.
+    u_i = S(h) (u_{i-1} + (h/2) F_{i-1}) + (h/2) F_i, carried in the sine basis
+    of the ``_cone`` cut for the union of the forcing supports over the grid's
+    span: one forward and one inverse transform per sample, one rotation S(h)
+    whose cos and sin are computed once, and working memory O(cut) beyond the
+    returned states.  Forcing samples must be skew-symmetric whole-chain states
+    on a uniform time grid (ValueError otherwise); the first sample's state is
+    zero.  ValueError for a non-finite eps, a negative one, or a non-finite span
+    t_last - t_0.
     """
     times = np.asarray(times, dtype=float)
+    M = _cone(forcing, eps, float(times[-1] - times[0]))
     steps = np.diff(times)
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("forced_evolution needs a uniform time grid")
     N, h = forcing[0].N, (steps[0] if steps.size else 0.0)
-    nu = _sine_frequencies(N, eps)
+    nu = _sine_frequencies(M, eps)
     c, s = np.cos(nu * h), np.sin(nu * h)
-    u, prev, out = np.zeros((2, N)), None, []
+    u, prev, out = np.zeros((2, M)), None, []
     for F in forcing:
-        half = (0.5 * h) * _sine_spectrum(F)
+        half = (0.5 * h) * _sine_spectrum(F, M)
         if prev is not None:
             u = np.stack(_rotate(*(u + prev), nu, c, s)) + half
         prev = half

@@ -281,6 +281,27 @@ def test_members_in_the_phonon_band_are_rejected_before_newton(chart8, monkeypat
         continue_breather(chart8, [0.3, 0.18], 0.05, 16)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_harmonic_member_at_eps_0_is_rejected_before_newton(chart0, monkeypatch):
+    # omega0 = 1 at every action, the band's top at eps = 0; the chart reads 1 + 2^-52,
+    # which passed the band check, and Newton ran to NaN after a divide warning
+    def no_solve(*args):
+        raise AssertionError("Newton ran before the band check")
+
+    monkeypatch.setattr(br, "_harmonic_balance", no_solve)
+    with pytest.raises(ValueError, match=r"member I=0.4 has omega0\(I\)=1, in the phonon band, "
+                                         r"whose top is sqrt\(1 \+ 4 eps\)=1 at eps=0"):
+        continue_breather(chart0, [0.4], 0.0, 8)
+
+
+def test_localization_error_names_the_member_and_eps(chart8):
+    # at eps = 1e-9 only sites +-1 rise above 1e-13 on 25 sites
+    with pytest.raises(br.LocalizationError,
+                       match=r"^fewer than 3 sites above the amplitude floor: 2 of the sites "
+                             r"k != 0 above 1e-13, in member I=0.4 at eps=1e-09$"):
+        continue_breather(chart8, [0.4], 1e-9, 12)
+
+
 def test_odd_potential_keeps_every_harmonic():
     V = PotentialSpec(((8, 1.0), (9, 0.5)))
     chart = build_chart(V, 0.3, 0.5, n_grid=64)

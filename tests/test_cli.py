@@ -87,7 +87,8 @@ def no_family(chart, config):
      r"stability: member I=0\.38: full-period return defect 1e-10"),
     # three sites hold no localization fit
     (["breather", "find"], "N = 1\n", None,
-     r"breather: fewer than 3 sites above the amplitude floor"),
+     r"breather: fewer than 3 sites above the amplitude floor: 2 of the sites k != 0 above "
+     r"1e-13, in member I=0\.4 at eps=0\.05"),
     # the central orbit needs more than 4 Fourier modes
     (["normal-form"], "M = 4\n", None,
      r"normal-form: central orbit Fourier tail 1\.54e-03 beyond \|n\|=4 at I=0\.32\d*"),
@@ -152,6 +153,10 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     # reversed, the window sampled up to t = 4500, past the guard N/2 = 4095.5
     (["decay-fit"], "window_lo = 450\nwindow_hi = 10\n", "needs 0 < lo < hi, got 450..10"),
     (["decay-fit"], "n_samples = 1\n", "at least 2 samples, got n_samples=1"),
+    # a negative eps made nu NaN: propagate blamed the datum's symmetry, and decay-fit
+    # printed slope=+nan and FAIL
+    (["propagate"], "eps = -1.0\n", "finite and at least 0, got eps=-1.0"),
+    (["decay-fit"], "eps = -1.0\n", "finite and positive, got eps=-1.0"),
     (["vdc-check"], "lam_count = 1\n", "at least 2 lam values, got 1"),
     (["stability"], "mu = -0.01\n", "so at least 0; got -0.01"),
     # NaN, for which every comparison is false, used to pass each check and
@@ -173,9 +178,9 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     # one node made the Chebyshev grid divide by zero and the chart read I=nan
     (["normal-form"], "nodes = 1\n", "at least 2 Chebyshev nodes, got nodes=1"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
-        "one-decay-sample", "one-lam-value", "negative-mu", "nan-dt", "nan-T", "nan-mu",
-        "nan-eps", "negative-eps", "in-band-breather", "interior-past-the-lattice",
-        "one-chebyshev-node"])
+        "one-decay-sample", "negative-propagate-eps", "negative-decay-eps", "one-lam-value",
+        "negative-mu", "nan-dt", "nan-T", "nan-mu", "nan-eps", "negative-eps", "in-band-breather",
+        "interior-past-the-lattice", "one-chebyshev-node"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.integrate import quad
 
+from breatherlab import propagator
 from breatherlab.integrate import flow
 from breatherlab.lattice import LatticeState, SpaceTimeNorm, hamiltonian, norm
-from breatherlab.propagator import (BoundaryWindowError, SpectralCutError,
+from breatherlab.propagator import (BoundaryWindowError, SpectralCutError, _cone,
                                     _osc_on_rho_grid, dispersion_frequency,
                                     forced_evolution, measure_decay, phase_intervals,
                                     propagate_whole_chain, resolvent_kernel,
@@ -46,6 +50,8 @@ def test_propagation_identity_and_rotation(rng):
     c, si = np.cos(t), np.sin(t)
     assert np.allclose(out.q, c * s.q + si * s.p, atol=1e-13)
     assert np.allclose(out.p, c * s.p - si * s.q, atol=1e-13)
+    # a zero datum reaches no site, and its cut keeps one
+    assert not np.any(propagate_whole_chain(LatticeState.zeros(16), t, 0.0).q)
 
 
 def test_propagation_rejects_non_skew(rng):
@@ -102,6 +108,110 @@ def test_whole_chain_matches_dense_eigensolution(rng):
     p, q = _dense_chain_flow(s.p, s.q, t, eps)
     out = propagate_whole_chain(s, t, eps)
     assert np.max(np.abs(out.p - p)) <= 1e-12 and np.max(np.abs(out.q - q)) <= 1e-12
+
+
+def _uncut(monkeypatch, call, *args):
+    """call(*args) with the light-cone cut at the whole chain."""
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_cone", lambda states, eps, t: states[0].N)
+        return call(*args)
+
+
+def _max_miss(a, b):
+    return max(np.max(np.abs(a.p - b.p)), np.max(np.abs(a.q - b.q)))
+
+
+@pytest.mark.parametrize("eps, t, N, K", [(2.0, 40.0, 400, 3), (0.1, 3000.0, 8191, 3),
+                                          (0.5, 200.0, 1000, 20), (5.0, 10.0, 300, 5)])
+def test_cut_flow_matches_the_whole_chain(rng, monkeypatch, eps, t, N, K):
+    # data on the sites +-1..K reach M < N sites; past them the cut output is exactly 0
+    s = skew_state(rng, N, K)
+    M = _cone([s], eps, t)
+    assert K < M < N
+    cut = propagate_whole_chain(s, t, eps)
+    whole = _uncut(monkeypatch, propagate_whole_chain, s, t, eps)
+    assert _max_miss(cut, whole) <= 1e-13 * norm(s, np.inf)
+    for x in (cut.p, cut.q):
+        assert not np.any(x[N + 1 + M:]) and not np.any(x[:N - M])
+
+
+def test_a_cut_at_the_front_misses(rng, monkeypatch):
+    # the group velocity is below eps, yet the datum's tail past eps t is far above
+    # rounding: a cut there misses by 9.8e-6 of the datum, the light cone by 2e-14
+    eps, t, N, K = 0.1, 3000.0, 8191, 3
+    s = skew_state(rng, N, K)
+    whole = _uncut(monkeypatch, propagate_whole_chain, s, t, eps)
+    monkeypatch.setattr(propagator, "_cone", lambda states, eps, t: K + math.ceil(eps * t))
+    assert _max_miss(propagate_whole_chain(s, t, eps), whole) > 1e-6 * norm(s, np.inf)
+
+
+def test_a_datum_that_fills_the_chain_takes_the_whole_chain(rng):
+    # cut M = N: the parent's arithmetic, one DST-I pair on all N sites, bit for bit
+    N, eps, t = 300, 0.3, 17.0
+    s = skew_state(rng, N, N)
+    assert _cone([s], eps, t) == N
+    nu = dispersion_frequency(eps, np.pi * np.arange(1, N + 1) / (N + 1))
+    ph, qh = dst(np.stack((s.p[N + 1:], s.q[N + 1:])), type=1, norm="ortho", axis=-1)
+    c, si = np.cos(nu * t), np.sin(nu * t)
+    p, q = dst(np.stack((ph * c - qh * (nu * si), qh * c + ph * (si / nu))), type=1,
+               norm="ortho", axis=-1)
+    out = propagate_whole_chain(s, t, eps)
+    assert np.array_equal(out.p, np.concatenate((-p[::-1], [0.0], p)))
+    assert np.array_equal(out.q, np.concatenate((-q[::-1], [0.0], q)))
+
+
+def test_cut_decay_and_forcing_match_the_whole_chain(rng, monkeypatch):
+    s = skew_state(rng, 2048, 3)
+    args = (s, 0.1, np.inf, None, (5.0, 80.0), 12)
+    cut, whole = measure_decay(*args), _uncut(monkeypatch, measure_decay, *args)
+    assert np.max(np.abs(cut.values / whole.values - 1.0)) <= 1e-13
+    times = np.linspace(0.0, 30.0, 61)
+    forcing = [propagate_whole_chain(s, t, 0.1).scaled(np.cos(t)) for t in times]
+    assert _cone(forcing, 0.1, 30.0) < 2048
+    scale = max(norm(F, np.inf) for F in forcing)
+    for a, b in zip(forced_evolution(times, forcing, 0.1),
+                    _uncut(monkeypatch, forced_evolution, times, forcing, 0.1)):
+        assert _max_miss(a, b) <= 1e-13 * scale
+
+
+def test_decay_transforms_stay_on_the_light_cone(monkeypatch):
+    # the benchmark's decay datum on 8,192 sites reaches 1,567 of them by t = 3000;
+    # every DST runs there, none on the whole chain (8,192 takes the Bluestein path)
+    lengths = []
+    dst1 = propagator._dst1
+
+    def record(x):
+        lengths.append(x.shape[-1])
+        return dst1(x)
+
+    monkeypatch.setattr(propagator, "_dst1", record)
+    s = LatticeState.zeros(8192)
+    for k, v in ((1, 1.0), (2, 0.6), (3, 0.25)):
+        s.q[s.index(k)], s.q[s.index(-k)] = v, -v
+        s.p[s.index(k)], s.p[s.index(-k)] = 0.5 * v, -0.5 * v
+    measure_decay(s, 0.1, np.inf, None, (10.0, 300.0), n_samples=30)
+    assert len(lengths) == 31 and max(lengths) <= 2047
+
+
+@pytest.mark.parametrize("eps, t, value", [(-1.0, 1.0, "eps=-1.0"), (np.nan, 1.0, "eps=nan"),
+                                           (np.inf, 1.0, "eps=inf"), (0.1, np.nan, "t=nan"),
+                                           (0.1, -np.inf, "t=-inf")])
+def test_propagation_rejects_a_bad_coupling_or_time(rng, eps, t, value):
+    # eps = -1 made nu NaN for half the modes, and the CLI's second propagation
+    # then called its own output "not skew-symmetric"
+    s = skew_state(rng, 16)
+    with pytest.raises(ValueError, match=value):
+        propagate_whole_chain(s, t, eps)
+    times = np.array([0.0, t]) if np.isfinite(eps) else np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match=value):
+        forced_evolution(times, [s, s], eps)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+def test_decay_rejects_a_bad_coupling(rng, eps):
+    # the window is in eps t; eps = -1 fitted slope=nan, eps = 0 divided by zero
+    with pytest.raises(ValueError, match=f"eps={eps!r}"):
+        measure_decay(skew_state(rng, 64, 2), eps, np.inf, None, window=(1.0, 3.0))
 
 
 def test_l2_conservation_slope_zero(rng):
