@@ -49,8 +49,6 @@ class Breather:
     period: float
     x0: LatticeState                       # section point: p = 0 on every site
     orbit: np.ndarray                      # (2, phases, sites): p and q at phi = 2 pi j / phases
-    beta_hat: float
-    fit_residual: float
     defect: float
     # q_k(t) = sum_n coeffs[k, n] cos(harmonics[n] 2 pi t / period)
     harmonics: np.ndarray
@@ -155,10 +153,8 @@ def continue_breather(chart: ActionAngleChart, I_values, eps: float, N: int,
 
     Raises ValueError, before any Newton step, for a member whose omega0(I) is
     not above the phonon band's top sqrt(1 + 4 eps) by more than 4 roundings,
-    ContinuationError, naming the member, when its top harmonic is not below
-    1e-13 of its largest or its return defect is not below tol, and
-    LocalizationError, naming the member and eps, when 1 or 2 sites besides
-    site 0 rise above 1e-13.
+    and ContinuationError, naming the member, when its top harmonic is not below
+    1e-13 of its largest or its return defect is not below tol.
     """
     V = chart.potential
     I_values = [float(I) for I in I_values]
@@ -189,11 +185,7 @@ def continue_breather(chart: ActionAngleChart, I_values, eps: float, N: int,
         if defect >= tol:
             raise ContinuationError(f"member I={I:g}: full-period return defect {defect:.3e} "
                                     f"at eps={eps:g} is not below tol={tol:g}")
-        try:
-            beta_hat, resid = localization_rate(orbit)
-        except LocalizationError as exc:
-            raise LocalizationError(f"{exc}, in member I={I:g} at eps={eps:g}") from None
-        breathers.append(Breather(I, eps, T, x0, orbit, beta_hat, resid, defect, n, coeffs))
+        breathers.append(Breather(I, eps, T, x0, orbit, defect, n, coeffs))
     return breathers
 
 

@@ -98,10 +98,11 @@ def _skew_datum(cfg, N) -> LatticeState:
     for pair in pairs:
         k, _, v = str(pair).partition(":")
         k, v = int(k), float(v or "1.0")
-        state.q[state.index(k)] = v
-        state.q[state.index(-k)] = -v
-        state.p[state.index(k)] = 0.5 * v
-        state.p[state.index(-k)] = -0.5 * v
+        if not 0 < abs(k) <= N:
+            raise ValueError(f"datum site k={k} is not one of the sites 0 < |k| <= N={N} "
+                             f"that a skew datum sets")
+        state.q[N + k], state.q[N - k] = v, -v
+        state.p[N + k], state.p[N - k] = 0.5 * v, -0.5 * v
     return state
 
 
@@ -112,15 +113,18 @@ def cmd_breather_find(cfg, out_dir, seed) -> bool:
     eps = float(cfg.get("eps", 0.05))
     N = int(cfg.get("N", 64))
     b, = br.continue_breather(chart, [I], eps, N, tol=float(cfg.get("tol", 1e-11)))
+    try:
+        beta_hat, r2 = br.localization_rate(b.orbit)
+    except br.LocalizationError as exc:
+        raise br.LocalizationError(f"{exc}, in member I={I:g} at eps={eps:g}") from None
     # the label fixes the period 2 pi / omega0(I_label); the central site's
     # own action at the section sits below it once the coupling is on
     I_site0 = action_of_point(chart, 0.0, float(b.x0.q[b.x0.index(0)]))
     path = os.path.join(out_dir, "breather.csv")
     _write_state(path, b.x0, comment=f"I_label={b.I_label!r} I_site0={I_site0!r} "
-                 f"eps={b.eps!r} T={b.period!r} beta_hat={b.beta_hat!r} defect={b.defect!r}")
-    print(f"breather: defect={b.defect:.3e} beta_hat={b.beta_hat:.3f} "
-          f"R2={b.fit_residual:.4f} -> {path}")
-    return b.fit_residual > float(cfg.get("min_r2", 0.99))
+                 f"eps={b.eps!r} T={b.period!r} beta_hat={beta_hat!r} defect={b.defect!r}")
+    print(f"breather: defect={b.defect:.3e} beta_hat={beta_hat:.3f} R2={r2:.4f} -> {path}")
+    return r2 > float(cfg.get("min_r2", 0.99))
 
 
 def cmd_propagate(cfg, out_dir, seed) -> bool:
@@ -166,8 +170,11 @@ def cmd_decay_fit(cfg, out_dir, seed) -> bool:
 
 def cmd_vdc_check(cfg, out_dir, seed) -> bool:
     eps = float(cfg.get("eps", 0.1))
-    lams = np.geomspace(float(cfg.get("lam_min", 1e2)), float(cfg.get("lam_max", 1e4)),
-                        int(cfg.get("lam_count", 9)))
+    ends = float(cfg.get("lam_min", 1e2)), float(cfg.get("lam_max", 1e4))
+    if not all(0.0 < lam < np.inf for lam in ends):
+        raise ValueError(f"the lam grid is geometric, so its ends must be finite and positive, "
+                         f"got lam_min={ends[0]!r}, lam_max={ends[1]!r}")
+    lams = np.geomspace(*ends, int(cfg.get("lam_count", 9)))
     split = str(cfg.get("split", "consistent"))
     res = pr.van_der_corput_check(eps, lams, split=split)
     rows = [(l, a, b) for l, a, b in zip(res.lam_grid, res.sup_I1, res.sup_I2)]
@@ -204,6 +211,11 @@ def cmd_resolvent_check(cfg, out_dir, seed) -> bool:
 
 
 def cmd_normal_form(cfg, out_dir, seed) -> bool:
+    eps_list = [float(eps) for eps in np.atleast_1d(cfg.get("eps", [0.0125, 0.025, 0.05, 0.1]))]
+    for eps in eps_list:
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"the residual slopes are fitted in log eps, so each eps must be "
+                             f"finite and positive, got eps={eps!r}")
     V = parse_potential(cfg)
     chart = _chart_for(cfg, V)
     span = (float(cfg.get("I_lo", 0.32)), float(cfg.get("I_hi", 0.48)))
@@ -211,12 +223,9 @@ def cmd_normal_form(cfg, out_dir, seed) -> bool:
                           M=int(cfg.get("M", 24)), I_span=span,
                           n_nodes=int(cfg.get("nodes", 12)),
                           tail_tol=float(cfg.get("tail_tol", 1e-10)))
-    eps_list = cfg.get("eps", [0.0125, 0.025, 0.05, 0.1])
-    if not isinstance(eps_list, list):
-        eps_list = [eps_list]
     r_max = int(cfg.get("r_max", 2))
 
-    results = [(float(eps), nf.normalize(nf.build_initial(ctx, float(eps)), r_max=r_max))
+    results = [(eps, nf.normalize(nf.build_initial(ctx, eps), r_max=r_max))
                for eps in eps_list]
     rows = []
     for eps, res in results:

@@ -5,10 +5,11 @@ closed by the ghosts q_{+-(N+1)} = 0.  Skew data (p_{-k} = -p_k, q_{-k} = -q_k)
 have q_0 = 0 and B keeps that symmetry, so their flow is exactly that of the
 half chain k = 1..N with q_0 = q_{N+1} = 0, the Dirichlet chain.  Its modes
 are sin(pi j k / (N+1)) with frequencies nu(pi j / (N+1)), j = 1..N, and the
-orthonormal type-1 DST, its own inverse, maps onto them: ``_sine_spectrum``
-and ``_from_spectrum`` are the one pair of transforms every propagation uses.
+orthonormal type-1 DST, its own inverse, maps onto them.  Every propagation is
+the one batched flow S(t): ``_modes`` transforms a stack of states, ``_flow``
+moves each by its own time, and ``_states`` transforms them back.
 
-The pair runs on the light cone: a Dirichlet chain of the M <= N sites that
+The flow runs on the light cone: a Dirichlet chain of the M <= N sites that
 ``_cone`` finds the flow can reach, with exact zeros past it.  Data supported
 on k <= K reach site K + r only through r hops of the coupling, so with
 omega = sqrt(1 + 2 eps) and x = 2 eps t / omega, the cut chain's S(tau) differs
@@ -96,9 +97,10 @@ def _cone(states: list[LatticeState], eps: float, t: float) -> int:
             return (math.log(0.5 * omega) + n * math.log(x) - math.lgamma(n + 1.0)
                     - math.log1p(-x / (n + 1.0))) <= _CUT_LOG_TOL
 
-        # below(n) holds from n = e^2 x + 73 + ln(omega) on, where x^n / n! <= e^-n
-        top = math.ceil(math.e ** 2 * x + 73.0 + math.log(omega))
-        n = bisect_left(range(top), True, lo=math.floor(x) + 1, key=below)
+        # below(n) holds from n = e^2 x + 73 + ln(omega) on, where x^n / n! <= e^-n,
+        # and from n = N - K + 1 on the cut is the whole chain
+        top = min(N - K + 1, math.e ** 2 * x + 73.0 + math.log(omega))
+        n = bisect_left(range(math.ceil(top)), True, lo=math.floor(min(x, top)) + 1, key=below)
     return min(N, next_fast_len(max(K + n, 2)) - 1)
 
 
@@ -112,45 +114,51 @@ def _sine_frequencies(M: int, eps: float) -> np.ndarray:
     return dispersion_frequency(eps, np.pi * np.arange(1, M + 1) / (M + 1))
 
 
-def _sine_spectrum(state: LatticeState, M: int) -> np.ndarray:
-    """(p_hat, q_hat), shape (2, M): the sites k = 1..M of a skew state in the sine
-    basis of the Dirichlet chain of M sites.
-
-    ValueError unless the state is skew-symmetric to 1e-12 of its l^2 norm.
-    """
-    if not check_skew(state, tol=1e-12 * max(1.0, norm(state, 2))):
-        raise ValueError("datum is not skew-symmetric")
-    N = state.N
-    return _dst1(np.stack((state.p[N + 1:N + 1 + M], state.q[N + 1:N + 1 + M])))
-
-
-def _from_spectrum(N: int, ph: np.ndarray, qh: np.ndarray) -> LatticeState:
-    """The skew state on the sites -N..N whose sites k = 1..M have the sine
-    coefficients (ph, qh) of the Dirichlet chain of M sites, and 0 past them."""
-    M = ph.size
-    half = _dst1(np.stack((ph, qh)))
-    whole = np.zeros((2, 2 * N + 1))
-    whole[:, N + 1:N + 1 + M] = half
-    whole[:, N - M:N] = -half[:, ::-1]
-    return LatticeState(N, *whole)
+def _modes(states: list[LatticeState], M: int) -> np.ndarray:
+    """(states, 2, M): (p_hat, q_hat) of each skew state's sites k = 1..M in the sine
+    basis of the Dirichlet chain of M sites.  ValueError unless each state is
+    skew-symmetric to 1e-12 of its l^2 norm."""
+    N = states[0].N
+    half = np.empty((len(states), 2, M))
+    for st, row in zip(states, half):
+        # tol = 1e-12 max(1, |st|_2): the norm is needed only past the floor 1e-12
+        if not (check_skew(st, tol=1e-12) or check_skew(st, tol=1e-12 * norm(st, 2))):
+            raise ValueError("datum is not skew-symmetric")
+        row[0], row[1] = st.p[N + 1:N + 1 + M], st.q[N + 1:N + 1 + M]
+    return _dst1(half)
 
 
-def _rotate(ph, qh, nu, c, s):
-    """S(t) on sine coefficients, given c = cos(nu t) and s = sin(nu t)."""
-    return ph * c - qh * (nu * s), qh * c + ph * (s / nu)
+def _flow(modes: np.ndarray, nu: np.ndarray, t) -> np.ndarray:
+    """S(t) on sine coefficients (..., 2, M), state i moved by t[i]:
+    q_hat(t) = q_hat cos(nu t) + p_hat sin(nu t) / nu and
+    p_hat(t) = p_hat cos(nu t) - q_hat nu sin(nu t).  A single state broadcasts
+    over the times."""
+    phase = np.multiply.outer(t, nu)
+    c, s = np.cos(phase), np.sin(phase)
+    ph, qh = modes[..., 0, :], modes[..., 1, :]
+    return np.stack((ph * c - qh * (nu * s), qh * c + ph * (s / nu)), axis=-2)
+
+
+def _states(N: int, modes: np.ndarray):
+    """The skew states on the sites -N..N whose sites k = 1..M have the sine
+    coefficients (states, 2, M) of the Dirichlet chain of M sites, and 0 past them.
+    Each is made as it is read, so a reader that drops it lends its memory to the next."""
+    M = modes.shape[-1]
+    for x in _dst1(modes):
+        whole = np.zeros((2, 2 * N + 1))
+        whole[:, N + 1:N + 1 + M] = x
+        whole[:, N - M:N] = -x[:, ::-1]
+        yield LatticeState(N, *whole)
 
 
 def propagate_whole_chain(state: LatticeState, t: float, eps: float) -> LatticeState:
-    """Closed-form flow of the uniform linear chain on skew-symmetric data.
+    """S(t) state: the closed-form flow of the uniform linear chain on skew data, one
+    transform each way on the ``_cone`` cut.
 
-    q_hat(t) = q_hat0 cos(nu t) + p_hat0 sin(nu t)/nu and
-    p_hat(t) = p_hat0 cos(nu t) - q_hat0 nu sin(nu t), on the ``_cone`` cut.
     ValueError for a non-finite eps, a negative one, or a non-finite t.
     """
     M = _cone([state], eps, t)
-    nu = _sine_frequencies(M, eps)
-    ph, qh = _sine_spectrum(state, M)
-    return _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
+    return next(_states(state.N, _flow(_modes([state], M), _sine_frequencies(M, eps), t)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +182,8 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float, s: float | None
     Needs 0 < lo < hi, at least two samples and a finite eps > 0 (ValueError
     otherwise), and rejects windows whose final time exceeds the boundary-safe
     horizon t < N/2 (conservative group-velocity guard).  The datum is
-    transformed once, on the ``_cone`` cut for t up to the window's end; each
-    sample is one rotation and one inverse transform on that cut.
+    transformed once, on the ``_cone`` cut for t up to the window's end, and
+    moved to every sample time as one batch.
     """
     lo, hi = window
     if not 0 < lo < hi:
@@ -191,13 +199,9 @@ def measure_decay(state: LatticeState, eps: float, r_exp: float, s: float | None
             f"window end t={t_max} reaches the boundary guard N/2={state.N / 2}"
         )
     ets = np.geomspace(lo, hi, n_samples)
-    vals = np.empty(n_samples)
     M = _cone([state], eps, t_max)
-    nu = _sine_frequencies(M, eps)
-    ph, qh = _sine_spectrum(state, M)
-    for i, t in enumerate(ets / eps):
-        moved = _from_spectrum(state.N, *_rotate(ph, qh, nu, np.cos(nu * t), np.sin(nu * t)))
-        vals[i] = norm(moved, r_exp, s)
+    moved = _states(state.N, _flow(_modes([state], M), _sine_frequencies(M, eps), ets / eps))
+    vals = np.array([norm(x, r_exp, s) for x in moved])
     slope, intercept = np.polyfit(np.log(ets), np.log(vals), 1)
     return DecayFit(float(slope), float(intercept), ets, vals, window)
 
@@ -378,14 +382,14 @@ def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
                      eps: float) -> list[LatticeState]:
     """u(t_i) = integral_{t_0}^{t_i} S(t_i - tau) F(tau) d tau by trapezoid in tau.
 
-    On the uniform grid of step h the trapezoid sum obeys
-    u_i = S(h) (u_{i-1} + (h/2) F_{i-1}) + (h/2) F_i, carried in the sine basis
-    of the ``_cone`` cut for the union of the forcing supports over the grid's
-    span: one forward and one inverse transform per sample, one rotation S(h)
-    whose cos and sin are computed once, and working memory O(cut) beyond the
-    returned states.  Forcing samples must be skew-symmetric whole-chain states
-    on a uniform time grid (ValueError otherwise); the first sample's state is
-    zero.  ValueError for a non-finite eps, a negative one, or a non-finite span
+    With the times counted from t_0, the step h of the uniform grid and
+    G_j = S(-t_j) F_j, the trapezoid sum is the closed form
+    u_i = S(t_i) (h sum_{j <= i} G_j - (h/2) (G_0 + G_i)): one cumulative sum
+    over the samples in the sine basis of the ``_cone`` cut for the union of
+    the forcing supports over the grid's span, with one batch of transforms
+    each way.  Forcing samples must be skew-symmetric whole-chain states on a
+    uniform time grid (ValueError otherwise); the first sample's state is zero.
+    ValueError for a non-finite eps, a negative one, or a non-finite span
     t_last - t_0.
     """
     times = np.asarray(times, dtype=float)
@@ -393,14 +397,8 @@ def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
     steps = np.diff(times)
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("forced_evolution needs a uniform time grid")
-    N, h = forcing[0].N, (steps[0] if steps.size else 0.0)
-    nu = _sine_frequencies(M, eps)
-    c, s = np.cos(nu * h), np.sin(nu * h)
-    u, prev, out = np.zeros((2, M)), None, []
-    for F in forcing:
-        half = (0.5 * h) * _sine_spectrum(F, M)
-        if prev is not None:
-            u = np.stack(_rotate(*(u + prev), nu, c, s)) + half
-        prev = half
-        out.append(_from_spectrum(N, *u))
-    return out
+    h = steps[0] if steps.size else 0.0
+    nu, t = _sine_frequencies(M, eps), times - times[0]
+    u = _flow(_modes(forcing, M), nu, -t)                  # G_j = S(-t_j) F_j
+    u = h * (np.cumsum(u, axis=0) - 0.5 * (u[0] + u))      # S(-t_i) u_i; frees the G batch
+    return list(_states(forcing[0].N, _flow(u, nu, t)))

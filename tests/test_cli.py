@@ -177,10 +177,22 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
      "interior=40 does not fit inside the lattice of N=1 sites, which runs over k = -1..-1"),
     # one node made the Chebyshev grid divide by zero and the chart read I=nan
     (["normal-form"], "nodes = 1\n", "at least 2 Chebyshev nodes, got nodes=1"),
+    # the datum's site 3 past the chain's end N = 2 was an IndexError traceback
+    (["propagate"], "N = 2\n", "datum site k=3 is not one of the sites 0 < |k| <= N=2"),
+    (["decay-fit"], "N = 2\n", "datum site k=3 is not one of the sites 0 < |k| <= N=2"),
+    # site 0 set both q_0 = v and q_0 = -v, and the propagator blamed the symmetry
+    (["propagate"], "datum = 0:1.0\n", "datum site k=0 is not one of the sites"),
+    # eps = 0 ran the whole sweep, then the log-eps fit printed LAPACK errors
+    (["normal-form"], "eps = 0.05, 0.0\n", "each eps must be finite and positive, got eps=0.0"),
+    (["normal-form"], "eps = -0.05\n", "each eps must be finite and positive, got eps=-0.05"),
+    # geomspace(-1, 1e4) warned, then the quadrature count was int(nan)
+    (["vdc-check"], "lam_min = -1\n", "finite and positive, got lam_min=-1.0, lam_max=10000.0"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
         "one-decay-sample", "negative-propagate-eps", "negative-decay-eps", "one-lam-value",
         "negative-mu", "nan-dt", "nan-T", "nan-mu", "nan-eps", "negative-eps", "in-band-breather",
-        "interior-past-the-lattice", "one-chebyshev-node"])
+        "interior-past-the-lattice", "one-chebyshev-node", "propagate-datum-past-the-chain",
+        "decay-datum-past-the-chain", "datum-at-site-0", "zero-normal-form-eps",
+        "negative-normal-form-eps", "negative-lam-min"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:

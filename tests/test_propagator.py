@@ -145,6 +145,12 @@ def test_a_cut_at_the_front_misses(rng, monkeypatch):
     assert _max_miss(propagate_whole_chain(s, t, eps), whole) > 1e-6 * norm(s, np.inf)
 
 
+def test_a_cone_past_the_chain_stops_at_its_end(rng):
+    # at t = 1e300 the search for the cut ran over range(1.4e300): an OverflowError
+    s = skew_state(rng, 64, 3)
+    assert _cone([s], 0.1, 1e300) == s.N
+
+
 def test_a_datum_that_fills_the_chain_takes_the_whole_chain(rng):
     # cut M = N: the parent's arithmetic, one DST-I pair on all N sites, bit for bit
     N, eps, t = 300, 0.3, 17.0
@@ -176,7 +182,8 @@ def test_cut_decay_and_forcing_match_the_whole_chain(rng, monkeypatch):
 
 def test_decay_transforms_stay_on_the_light_cone(monkeypatch):
     # the benchmark's decay datum on 8,192 sites reaches 1,567 of them by t = 3000;
-    # every DST runs there, none on the whole chain (8,192 takes the Bluestein path)
+    # both DSTs, one batch each way, run there, none on the whole chain (8,192
+    # takes the Bluestein path)
     lengths = []
     dst1 = propagator._dst1
 
@@ -190,7 +197,7 @@ def test_decay_transforms_stay_on_the_light_cone(monkeypatch):
         s.q[s.index(k)], s.q[s.index(-k)] = v, -v
         s.p[s.index(k)], s.p[s.index(-k)] = 0.5 * v, -0.5 * v
     measure_decay(s, 0.1, np.inf, None, (10.0, 300.0), n_samples=30)
-    assert len(lengths) == 31 and max(lengths) <= 2047
+    assert len(lengths) == 2 and max(lengths) <= 2047
 
 
 @pytest.mark.parametrize("eps, t, value", [(-1.0, 1.0, "eps=-1.0"), (np.nan, 1.0, "eps=nan"),
@@ -450,6 +457,39 @@ def test_forced_evolution_matches_quadratic_sum(rng):
 def test_forced_evolution_single_sample_is_zero(rng):
     u = forced_evolution(np.array([3.0]), [skew_state(rng, 16)], 0.1)
     assert len(u) == 1 and norm(u[0], np.inf) == 0.0
+    # a sample that fills the chain: one state of the chain's size, every entry 0
+    u, = forced_evolution(np.array([3.0]), [skew_state(rng, 16, 16)], 0.1)
+    assert u.N == 16 and not np.any(u.p) and not np.any(u.q)
+
+
+def _trapezoid_recurrence(times, forcing, eps):
+    """The trapezoid sum stepped sample by sample in the sine basis of the whole
+    half chain: u_i = S(h) (u_{i-1} + (h/2) F_{i-1}) + (h/2) F_i, u_0 = 0."""
+    N, h = forcing[0].N, times[1] - times[0]
+    nu = dispersion_frequency(eps, np.pi * np.arange(1, N + 1) / (N + 1))
+    c, s = np.cos(nu * h), np.sin(nu * h)
+    u, prev, out = np.zeros((2, N)), None, []
+    for F in forcing:
+        half = (0.5 * h) * dst(np.stack((F.p[N + 1:], F.q[N + 1:])), type=1, norm="ortho")
+        if prev is not None:
+            ph, qh = u + prev
+            u = np.stack((ph * c - qh * (nu * s), qh * c + ph * (s / nu))) + half
+        prev = half
+        p, q = dst(u, type=1, norm="ortho")
+        out.append(LatticeState(N, np.concatenate((-p[::-1], [0.0], p)),
+                                np.concatenate((-q[::-1], [0.0], q))))
+    return out
+
+
+def test_forced_evolution_matches_the_trapezoid_recurrence(rng):
+    # the closed form counts the times from t_0, so a grid away from 0 checks that shift
+    eps, N = 0.1, 64
+    times = 7.3 + 0.4 * np.arange(41)
+    forcing = [skew_state(rng, N, 6) for _ in times]   # no relation to the free flow
+    scale = max(norm(F, np.inf) for F in forcing)
+    for a, b in zip(forced_evolution(times, forcing, eps),
+                    _trapezoid_recurrence(times, forcing, eps)):
+        assert _max_miss(a, b) <= 1e-13 * scale
 
 
 def test_vdc_check_rejects_non_uniform_rho_grid():
@@ -472,6 +512,17 @@ def test_forced_evolution_rejects_a_non_skew_sample(rng):
     forcing = [skew_state(rng, 8), bad, skew_state(rng, 8)]
     with pytest.raises(ValueError, match="not skew-symmetric"):
         forced_evolution(np.array([0.0, 0.5, 1.0]), forcing, 0.1)
+
+
+def test_forced_evolution_checks_each_sample_against_its_own_norm(rng):
+    # a small sample off skew by 1e-9 sits among samples of size 1e4; a tolerance
+    # from the whole batch's norm, at least 1e-8, would let it through
+    bad = skew_state(rng, 8).scaled(1e-6)
+    bad.q[bad.index(2)] += 1e-9
+    forcing = [skew_state(rng, 8).scaled(1e4) for _ in range(5)]
+    forcing[2] = bad
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        forced_evolution(np.linspace(0.0, 2.0, 5), forcing, 0.1)
 
 
 def test_weighted_retarded_bound_quotient(rng):
