@@ -390,9 +390,17 @@ def forced_evolution(times: np.ndarray, forcing: list[LatticeState],
     each way.  Forcing samples must be skew-symmetric whole-chain states on a
     uniform time grid (ValueError otherwise); the first sample's state is zero.
     ValueError for a non-finite eps, a negative one, or a non-finite span
-    t_last - t_0.
+    t_last - t_0, and one that names the first unpaired sample or the first
+    sample on another chain size than sample 0's.
     """
     times = np.asarray(times, dtype=float)
+    if len(times) != len(forcing):
+        raise ValueError(f"forced_evolution needs one time per forcing sample, got {len(times)} "
+                         f"times and {len(forcing)} samples: sample {min(len(times), len(forcing))} "
+                         f"is unpaired")
+    for i, F in enumerate(forcing):
+        if F.N != forcing[0].N:
+            raise ValueError(f"forcing sample {i} is on N = {F.N}, sample 0 on N = {forcing[0].N}")
     M = _cone(forcing, eps, float(times[-1] - times[0]))
     steps = np.diff(times)
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):

@@ -1,5 +1,7 @@
+import ast
 import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,12 +189,25 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     (["normal-form"], "eps = -0.05\n", "each eps must be finite and positive, got eps=-0.05"),
     # geomspace(-1, 1e4) warned, then the quadrature count was int(nan)
     (["vdc-check"], "lam_min = -1\n", "finite and positive, got lam_min=-1.0, lam_max=10000.0"),
+    # a key no command read was dropped: the run kept lam_min = 100
+    (["vdc-check"], "lam_mn = 1e3\n",
+     "vdc-check has no setting 'lam_mn'; its settings are eps, lam_min, lam_max, lam_count"),
+    (["propagate"], "residual_bound = 0\n", "propagate has no setting 'residual_bound'"),
+    (["propagate"], "N = 64\nt = 5\nN = 32\n", "setting 'N' is given twice"),
+    # an int setting read 64.5 as 64
+    (["propagate"], "N = 64.5\n", "N = 64.5 is not of type int"),
+    # r_max = 0 wrote an empty table and printed PASS
+    (["normal-form"], "r_max = 0\n", "so at least 1; got r_max=0"),
+    # one eps fitted no slope and printed PASS
+    (["normal-form"], "eps = 0.05\n", "at least 2 eps values, got 1"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
         "one-decay-sample", "negative-propagate-eps", "negative-decay-eps", "one-lam-value",
         "negative-mu", "nan-dt", "nan-T", "nan-mu", "nan-eps", "negative-eps", "in-band-breather",
         "interior-past-the-lattice", "one-chebyshev-node", "propagate-datum-past-the-chain",
         "decay-datum-past-the-chain", "datum-at-site-0", "zero-normal-form-eps",
-        "negative-normal-form-eps", "negative-lam-min"])
+        "negative-normal-form-eps", "negative-lam-min", "unknown-vdc-key",
+        "unknown-propagate-key", "repeated-key", "fractional-int", "zero-r-max",
+        "one-normal-form-eps"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:
@@ -253,6 +268,51 @@ def test_breather_csv_header_keeps_the_requested_label(tmp_path):
 
 
 def test_datum_string_is_split_into_pairs():
-    state = cli._skew_datum({"datum": "1:1.0,2:0.6,3:0.25"}, 8)
+    state = cli._skew_datum("1:1.0,2:0.6,3:0.25", 8)
     assert [state.q[state.index(k)] for k in (1, 2, 3)] == [1.0, 0.6, 0.25]
     assert [state.q[state.index(-k)] for k in (1, 2, 3)] == [-1.0, -0.6, -0.25]
+
+
+def test_propagate_self_check_sees_the_rounding_of_the_phase(tmp_path, capsys):
+    # at t = 1e300 the phase nu t keeps no correct digit; the self check
+    # S(t/2) S(t/2), an exact halving of that phase, printed PASS
+    cfg = tmp_path / "prop.cfg"
+    cfg.write_text("t = 1e300\n")
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "propagate", "-c", str(cfg)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
+def settings_read(source: str) -> dict[str, set[str]]:
+    """For each top-level function of the source, the constant keys of ``cfg[...]``
+    that it reads, itself or through the functions of the source it calls."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        keys = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in funcs and node.func.id not in seen):
+                keys |= reads(node.func.id, seen)
+        return keys
+
+    return {name: reads(name, set()) for name in funcs}
+
+
+def test_checker_collects_the_settings_a_command_reaches():
+    src = ("def helper(cfg):\n    return cfg['a'] + other(cfg)\n\n"
+           "def other(cfg):\n    return cfg['b'] + helper(cfg)\n\n"
+           "def cmd(cfg):\n    x = {'c': 1}['c']\n    return helper(cfg) * cfg['d']\n")
+    assert settings_read(src)["cmd"] == {"a", "b", "d"}
+
+
+def test_each_settings_table_holds_the_keys_its_command_reads():
+    # a setting that no command reads is dead; a key read without a default fails the run
+    reads = settings_read(Path(cli.__file__).read_text())
+    assert cli._SETTINGS.keys() == cli._COMMANDS.keys()
+    assert {name: set(cli._SETTINGS[name]) for name in cli._COMMANDS} == {
+        name: reads[command.__name__] for name, command in cli._COMMANDS.items()}

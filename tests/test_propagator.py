@@ -525,6 +525,21 @@ def test_forced_evolution_checks_each_sample_against_its_own_norm(rng):
         forced_evolution(np.linspace(0.0, 2.0, 5), forcing, 0.1)
 
 
+@pytest.mark.parametrize("sizes, n_times, message", [
+    # the 32-site sample was read from the first 16 sites of its chain
+    ((16, 32, 16), 3, "forcing sample 1 is on N = 32, sample 0 on N = 16"),
+    ((32, 16, 32), 3, "forcing sample 1 is on N = 16, sample 0 on N = 32"),
+    ((16, 16, 16, 8), 4, "forcing sample 3 is on N = 8, sample 0 on N = 16"),
+    # two times with one sample returned two states
+    ((16,), 2, "got 2 times and 1 samples: sample 1 is unpaired"),
+    ((16, 16, 16), 2, "got 2 times and 3 samples: sample 2 is unpaired"),
+], ids=["16-32-16", "32-16-32", "last-sample", "two-times-one-sample", "short-times"])
+def test_forced_evolution_names_the_first_mismatched_sample(rng, sizes, n_times, message):
+    forcing = [skew_state(rng, N) for N in sizes]
+    with pytest.raises(ValueError, match=message):
+        forced_evolution(np.linspace(0.0, 1.0, n_times), forcing, 0.1)
+
+
 def test_weighted_retarded_bound_quotient(rng):
     # || int S(t-tau) F dtau ||_{l^inf_{-s} L^2_{eps t}} <= (C/eps) ||F||_{l^1_s L^2_{eps t}}
     s_exp = 3.0
