@@ -7,9 +7,11 @@ their defaults; a setting the file leaves out keeps its default.  Each value is
 read as its default's type, a list default as comma-separated floats, and
 ``mu`` and ``T`` of ``stability``, which the run derives when they are absent,
 as floats.  The potential and the datum are comma lists of degree:coefficient
-and site:value pairs.  A line without '=', a key the subcommand does not have,
-a key given twice, a value not of its type, or a value the run rejects ends
-with one ``error:`` line on stderr and exit status 2.
+and site:value pairs, and the decay norm is linf or l2w<s>.  Each of these
+ends with one ``error:`` line on stderr and exit status 2: a line without '=',
+a key the subcommand does not have, a key given twice, a value not of its
+type, an item of the potential, the datum or the norm that does not read, and
+a value the run rejects.
 
     breatherlab breather find -c find.cfg --out-dir out    # breather.csv
     breatherlab propagate -c prop.cfg                      # propagated.csv
@@ -74,6 +76,34 @@ def _read(key: str, text: str, default):
         raise ValueError(f"{key} = {text} is not {name}") from None
 
 
+def _pairs(text: str) -> list[tuple[int, float]]:
+    """The items k:v of a comma list as (int k, float v); v is 1.0 when left out."""
+    pairs = []
+    for item in text.split(","):
+        k, _, v = item.partition(":")
+        try:
+            pairs.append((int(k), float(v or "1.0")))
+        except ValueError:
+            raise ValueError(f"item {item.strip()!r} is not int:float") from None
+    return pairs
+
+
+def _norm(text: str) -> tuple[float, float | None]:
+    """(r, s) of the decay norm: linf, or l2w<s> with s = -3 when left out."""
+    if text == "linf":
+        return np.inf, None
+    if text.startswith("l2w"):
+        try:
+            return 2.0, float(text[3:] or -3.0)
+        except ValueError:
+            raise ValueError(f"weight {text[3:]!r} of norm {text!r} is not a float") from None
+    raise ValueError(f"unknown norm {text!r}")
+
+
+# str settings whose items the run reads, checked as the file is read
+_ITEMS = {"potential": _pairs, "datum": _pairs, "norm": _norm}
+
+
 def parse_config(path, command: str) -> dict:
     """The settings of the subcommand: its defaults, with the values the file gives."""
     table, given = _SETTINGS[command], {}
@@ -91,15 +121,17 @@ def parse_config(path, command: str) -> dict:
             if key in given:
                 raise ValueError(f"setting {key!r} is given twice")
             given[key] = _read(key, text, table[key])
+            if key in _ITEMS:
+                try:
+                    _ITEMS[key](given[key])
+                except ValueError as exc:
+                    raise ValueError(f"{command} setting {key} = {text}: {exc}") from None
     return {**table, **given}
 
 
 def parse_potential(text: str) -> PotentialSpec:
     """potential = 8:1.0[,10:0.5]; min_degree is 8 when every degree is >= 8, else 4."""
-    coeffs = []
-    for pair in text.split(","):
-        deg, _, coef = pair.partition(":")
-        coeffs.append((int(deg), float(coef or "1.0")))
+    coeffs = _pairs(text)
     return PotentialSpec(tuple(coeffs), 8 if min(d for d, _ in coeffs) >= 8 else 4)
 
 
@@ -113,9 +145,7 @@ def _chart_for(cfg, V):
 
 def _skew_datum(text: str, N: int) -> LatticeState:
     state = LatticeState.zeros(N)
-    for pair in text.split(","):
-        k, _, v = pair.partition(":")
-        k, v = int(k), float(v or "1.0")
+    for k, v in _pairs(text):
         if not 0 < abs(k) <= N:
             raise ValueError(f"datum site k={k} is not one of the sites 0 < |k| <= N={N} "
                              f"that a skew datum sets")
@@ -163,12 +193,7 @@ def cmd_decay_fit(cfg, out_dir, seed) -> bool:
     # datum can reach by the window's end (propagator._cone), whatever N is
     eps, kind = cfg["eps"], cfg["norm"]
     window = (cfg["window_lo"], cfg["window_hi"])
-    if kind == "linf":
-        r_exp, s = np.inf, None
-    elif kind.startswith("l2w"):
-        r_exp, s = 2.0, float(kind[3:] or -3.0)
-    else:
-        raise ValueError(f"unknown norm {kind!r}")
+    r_exp, s = _norm(kind)
     state = _skew_datum(cfg["datum"], cfg["N"])
     fit = pr.measure_decay(state, eps, r_exp, s, window, n_samples=cfg["n_samples"])
     rows = [(et / eps, et, v) for et, v in zip(fit.eps_t, fit.values)]

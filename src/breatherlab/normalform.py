@@ -41,10 +41,13 @@ of algebraic manipulation in perturbation theory* (arXiv:1303.7398): an
 exponent vector of degree <= D is ranked by its degree, then by the rank of
 its tail, which a table of binomials gives from the suffix sums of the row.
 Rank and mode fold into one int64 per term (into several only when the
-lattice is so large that one would overflow).  Rows are unique and kept
-sorted by key, and equal keys are summed by a sort and ``np.add.reduceat``.
-``terms`` is a read-only (mono tuple, n) -> values mapping, decoded from the
-arrays on first lookup; its length needs no decoding.
+lattice is so large that one would overflow); a key is summed over the
+nonzero exponents of its row only.  Rows are unique and kept sorted by key,
+and equal keys are summed by a sort and ``np.add.reduceat``; a sum of many
+series (the stages of a Lie series, the parts of the initial Hamiltonian)
+joins their rows and sorts once.  ``terms`` is a read-only (mono tuple, n) ->
+values mapping, decoded from the arrays on first lookup; its length needs no
+decoding.
 
 The bracket pairs monomials first and numbers the output monomials in key
 order.  A monomial's modes lie on a lattice, lowest mode plus stride times
@@ -53,18 +56,30 @@ rows: the lattice through the modes of its pairs, cut to |n| <= M.  The pairs
 that share an f-monomial, a kind of part and a g-stride form a group, and
 reach distinct output monomials.  For each pair the group sums its parts over
 the modes of both operands as one convolution, a Toeplitz matrix product per
-grid node: the f rows at their mode shifts against the g rows held dense over
-each g-monomial's lattice.  Each pair's sums are added once into its
-monomial's rows, and the parts that reach a row make it a term, so the terms
-come out in key order with no sort of the parts.  ``_CHUNK_ROWS`` bounds the
-work arrays: the output rows are summed in chunks of whole output monomials
-of about that many rows, a group is cut so that its pairs times its widest
-span of sums stay within it, and the Toeplitz matrices are built for as many
-grid nodes at a time as fit in the entries of a chunk.  Beyond the output
-(twice, while the chunks are joined), a few copies of the operands and the
-index arrays of the pairs, memory so stays within a few chunks; only one
-node's Toeplitz matrix can pass a chunk, at few grid nodes and with modes
-that span most of |n| <= M.
+grid node: the f rows at their mode shifts, read as a strided view of one
+zero-padded line of modes, against the g rows held dense over each
+g-monomial's lattice.  Each pair's sums are added once into its monomial's
+rows, and the parts that reach a row make it a term, so the terms come out
+in key order with no sort of the parts.  ``_CHUNK_ROWS`` bounds the work
+arrays: the output rows are summed in chunks of whole output monomials of
+about that many rows, a group is cut so that its pairs times its widest span
+of sums stay within an eighth of that, and the Toeplitz matrices are copied
+out for as many grid nodes at a time as fit in the entries of such a group.
+Beyond the output (twice, while the chunks are joined), a few copies of the
+operands and the index arrays of the pairs, memory so stays within a few
+chunks; only one node's Toeplitz matrix can pass a chunk, at few grid nodes
+and with modes that span most of |n| <= M.
+
+The sizes are measured.  A chunk is 2^15 rows and a group's sums at most
+2^12, which at 12 grid nodes take 786 kB and stay in a core's L2 cache from
+the matrix products that fill them to the scatter that adds them into the
+chunk.  Groups cannot cross chunks, so smaller chunks split the groups of a
+large g into more, smaller products: the one-mode brackets of the
+canonicity test ran 1.3-1.4 times as long with 2^12-row chunks.  On the
+benchmark's normal-form round, an alternated sweep of chunks of 2^13..2^17
+rows, each with groups of an eighth of it, ran alike up to 2^15 and took
+1.03 and 1.10 times as long at 2^16 and 2^17; groups as large as a
+2^15-row chunk took 1.18 times as long as at 2^12.
 """
 
 from __future__ import annotations
@@ -75,6 +90,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import LatticeState
 from .potential import (ActionAngleChart, PotentialSpec, from_cartesian, sample_orbit,
@@ -224,15 +240,21 @@ def make_context(chart: ActionAngleChart, V: PotentialSpec, N: int = 8,
 _CHUNK_ROWS = 1 << 15
 
 
+def _group_rows() -> int:
+    """Sums a group of pairs holds at most: an eighth of a chunk's rows."""
+    return max(_CHUNK_ROWS // 8, 1)
+
+
 @functools.cache
 def _rank_tables(m: int, D: int, K: int) -> tuple:
-    """Column groups of the monomial index, each with its table of binomials.
+    """Column groups of the monomial index, each with its prefix table of binomials.
 
     A group of r exponent columns whose entries sum to at most D ranks as
-    sum_j table[j, s_j], with s_j the suffix sums of the row and
-    table[j, s] = C(s + r - j - 1, r - j): its place in the order by degree,
-    then by the same rank of the tail.  A group spans as many columns as keep
-    its ranks times K (the modes fold into the last group) below 2^62.
+    sum_j C(s_j + r - j - 1, r - j), with s_j the suffix sums of the row: its
+    place in the order by degree, then by the same rank of the tail.  The
+    table holds the sums of those binomials over the first j columns,
+    table[j, s] for j = 0..r.  A group spans as many columns as keep its
+    ranks times K (the modes fold into the last group) below 2^62.
     """
     groups = []
     start = 0
@@ -240,8 +262,9 @@ def _rank_tables(m: int, D: int, K: int) -> tuple:
         r = 1
         while start + r < m and math.comb(r + 1 + D, D) * K < 2 ** 62:
             r += 1
-        table = np.array([[math.comb(s + r - j - 1, r - j) for s in range(D + 1)]
-                          for j in range(r)], dtype=np.int64)
+        binomials = [[math.comb(s + r - j - 1, r - j) for s in range(D + 1)] for j in range(r)]
+        table = np.zeros((r + 1, D + 1), dtype=np.int64)
+        np.cumsum(binomials, axis=0, out=table[1:])
         groups.append((start, start + r, table))
         start += r
     return tuple(groups)
@@ -251,13 +274,28 @@ def _keys(ctx: NormalFormContext, E: np.ndarray, n: np.ndarray | None = None):
     """Sort keys (words, rows) of exponent rows of degree <= ctx.D, and modes n.
 
     The columns order lexicographically by monomial, then by n; equal
-    (monomial, n) give equal columns.
+    (monomial, n) give equal columns.  A row's suffix sum is constant from
+    one nonzero column to the next, and zero past the last (where the
+    binomials vanish), so each nonzero entry adds the prefix-table difference
+    over the columns up to it.
     """
     K = 2 * ctx.M + 1
     words = []
     for a, b, table in _rank_tables(E.shape[1], ctx.D, K):
-        suffix = np.cumsum(E[:, a:b][:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
-        words.append(table[np.arange(b - a), suffix].sum(axis=1))
+        word = np.zeros(E.shape[0], dtype=np.int64)
+        rows, cols = np.nonzero(E[:, a:b])
+        if rows.size:
+            power = E[rows, cols + a].astype(np.int64)
+            start = np.flatnonzero(np.diff(rows, prepend=-1))
+            end = np.append(start[1:], rows.size)
+            total = np.cumsum(power)
+            suffix = power - total + np.repeat(total[end - 1], end - start)
+            prev = np.empty_like(cols)
+            prev[1:] = cols[:-1]
+            prev[start] = -1
+            word[rows[start]] = np.add.reduceat(
+                table[cols + 1, suffix] - table[prev + 1, suffix], start)
+        words.append(word)
     if n is not None:
         words[-1] = words[-1] * K + (n + ctx.M)
     return np.stack(words)
@@ -288,6 +326,24 @@ def _summed(ctx: NormalFormContext, E, n, C):
     """(E, n, C) with the rows of equal key summed, in key order."""
     first, C = _sort_reduce(_keys(ctx, E, n), C)
     return E[first], n[first], C
+
+
+def _summed_parts(ctx: NormalFormContext, parts, dropped: float) -> "GradedHamiltonian":
+    """The sum of the parts (E, n, C): their rows joined, and summed by one sort."""
+    E, n, C = (np.concatenate(a) for a in zip(*parts))
+    return GradedHamiltonian._of(ctx, E, n, C, dropped, summed=False)
+
+
+def _same_order(ctx: NormalFormContext, other: NormalFormContext) -> bool:
+    """Whether the keys of the two truncations sort rows alike.
+
+    A group's rank does not depend on the degree cap, nor the order of the
+    modes on the cutoff, so the orders agree when the rank tables split the
+    columns into the same groups.
+    """
+    m = 2 * ctx.n_sites
+    return ([g[:2] for g in _rank_tables(m, ctx.D, 2 * ctx.M + 1)]
+            == [g[:2] for g in _rank_tables(m, other.D, 2 * other.M + 1)])
 
 
 def _ranges(count: np.ndarray) -> np.ndarray:
@@ -332,6 +388,22 @@ def _windows(lo_p, hi_p, stride_p, order, first, M: int):
     return lo, stride, np.maximum((np.minimum(hi, M) - lo) // stride + 1, 0)
 
 
+def _toeplitz(values: np.ndarray, shift: np.ndarray, slots: int, r: int) -> np.ndarray:
+    """View T[..., o, t] = values[..., m] where o - r t = shift[m], else 0.
+
+    The values lie on a zero line of offsets padded by r (slots - 1) zeros
+    before offset 0, so that every entry of T reads that line at a stride.
+    """
+    lead = r * (slots - 1)
+    span = int(shift[-1]) + lead + 1
+    line = np.zeros(values.shape[:-1] + (lead + span,), dtype=values.dtype)
+    line[..., lead + shift] = values
+    step = line.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        line[..., lead:], shape=values.shape[:-1] + (span, slots),
+        strides=line.strides[:-1] + (step, -r * step), writeable=False)
+
+
 def _mode_convolution(F: np.ndarray, shift: np.ndarray, X: np.ndarray,
                       occupied: np.ndarray, r: int):
     """Sums over the modes of one f-monomial times each g-monomial of a group.
@@ -340,25 +412,21 @@ def _mode_convolution(F: np.ndarray, shift: np.ndarray, X: np.ndarray,
     X (G, kinds, slots, pairs) the g rows, slot t at offset r t, with
     ``occupied`` (slots, pairs) marking the slots that hold a term.  The
     offsets of a pair form a Toeplitz matrix over the slots, so the sum is
-    one matrix product per grid node; the matrices are built for as many
-    nodes at a time as fit in the entries of ``_CHUNK_ROWS`` output rows.
-    Returns the sums (G, offsets, pairs) and the count of parts at each
-    (offset, pair).
+    one matrix product per grid node.  The matrices are strided views of the
+    f rows, copied out for as many nodes at a time as fit in the entries of
+    a group's sums (``_group_rows``).  Returns the sums (G, offsets, pairs)
+    and the count of parts at each (offset, pair).
     """
-    t = np.arange(X.shape[2])
-    at = shift[:, None] + r * t
-    span = int(at[-1, -1]) + 1
     kinds, G = F.shape[1:]
-    F = F.transpose(0, 2, 1)[:, None]
-    X = X.reshape(G, kinds * t.size, -1)
+    slots = X.shape[2]
+    toeplitz = _toeplitz(F.transpose(2, 1, 0), shift, slots, r).transpose(0, 2, 1, 3)
+    span = toeplitz.shape[1]
+    X = X.reshape(G, kinds * slots, -1)
     acc = np.empty((G, span, X.shape[2]), dtype=complex)
-    nodes = max(_CHUNK_ROWS * G // (span * kinds * t.size), 1)
+    nodes = max(_group_rows() * G // (span * kinds * slots), 1)
     for g in range(0, G, nodes):
-        toeplitz = np.zeros((min(nodes, G - g), span, kinds, t.size), dtype=complex)
-        toeplitz[:, at, :, t] = F[:, :, g:g + nodes]
-        acc[g:g + nodes] = toeplitz.reshape(-1, span, kinds * t.size) @ X[g:g + nodes]
-    spread = np.zeros((span, t.size))
-    spread[at, t] = 1.0
+        acc[g:g + nodes] = toeplitz[g:g + nodes].reshape(-1, span, kinds * slots) @ X[g:g + nodes]
+    spread = np.ascontiguousarray(_toeplitz(np.ones(shift.size), shift, slots, r))
     return acc, spread @ occupied
 
 
@@ -386,11 +454,12 @@ def _transverse_triples(Uf, Ug, df, dg, cap: int):
 
 
 def _mode_degree_mass(n, d, a):
-    """(distinct modes, sum of a per mode and degree)."""
-    modes, inv = np.unique(n, return_inverse=True)
-    mass = np.zeros((modes.size, int(d.max()) + 1))
-    np.add.at(mass, (inv, d), a)
-    return modes, mass
+    """(distinct modes, sum of a per mode and degree, added in the order of the terms)."""
+    present = np.bincount(n - n.min()) > 0
+    inv = (np.cumsum(present) - 1)[n - n.min()]
+    width = int(d.max()) + 1
+    mass = np.bincount(inv * width + d, a, int(present.sum()) * width)
+    return np.flatnonzero(present) + n.min(), mass.reshape(-1, width)
 
 
 def _lost_mass(f: "GradedHamiltonian", g: "GradedHamiltonian") -> float:
@@ -458,6 +527,7 @@ class GradedHamiltonian:
         self._n = np.zeros(0, dtype=np.int64)
         self._C = np.zeros((0, ctx.I_nodes.size), dtype=complex)
         self._added = []          # add_term input not yet merged into the arrays
+        self._degrees = None      # row degrees, once known
 
     @classmethod
     def _of(cls, ctx, E, n, C, dropped=0.0, summed=True) -> "GradedHamiltonian":
@@ -493,6 +563,7 @@ class GradedHamiltonian:
         n = [t[1] for t in self._added]
         C = [t[2] for t in self._added]
         self._added = []
+        self._degrees = None
         self._E, self._n, self._C = _summed(
             self.ctx, np.concatenate([self._E, rows]), np.concatenate([self._n, n]),
             np.concatenate([self._C, C]))
@@ -518,18 +589,22 @@ class GradedHamiltonian:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.E.sum(axis=1)
+        self._merge_added()
+        if self._degrees is None:
+            self._degrees = self._E.sum(axis=1)
+        return self._degrees
 
     def _rows(self, keep: np.ndarray, dropped: float = 0.0) -> "GradedHamiltonian":
-        return GradedHamiltonian._of(self.ctx, self.E[keep], self.n[keep], self.C[keep],
-                                     dropped)
+        out = GradedHamiltonian._of(self.ctx, self.E[keep], self.n[keep], self.C[keep],
+                                    dropped)
+        out._degrees = self.degrees[keep]
+        return out
 
     # -- linear algebra -----------------------------------------------------
 
     def __add__(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
-        return GradedHamiltonian._of(
-            self.ctx, np.concatenate([self.E, other.E]), np.concatenate([self.n, other.n]),
-            np.concatenate([self.C, other.C]), self.dropped + other.dropped, summed=False)
+        return _summed_parts(self.ctx, [(self.E, self.n, self.C), (other.E, other.n, other.C)],
+                             self.dropped + other.dropped)
 
     def __sub__(self, other: "GradedHamiltonian") -> "GradedHamiltonian":
         return self + other.scale(-1.0)
@@ -616,6 +691,8 @@ class GradedHamiltonian:
         rows = np.concatenate([Uf[aa_a] + Ug[aa_b], tr_rows])
         order, first = _group(_keys(ctx, rows))
         monomials = rows[order[first]]
+        # a transverse part spends one z-w match of the pair's degrees
+        degrees = np.concatenate([df[aa_a] + dg[aa_b], df[tr_a] + dg[tr_b] - 2])[order[first]]
         pid = np.empty(order.size, dtype=np.int64)
         pid[order] = np.cumsum(first) - 1
         pa, pb = np.concatenate([aa_a, tr_a]), np.concatenate([aa_b, tr_b])
@@ -657,15 +734,23 @@ class GradedHamiltonian:
         key = np.stack([chunk, pa, pv, gs])[:, seq]
         cut = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
         # a group, by growing span, is cut where pairs times its widest span
-        # would pass _CHUNK_ROWS, so that its sums stay within one chunk
+        # would pass _group_rows(), so that its sums stay within an eighth of
+        # a chunk
         groups = []
         for p in np.split(seq, cut):
             while p.size:
                 size = span[p] * np.arange(1, p.size + 1)
-                take = max(int(np.searchsorted(size, _CHUNK_ROWS, side="right")), 1)
+                take = max(int(np.searchsorted(size, _group_rows(), side="right")), 1)
                 groups.append(p[:take])
                 p = p[take:]
         edges = np.searchsorted(chunk[[p[0] for p in groups]], np.arange(bounds.size))
+        # a pair's sum at offset o lands in row first + jump o of its
+        # monomial's window, rows start..end - 1: the window's stride divides
+        # both the pair's and its offset
+        start = row0[pid]
+        end = start + width[pid]
+        first = start + (lo_f[pa] + lo_g[pb] - lo[pid]) // step[pid]
+        jump = so // step[pid]
         out_rows, out_C = [], []
         for c in range(bounds.size - 1):
             buf = np.zeros((bounds[c + 1] - bounds[c], G), dtype=complex)
@@ -682,7 +767,7 @@ class GradedHamiltonian:
                 X = np.take(g_aa if aa else g_tr, idx, axis=2)
                 if not aa:
                     X *= factor[p]
-                fr = np.arange(sf[a], sf[a] + cf[a])
+                fr = slice(sf[a], sf[a] + cf[a])
                 shift = (nf[fr] - lo_f[a]) // s
                 kinds = slice(0, 2) if aa else slice(2, 3)
                 acc, count = _mode_convolution(f_rows[fr, kinds], shift, X,
@@ -693,20 +778,20 @@ class GradedHamiltonian:
                     t0, p0 = np.nonzero(np.append(ng, 1)[idx] == 0)
                     count[shift[nf[fr] == 0] + r * t0, p0] -= 1.0
                 # into the output rows of each pair's monomial
-                q = np.broadcast_to(pid[p], count.shape).ravel()
-                at = (lo_f[a] + lo_g[b] + s * np.arange(count.shape[0])[:, None]).ravel() - lo[q]
-                keep = np.flatnonzero((count.ravel() > 0.5) & (at >= 0)
-                                      & (at < step[q] * width[q]))
-                row = (row0[q] - bounds[c] + at // step[q])[keep]
+                at = first[p] + jump[p] * np.arange(count.shape[0])[:, None]
+                keep = np.flatnonzero((count > 0.5) & (at >= start[p]) & (at < end[p]))
+                row = at.ravel()[keep] - bounds[c]
                 buf[row] += acc.reshape(G, -1).T[keep]
                 reached[row] = True
             out_rows.append(bounds[c] + np.flatnonzero(reached))
             out_C.append(buf[reached])
         out_rows = np.concatenate(out_rows)
         mono = np.searchsorted(row0, out_rows, side="right") - 1
-        return GradedHamiltonian._of(ctx, monomials[mono],
-                                     lo[mono] + step[mono] * (out_rows - row0[mono]),
-                                     np.concatenate(out_C), dropped)
+        out = GradedHamiltonian._of(ctx, monomials[mono],
+                                    lo[mono] + step[mono] * (out_rows - row0[mono]),
+                                    np.concatenate(out_C), dropped)
+        out._degrees = degrees[mono]
+        return out
 
     # -- evaluation ---------------------------------------------------------
 
@@ -736,40 +821,57 @@ def _field_on_grid(gh: GradedHamiltonian, cI: np.ndarray, dcI: np.ndarray,
     (terms, nI); alphas has shape (nA,), z and w (nP, n_sites).  Returns H,
     X_I and X_alpha of shape (nI, nA, nP) and X_z, X_w of shape
     (nI, nA, nP, n_sites).
+
+    A term's monomial and its gradient are sampled at each point over the
+    term's own variables only: the powers come from a table of x^k, and each
+    slot's derivative from prefix and suffix products of the other slots, so
+    xi = 0 needs no division.  These values (monomial and slopes) form a
+    sparse matrix from terms to rows (mode, variable, point), which sums the
+    coefficients at the I points over the terms of each mode; the angle
+    phases then multiply one row per mode, not one per term.
     """
-    E, n = gh.E, gh.n
+    E = gh.E
     T, m = E.shape
-    x = np.ones((z.shape[0], m + 1), dtype=complex)     # column m: unused slots
-    x[:, 0:m:2] = z
-    x[:, 1:m:2] = w
-    # each term's variables and powers in L slots
+    nP, nI = z.shape[0], cI.shape[1]
+    modes, mode_of = np.unique(gh.n, return_inverse=True)
+    x = np.empty((nP, m), dtype=complex)
+    x[:, 0::2] = z
+    x[:, 1::2] = w
+    top = int(E.max(initial=0))
+    powers = np.ones((nP, m, top + 1), dtype=complex)    # powers[p, v, k] = x_v^k
+    powers[..., 1:] = np.cumprod(np.broadcast_to(x[..., None], (nP, m, top)), axis=2)
+    # each term's variables and powers in L slots; empty slots hold 1
     rows, cols = np.nonzero(E)
+    k = E[rows, cols].astype(np.int64)
     per_term = np.bincount(rows, minlength=T)
     L = max(int(per_term.max(initial=0)), 1)
     slot = _ranges(per_term)
-    var = np.full((T, L), m)
-    power = np.zeros((T, L), dtype=np.int64)
-    var[rows, slot] = cols
-    power[rows, slot] = E[rows, cols]
-    base = x[:, var]                                      # (nP, T, L)
-    factors = base ** power
-    mono = factors.prod(axis=2)                           # (nP, T)
-    # d mono / d x_var: the slot's derivative times the other slots' factors
+    factors = np.ones((nP, T, L), dtype=complex)
+    factors[:, rows, slot] = powers[:, cols, k]
+    # d mono / d x_v: the slot's derivative times the other slots' factors
     others = np.ones_like(factors)
     others[..., 1:] = np.cumprod(factors[..., :-1], axis=2)
     others[..., :-1] *= np.cumprod(factors[..., :0:-1], axis=2)[..., ::-1]
-    slope = power * base ** np.maximum(power - 1, 0) * others
-    grad = np.zeros((z.shape[0], T, m + 1), dtype=complex)
-    grad[:, np.arange(T)[:, None], var] = slope           # a term's variables differ
-    phase = np.exp(1j * np.outer(n, alphas))              # (T, nA)
-    shape = (cI.shape[1], alphas.size, z.shape[0])
-    cp = (cI[:, :, None] * phase[:, None, :]).reshape(T, shape[0] * shape[1])
-    dp = (dcI[:, :, None] * phase[:, None, :]).reshape(T, shape[0] * shape[1])
-    H = (cp.T @ mono.T).reshape(shape)
-    X_I = ((-1j * n[:, None] * cp).T @ mono.T).reshape(shape)
-    X_a = (dp.T @ mono.T).reshape(shape)
-    dH = np.tensordot(cp, grad[:, :, :m], axes=(0, 1)).reshape(shape + (m,))
-    return H, X_I, X_a, -1j * dH[..., 1::2], 1j * dH[..., 0::2]
+    mono = factors.prod(axis=2)                                      # (nP, T)
+    slope = k * powers[:, cols, k - 1] * others[:, rows, slot]       # (nP, entries)
+    # row (mode, v, point) of the sums, with v = m for the monomial itself
+    point = np.arange(nP)
+    at = np.concatenate([((mode_of[rows] * (m + 1) + cols)[:, None] * nP + point).ravel(),
+                         ((mode_of * (m + 1) + m)[:, None] * nP + point).ravel()])
+    term = np.concatenate([np.repeat(rows, nP), np.repeat(np.arange(T), nP)])
+    values = sparse.coo_matrix(
+        (np.concatenate([slope.T.ravel(), mono.T.ravel()]), (at, term)),
+        shape=(modes.size * (m + 1) * nP, T))
+    block = (m + 1, nP, 2, nI)
+    sums = values @ np.concatenate([cI, dcI], axis=1)
+    phase = np.exp(1j * np.outer(alphas, modes))                     # (nA, modes)
+    field = (phase @ sums.reshape(modes.size, math.prod(block))).reshape((alphas.size,) + block)
+    sums = sums.reshape((modes.size,) + block)
+    X_I = (-1j * modes * phase) @ sums[:, m, :, 0].reshape(modes.size, nP * nI)
+    dH = field[:, :m, :, 0].transpose(3, 0, 2, 1)
+    return (field[:, m, :, 0].transpose(2, 0, 1),
+            X_I.reshape(alphas.size, nP, nI).transpose(2, 0, 1),
+            field[:, m, :, 1].transpose(2, 0, 1), -1j * dH[..., 1::2], 1j * dH[..., 0::2])
 
 
 def constant_hamiltonian(ctx: NormalFormContext, values: np.ndarray) -> GradedHamiltonian:
@@ -819,8 +921,10 @@ class InitialDecomposition:
     angular_residual: GradedHamiltonian     # eps q0(I,alpha)^2
 
     def total(self) -> GradedHamiltonian:
-        return (constant_hamiltonian(self.ctx, self.hs0) + self.core + self.Z2
-                + self.linear_residual + self.angular_residual)
+        parts = [constant_hamiltonian(self.ctx, self.hs0), self.core, self.Z2,
+                 self.linear_residual, self.angular_residual]
+        return _summed_parts(self.ctx, [(p.E, p.n, p.C) for p in parts],
+                             sum(p.dropped for p in parts))
 
 
 def build_initial(ctx: NormalFormContext, eps: float) -> InitialDecomposition:
@@ -868,12 +972,9 @@ def build_initial(ctx: NormalFormContext, eps: float) -> InitialDecomposition:
         c1 = ctx.q0hat[n1 + M]
         if np.max(np.abs(c1)) < 1e-16:
             continue
-        for n2 in range(-M, M + 1):
-            n = n1 + n2
-            if abs(n) > M:
-                continue
-            c2 = ctx.q0hat[n2 + M]
-            conv[n + M] += c1 * c2
+        # the modes n2 with |n1 + n2| <= M, each mode n summed in the order of n1
+        lo, hi = max(-M, -M - n1), min(M, M - n1)
+        conv[lo + n1 + M:hi + n1 + M + 1] += c1 * ctx.q0hat[lo + M:hi + M + 1]
     for n in range(-M, M + 1):
         if np.max(np.abs(conv[n + M])) > 1e-16:
             ang.add_term((), n, eps * conv[n + M])
@@ -993,9 +1094,13 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
     comb = np.array([[math.comb(k, e) for e in range(order + 1)] for k in range(order + 1)],
                     dtype=float)
     factorial = np.array([math.factorial(i) for i in range(order + 1)], dtype=float)
-    chi_w = GradedHamiltonian._of(work, chi.E, chi.n, chi.C, summed=False)
-    term = GradedHamiltonian._of(work, H.E, H.n, H.C, summed=False)
-    out = H
+    # rows in key order stay so under the wider truncation when both sort alike
+    alike = _same_order(ctx, work)
+    chi_w = GradedHamiltonian._of(work, chi.E, chi.n, chi.C, summed=alike)
+    term = GradedHamiltonian._of(work, H.E, H.n, H.C, summed=alike)
+    # the jet part of each stage, summed once at the end
+    parts = [(H.E, H.n, H.C)]
+    dropped = H.dropped
     fact = 1.0
     for l in range(1, order + 1):
         bracket = chi_w.poisson(term)
@@ -1026,14 +1131,14 @@ def lie_transform(H: GradedHamiltonian, chi: GradedHamiltonian, order: int = 8,
         size = float(bound[keep].max(initial=0.0))
         term = bracket._rows(keep)
         jet = keep & (k == 0)
-        out = out + GradedHamiltonian._of(ctx, bracket.E[jet], bracket.n[jet],
-                                          bracket.C[jet] / fact, summed=False)
-        out.dropped += lost
+        parts.append((bracket.E[jet], bracket.n[jet], bracket.C[jet] / fact))
+        dropped += lost
         if size < stop_tol * scale:
-            return out
-    # crude remainder estimate: the last kept term again contracted by chi
-    out.dropped += term.max_coeff() * max(chi.max_coeff(), 1e-300) / (fact * (order + 1))
-    return out
+            break
+    else:
+        # crude remainder estimate: the last kept term again contracted by chi
+        dropped += term.max_coeff() * max(chi.max_coeff(), 1e-300) / (fact * (order + 1))
+    return _summed_parts(ctx, parts, dropped)
 
 
 def flow_generator(chi: GradedHamiltonian, I: float, alpha: float,

@@ -200,6 +200,13 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
     (["normal-form"], "r_max = 0\n", "so at least 1; got r_max=0"),
     # one eps fitted no slope and printed PASS
     (["normal-form"], "eps = 0.05\n", "at least 2 eps values, got 1"),
+    # the items of a list setting were read after the table, and their errors
+    # named neither the setting nor the subcommand
+    (["stability"], "potential = 8:x\n",
+     "stability setting potential = 8:x: item '8:x' is not int:float"),
+    (["propagate"], "datum = a:1\n", "propagate setting datum = a:1: item 'a:1' is not int:float"),
+    (["decay-fit"], "norm = l2wx\n",
+     "decay-fit setting norm = l2wx: weight 'x' of norm 'l2wx' is not a float"),
 ], ids=["missing-file", "line-without-equals", "unknown-norm", "reversed-decay-window",
         "one-decay-sample", "negative-propagate-eps", "negative-decay-eps", "one-lam-value",
         "negative-mu", "nan-dt", "nan-T", "nan-mu", "nan-eps", "negative-eps", "in-band-breather",
@@ -207,7 +214,7 @@ def test_stability_family_of_another_size_ends_with_one_error_line(tmp_path, cap
         "decay-datum-past-the-chain", "datum-at-site-0", "zero-normal-form-eps",
         "negative-normal-form-eps", "negative-lam-min", "unknown-vdc-key",
         "unknown-propagate-key", "repeated-key", "fractional-int", "zero-r-max",
-        "one-normal-form-eps"])
+        "one-normal-form-eps", "bad-potential-item", "bad-datum-item", "bad-norm-weight"])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:

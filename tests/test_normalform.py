@@ -446,6 +446,70 @@ def test_graded_matches_lattice_hamiltonian(ctx4, chart4, V4, rng):
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
 
 
+def _term_by_term_field(gh, alphas, z, w):
+    """H, X_I, X_alpha, X_z, X_w of gh at every (I node, alpha, point), one term at a time."""
+    ctx = gh.ctx
+    nI, nA, nP = ctx.I_nodes.size, alphas.size, z.shape[0]
+    H, X_I, X_a = (np.zeros((nI, nA, nP), dtype=complex) for _ in range(3))
+    dz, dw = (np.zeros((nI, nA, nP, ctx.n_sites), dtype=complex) for _ in range(2))
+    x = np.empty((nP, 2 * ctx.n_sites), dtype=complex)
+    x[:, 0::2], x[:, 1::2] = z, w
+    for (mono, n), c in gh.terms.items():
+        wave = c[:, None, None] * np.exp(1j * n * alphas)[None, :, None]
+        dwave = (ctx.Dmat @ c)[:, None, None] * np.exp(1j * n * alphas)[None, :, None]
+        value = np.ones(nP, dtype=complex)
+        for v, e in mono:
+            value = value * x[:, v] ** e
+        H += wave * value
+        X_I += -1j * n * wave * value
+        X_a += dwave * value
+        for v, e in mono:
+            slope = np.full(nP, float(e), dtype=complex)
+            for u, f in mono:
+                slope = slope * x[:, u] ** (f - 1 if u == v else f)
+            (dz if v % 2 == 0 else dw)[..., v // 2] += wave * slope
+    return H, X_I, X_a, -1j * dw, 1j * dz
+
+
+def test_field_on_grid_matches_term_by_term_evaluation(ctx4, rng):
+    # powers up to 4 on a few variables, a degree-0 term, and independent z
+    # and w (off the real subspace); then the empty operand
+    gh = _random_operand(ctx4, rng, 12, np.arange(6))
+    gh.add_term((), 3, _poly_coeff(ctx4, rng))
+    gh.add_term(((ctx4.z_var(1), 4),), -2, _poly_coeff(ctx4, rng))
+    assert max(e for mono, _ in gh.terms for _, e in mono) >= 2
+    assert any(not mono for mono, _ in gh.terms)
+    alphas = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+    shape = (3, ctx4.n_sites)
+    z = 0.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    w = 0.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for operand in (gh, GradedHamiltonian(ctx4)):
+        got = normalform._field_on_grid(operand, operand.C, operand.C @ ctx4.Dmat.T,
+                                        alphas, z, w)
+        want = _term_by_term_field(operand, alphas, z, w)
+        for g, r in zip(got, want):
+            size = max(1.0, np.max(np.abs(r), initial=0.0))
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r), initial=0.0) <= 1e-12 * size
+
+
+def _in_key_order(gh):
+    """Whether the rows of gh are unique and sorted by ``_keys``."""
+    keys = normalform._keys(gh.ctx, gh.E, gh.n)
+    ahead = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    order = np.lexsort(keys[::-1])
+    return bool(np.all(ahead) and np.array_equal(order, np.arange(gh.n.size)))
+
+
+def test_lie_transform_and_total_keep_unique_rows_in_key_order(ctx4, rng):
+    # ``_of(..., summed=True)`` takes its rows as they are, so every series
+    # must come out with unique rows in key order
+    chi = _realize(ctx4, rng).scale(0.02)
+    f = _realize(ctx4, rng)
+    for out in (lie_transform(f, chi, 6), build_initial(ctx4, 0.05).total()):
+        assert out.n.size > 1 and _in_key_order(out)
+
+
 def test_nf_point_round_trip(ctx4, chart4, rng):
     I, alpha = 0.41, 1.3
     z = 0.05 * (rng.standard_normal(ctx4.n_sites)
